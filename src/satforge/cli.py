@@ -1,8 +1,9 @@
 """Command-line front end: constructions, saturation checks, brute-force
 runs, and claim-verification campaigns with machine-readable reports.
 
-Exit codes: 0 ok/saturated, 1 campaign failure, 2 usage error,
-3 graph contains a member, 4 missing edge found.
+Exit codes: 0 ok/saturated, 1 campaign failure, 2 usage or input error
+(including an unreadable or missing input file), 3 graph contains a member,
+4 missing edge found, 5 path-search budget exceeded.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .graphs import (
     write_edgelist,
 )
 from .canon import canonical_form
+from .patterns import PathSearchBudgetError
 from .saturation import (
     CONTAINS_MEMBER,
     MISSING_EDGE,
@@ -66,6 +68,7 @@ EXIT_CAMPAIGN_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CONTAINS = 3
 EXIT_MISSING = 4
+EXIT_BUDGET = 5
 
 
 class UsageError(ValueError):
@@ -86,13 +89,15 @@ def _load_graph(path: str, fmt: str | None) -> Graph:
         data = fh.read()
     if fmt == "edgelist":
         return parse_edgelist(data.decode("ascii"))
-    if fmt == "graph6":
-        return graph6_decode(data.splitlines()[0])
-    text = data.decode("ascii", errors="replace")
-    first = text.splitlines()[0].split() if text.strip() else []
-    if len(first) == 2 and all(t.isdigit() for t in first):
-        return parse_edgelist(text)
-    return graph6_decode(data.splitlines()[0])
+    if fmt != "graph6":
+        text = data.decode("ascii", errors="replace")
+        first = text.splitlines()[0].split() if text.strip() else []
+        if len(first) == 2 and all(t.isdigit() for t in first):
+            return parse_edgelist(text)
+    lines = [ln for ln in data.splitlines() if ln.strip()]
+    if len(lines) != 1:
+        raise UsageError(f"{path}: expected one graph6 line, found {len(lines)}")
+    return graph6_decode(lines[0])
 
 
 def _write_graph(g: Graph, path: str | None, fmt: str) -> None:
@@ -624,9 +629,12 @@ def main(argv: list[str] | None = None) -> int:
         os.environ["SATFORGE_BUDGET"] = args.budget
     try:
         return args.func(args)
-    except (UsageError, BudgetExceededError, ValueError) as exc:
+    except (UsageError, BudgetExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except PathSearchBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

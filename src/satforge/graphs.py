@@ -182,10 +182,18 @@ def bfs_levels(g: Graph, src: int, mask: int) -> list[int]:
 def distances_from(g: Graph, src: int, mask: int | None = None) -> list[int]:
     """Distance from src to every vertex (-1 if unreachable or outside mask)."""
     m = full_mask(g.n) if mask is None else mask
+    rows = g.rows
     dist = [-1] * g.n
-    for d, level in enumerate(bfs_levels(g, src, m)):
-        for v in iter_bits(level):
+    seen = frontier = 1 << src
+    d = 0
+    while frontier:
+        nxt = 0
+        for v in iter_bits(frontier):
             dist[v] = d
+            nxt |= rows[v]
+        frontier = nxt & m & ~seen
+        seen |= frontier
+        d += 1
     return dist
 
 
@@ -217,16 +225,6 @@ def is_connected(g: Graph) -> bool:
 
 def is_tree(g: Graph) -> bool:
     return g.n >= 1 and is_connected(g) and g.edge_count == g.n - 1
-
-
-def is_forest(g: Graph) -> bool:
-    return all(
-        induced_mask_edge_count(g, m) == m.bit_count() - 1 for m in component_masks(g)
-    )
-
-
-def induced_mask_edge_count(g: Graph, mask: int) -> int:
-    return sum((g.rows[v] & mask).bit_count() for v in iter_bits(mask)) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,10 @@ MAX_DFS_COMPONENT = 256
 MAX_CYCLE_RANK_FOR_DELETION = 12
 
 
+class PathSearchBudgetError(RuntimeError):
+    """A path search met a dense component over MAX_DFS_COMPONENT vertices."""
+
+
 @dataclass(frozen=True)
 class Witness:
     """Concrete vertex embedding certifying a pattern occurrence."""
@@ -224,7 +228,7 @@ def _lp_component(rows: list[int], comp: int, k: int, seen_removed: set, removed
                 return res
         return None
     if size > MAX_DFS_COMPONENT:
-        raise RuntimeError(
+        raise PathSearchBudgetError(
             f"path search budget exceeded: dense component of order {size}"
         )
     return _lp_dfs(rows, comp, k)
@@ -320,7 +324,7 @@ def _lpf_component(rows: list[int], comp: int, v: int, seen_removed: set, remove
                 best = cand
         return best
     if size > MAX_DFS_COMPONENT:
-        raise RuntimeError(
+        raise PathSearchBudgetError(
             f"path search budget exceeded: dense component of order {size}"
         )
     best: list[int] = []

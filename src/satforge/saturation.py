@@ -6,10 +6,12 @@ member-free and every added non-edge creates a member.  Non-edges are always
 tested in ascending order, so the reported failure is the smallest one
 whatever the execution strategy.
 
-Two structure-aware scans keep the common checks fast: forests against
-{triangle, long path} reduce each non-edge to tree eccentricity arithmetic,
-and sparse graphs against one {triangle union path} member reuse per-triangle
-masked distance tables instead of re-running detectors from scratch.
+Two structure-aware scans keep the common checks fast: a forest against
+{triangle, Pk} is member-free exactly when every component has diameter
+below k-1, and each of its non-edges reduces to tree distance arithmetic on
+BFS rows computed as the scan first needs them; sparse graphs against one
+{triangle union path} member reuse per-triangle masked distance tables
+instead of re-running detectors from scratch.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .graphs import (
     Graph,
     component_masks,
     distance_matrix,
+    distances_from,
     full_mask,
-    is_forest,
     iter_bits,
 )
 from .patterns import (
@@ -292,10 +294,9 @@ def check_saturated(g: Graph, fam: ForbiddenFamily, threads: int = 1) -> Saturat
     The reported failure is always the ascending-smallest one; thread count
     never changes the verdict.
     """
-    w = contains_member(g, fam)
+    w, failures = _member_or_failures(g, fam, collect_all=False, threads=threads)
     if w is not None:
         return SaturationVerdict(CONTAINS_MEMBER, witness=w)
-    failures = _failing_non_edges(g, fam, collect_all=False, threads=threads)
     if failures:
         return SaturationVerdict(MISSING_EDGE, missing_edge=failures[0])
     return SaturationVerdict(SATURATED)
@@ -303,9 +304,30 @@ def check_saturated(g: Graph, fam: ForbiddenFamily, threads: int = 1) -> Saturat
 
 def saturation_gap(g: Graph, fam: ForbiddenFamily, threads: int = 1) -> list[tuple[int, int]]:
     """All non-edges whose addition creates no member (empty iff saturated)."""
-    if contains_member(g, fam) is not None:
+    w, failures = _member_or_failures(g, fam, collect_all=True, threads=threads)
+    if w is not None:
         raise ValueError("graph already contains a family member")
-    return _failing_non_edges(g, fam, collect_all=True, threads=threads)
+    return failures
+
+
+def _member_or_failures(
+    g: Graph, fam: ForbiddenFamily, collect_all: bool, threads: int
+) -> tuple[Witness | None, list[tuple[int, int]]]:
+    """The first member witness of g, or else its failing non-edges.
+
+    A forest holds no triangle, and it holds Pk exactly when some component
+    has diameter at least k-1, so a member-free {K3, Pk} forest goes to its
+    scan without running the detectors.
+    """
+    k = _k3_pk_shape(fam)
+    if k is not None:
+        forest = _Forest.of(g)
+        if forest is not None and forest.diameter < k - 1:
+            return None, _scan_k3_pk_forest(forest, k, collect_all)
+    w = contains_member(g, fam)
+    if w is not None:
+        return w, []
+    return None, _failing_non_edges(g, fam, collect_all, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +338,6 @@ def saturation_gap(g: Graph, fam: ForbiddenFamily, threads: int = 1) -> list[tup
 def _failing_non_edges(
     g: Graph, fam: ForbiddenFamily, collect_all: bool, threads: int = 1
 ) -> list[tuple[int, int]]:
-    k = _k3_pk_shape(fam)
-    if k is not None and is_forest(g):
-        return _scan_k3_pk_forest(g, k, collect_all)
     k = _k3_cup_pk_shape(fam)
     if k is not None:
         tris = []
@@ -357,12 +376,57 @@ def _k3_cup_pk_shape(fam: ForbiddenFamily) -> int | None:
     return None
 
 
-def _eccentricities(dist: list[list[int]], n: int) -> list[int]:
-    return [max(dist[v]) for v in range(n)]
+class _Forest:
+    """A forest with its BFS distance rows, each computed on first use.
+
+    Indexing gives a row, so a _Forest stands in for a distance matrix.
+    """
+
+    def __init__(self, g: Graph, comps: list[int]):
+        self.g = g
+        self.verts = [list(iter_bits(m)) for m in comps]
+        self.comp_of = [0] * g.n
+        for ci, vs in enumerate(self.verts[1:], 1):
+            for v in vs:
+                self.comp_of[v] = ci
+        self._rows: list[list[int] | None] = [None] * g.n
+        # the ends of a longest path per component: in a tree, the vertex
+        # farthest from any vertex ends one
+        self.ends = []
+        for vs in self.verts:
+            r = self[vs[0]]
+            a = r.index(max(r))
+            r = self[a]
+            self.ends.append((a, r.index(max(r))))
+        self.diameter = max((self[a][b] for a, b in self.ends), default=0)
+
+    @classmethod
+    def of(cls, g: Graph) -> "_Forest | None":
+        comps = component_masks(g)
+        if g.edge_count != g.n - len(comps):
+            return None
+        return cls(g, comps)
+
+    def __getitem__(self, v: int) -> list[int]:
+        """Distances from v (-1 outside v's component)."""
+        r = self._rows[v]
+        if r is None:
+            r = self._rows[v] = distances_from(self.g, v)
+        return r
+
+    def eccentricities(self) -> list[int]:
+        """In a tree every vertex is farthest from one end of a longest path."""
+        ecc = [0] * self.g.n
+        for vs, (a, b) in zip(self.verts, self.ends):
+            ra, rb = self[a], self[b]
+            for w in vs:
+                ecc[w] = max(ra[w], rb[w])
+        return ecc
 
 
-def _through_edge_reach(dist: list[list[int]], comp: int, u: int, v: int) -> int:
-    """Order of the longest path through a new chord uv of a tree component.
+def _through_edge_reach(dist, verts: list[int], u: int, v: int) -> int:
+    """Order of the longest path through a new chord uv of a tree component
+    whose vertices are verts.
 
     Every path through uv splits at some edge of the tree u..v path, so the
     optimum is a prefix/suffix maximum over the split position of
@@ -372,12 +436,13 @@ def _through_edge_reach(dist: list[list[int]], comp: int, u: int, v: int) -> int
     d = du[v]
     pref = [-1] * d          # farthest-from-u among vertices hanging at <= i
     suf = [-1] * d           # farthest-from-v among vertices hanging at >= i+1
-    for w in iter_bits(comp):
-        i = (du[w] + d - dv[w]) // 2
-        if i < d and du[w] > pref[i]:
-            pref[i] = du[w]
-        if i > 0 and dv[w] > suf[i - 1]:
-            suf[i - 1] = dv[w]
+    for w in verts:
+        a, b = du[w], dv[w]
+        i = (a + d - b) // 2
+        if i < d and a > pref[i]:
+            pref[i] = a
+        if i > 0 and b > suf[i - 1]:
+            suf[i - 1] = b
     best = 0
     run = -1
     for i in range(d):
@@ -392,22 +457,22 @@ def _through_edge_reach(dist: list[list[int]], comp: int, u: int, v: int) -> int
     return best
 
 
-def _scan_k3_pk_forest(g: Graph, k: int, collect_all: bool) -> list[tuple[int, int]]:
-    dist = distance_matrix(g)
-    ecc = _eccentricities(dist, g.n)
-    comps = component_masks(g)
-    comp_of = [0] * g.n
-    for ci, m in enumerate(comps):
-        for v in iter_bits(m):
-            comp_of[v] = ci
+def _scan_k3_pk_forest(dist: _Forest, k: int, collect_all: bool) -> list[tuple[int, int]]:
+    """Failing non-edges of a member-free forest, ascending.  Distance rows
+    are computed only as pairs need them, so a scan that stops at an early
+    failure computes few."""
+    comp_of = dist.comp_of
+    ecc = None
     failures: list[tuple[int, int]] = []
-    for u, v in g.non_edges():
+    for u, v in dist.g.non_edges():
         if comp_of[u] == comp_of[v]:
             if dist[u][v] == 2:
                 continue  # closes a triangle
-            if _through_edge_reach(dist, comps[comp_of[u]], u, v) >= k:
+            if _through_edge_reach(dist, dist.verts[comp_of[u]], u, v) >= k:
                 continue
         else:
+            if ecc is None:
+                ecc = dist.eccentricities()
             if ecc[u] + ecc[v] + 2 >= k:
                 continue
         failures.append((u, v))
@@ -444,13 +509,14 @@ def _scan_k3_cup_pk(
         parts = component_masks(g, tmask)
         part_of = [-1] * n
         part_tree = []
-        for ci, m in enumerate(parts):
-            edges = sum((g.rows[v] & m).bit_count() for v in iter_bits(m)) // 2
-            part_tree.append(edges == m.bit_count() - 1)
-            for v in iter_bits(m):
+        part_verts = [list(iter_bits(m)) for m in parts]
+        for ci, (m, vs) in enumerate(zip(parts, part_verts)):
+            edges = sum((g.rows[v] & m).bit_count() for v in vs) // 2
+            part_tree.append(edges == len(vs) - 1)
+            for v in vs:
                 part_of[v] = ci
         ecc = [max(dist[v]) if part_of[v] >= 0 else -1 for v in range(n)]
-        tables.append((set(cl), dist, parts, part_of, part_tree, ecc))
+        tables.append((set(cl), dist, parts, part_verts, part_of, part_tree, ecc))
 
     failures: list[tuple[int, int]] = []
     for u, v in g.non_edges():
@@ -463,7 +529,7 @@ def _scan_k3_cup_pk(
 
 
 def _creates_k3_cup_pk(g, k, u, v, tables, comps, comp_of, comp_has_pk) -> bool:
-    for tset, dist, parts, part_of, part_tree, ecc in tables:
+    for tset, dist, parts, part_verts, part_of, part_tree, ecc in tables:
         if u in tset or v in tset:
             continue
         pu, pv = part_of[u], part_of[v]
@@ -472,7 +538,7 @@ def _creates_k3_cup_pk(g, k, u, v, tables, comps, comp_of, comp_has_pk) -> bool:
             if ecc[u] + ecc[v] + 2 >= k:
                 return True
         elif pu == pv and part_tree[pu]:
-            if _through_edge_reach(dist, parts[pu], u, v) >= k:
+            if _through_edge_reach(dist, part_verts[pu], u, v) >= k:
                 return True
         else:
             mask = parts[pu] | parts[pv]

@@ -1,13 +1,14 @@
 """Isomorph-free enumeration of small graphs and trees, brute-force
 saturation numbers, and exhaustive tree scans.
 
-Free trees come from the classical successor algorithm on canonical rooted
-level sequences, filtered to centre rootings so each free tree appears
-exactly once.  Graphs come from canonical augmentation: children of a
-canonical parent are deduplicated per parent by canonical code, and a child
-survives only when its new vertex sits in the canonical-deletion orbit, so
-every class is produced exactly once across all parents.  Both streams are
-deterministic and shardable by index.
+Free trees come from the Wright-Richmond-Odlyzko-McKay generator, which
+visits only canonical level sequences rooted at a centre, in constant
+amortised time per tree, and yields each tree's diameter with it.  Graphs
+come from canonical augmentation: children of a canonical parent are
+deduplicated per parent by canonical code, and a child survives only when
+its new vertex sits in the canonical-deletion orbit, so every class is
+produced exactly once across all parents.  Both streams are deterministic
+and shardable by index.
 """
 
 from __future__ import annotations
@@ -69,82 +70,108 @@ def graph_budget() -> int:
 
 
 # ---------------------------------------------------------------------------
-# free trees via canonical rooted level sequences
+# free trees via the Wright-Richmond-Odlyzko-McKay generator
 # ---------------------------------------------------------------------------
 
 
-def _rooted_level_sequences(n: int) -> Iterator[list[int]]:
-    """All canonical rooted trees on n vertices as level sequences
-    (root level 1, children non-increasing), in decreasing lex order."""
+def _next_rooted(levels: list[int], p: int) -> list[int]:
+    """Beyer-Hedetniemi successor of a canonical rooted level sequence
+    (root level 1, children non-increasing) at position p: level p drops by
+    one and the tail repeats the subtree block that now ends before p."""
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    block = levels[q:p]
+    tail = len(levels) - p
+    return levels[:p] + (block * (tail // len(block) + 1))[:tail]
+
+
+def _iter_free_trees(n: int) -> Iterator[tuple[list[int], int]]:
+    """(level sequence, diameter) per free tree on n vertices.
+
+    Wright, Richmond, Odlyzko and McKay, "Constant time generation of free
+    trees" (SIAM J. Comput. 15, 1986).  It walks the canonical rooted level
+    sequences in decreasing lex order.  Each is split at the root's second
+    child into the first subtree, which is the tallest, and the rest.  The
+    root is a centre when the rest is at most one level shallower than the
+    first subtree; when it is exactly one shallower the tree is bicentral,
+    and the walk keeps the rooting whose first subtree has no more vertices
+    than the rest, and is no greater in lex order when they tie.  From any
+    other sequence the walk jumps past every sequence that shares its first
+    subtree.
+
+    A bicentral tree is yielded rooted at the end of its central edge whose
+    own half is no less, in lex order, than the other half, which may be
+    the other end.  That rooting fixes the vertex labels, and so the graph6
+    strings, of scan witnesses.
+    """
     if n < 1:
         return
-    levels = list(range(1, n + 1))
-    while True:
-        yield levels
-        p = -1
-        for i in range(n - 1, -1, -1):
-            if levels[i] > 2:
-                p = i
-                break
-        if p < 0:
-            return
-        q = p - 1
-        while levels[q] != levels[p] - 1:
-            q -= 1
-        period = p - q
-        nxt = levels[:p]
-        for i in range(p, n):
-            nxt.append(nxt[i - period])
-        levels = nxt
-
-
-def _free_tree_info(levels: list[int]) -> tuple[bool, int]:
-    """(is this rooted sequence the canonical rooting of its free tree,
-    diameter of that free tree).
-
-    Unicentral trees are accepted at their centre (at least two principal
-    subtrees of full height); bicentral trees at the centre endpoint whose
-    half dominates the other half lexicographically.
-    """
-    n = len(levels)
     if n == 1:
-        return True, 0
-    h = max(levels)
-    starts = [i for i in range(1, n) if levels[i] == 2]
-    ends = starts[1:] + [n]
-    reach = [max(levels[s:e]) for s, e in zip(starts, ends)]
-    deep = sum(1 for r in reach if r == h)
-    if deep >= 2:
-        return True, 2 * (h - 1)
-    # bicentral candidate: the first (tallest) subtree is the other half
-    second = max(reach[1:], default=1)
-    if second != h - 1:
-        return False, 0
-    half_b = [x - 1 for x in levels[starts[0] : ends[0]]]
-    half_a = [1] + levels[ends[0] :]
-    if half_a >= half_b:
-        return True, 2 * h - 3
-    return False, 0
+        yield [1], 0
+        return
+    # the path rooted at its centre
+    levels = list(range(1, n // 2 + 2)) + list(range(2, (n + 1) // 2 + 1))
+    while True:
+        try:
+            m = levels.index(2, 2)
+        except ValueError:
+            m = n
+        h = max(levels)
+        rest = max(levels[m:], default=1)
+        bicentral = rest == h - 1
+        if bicentral:
+            first, other = _halves(levels, m)
+        if rest < h - 1 or bicentral and (
+            len(first) > len(other) or len(first) == len(other) and first > other
+        ):
+            # not rooted at the generator's centre; when the first subtree
+            # stays tall, the next candidate's rest ends in a branch as deep
+            # as that subtree
+            p = m - 1
+            jumped = _next_rooted(levels, p)
+            if levels[p] > 3:
+                try:
+                    m = jumped.index(2, 2)
+                except ValueError:
+                    m = n
+                depth = max(jumped[1:m]) - 1
+                jumped[n - depth :] = range(2, depth + 2)
+            levels = jumped
+            continue
+        if not bicentral:
+            yield levels, 2 * (h - 1)
+        elif other >= first:
+            yield levels, 2 * h - 3
+        else:
+            yield [1] + [x + 1 for x in other] + first[1:], 2 * h - 3
+        p = n - 1
+        while levels[p] <= 2:
+            p -= 1
+            if p == 0:
+                return
+        levels = _next_rooted(levels, p)
+
+
+def _halves(levels: list[int], m: int) -> tuple[list[int], list[int]]:
+    """The two halves of a tree rooted at one end of its central edge, each
+    as a level sequence rooted at its own end: the first subtree, and the
+    root with the other subtrees."""
+    return [x - 1 for x in levels[1:m]], [1] + levels[m:]
 
 
 def _levels_to_graph(levels: Sequence[int]) -> Graph:
     """Preorder level sequence to a tree; vertex ids follow preorder."""
     n = len(levels)
-    edges = []
+    rows = [0] * n
     chain = [0] * (max(levels) + 1)
     for i in range(1, n):
         lvl = levels[i]
-        edges.append((chain[lvl - 1], i))
+        parent = chain[lvl - 1]
+        rows[parent] |= 1 << i
+        rows[i] = 1 << parent
         chain[lvl] = i
-    return build_graph(n, edges)
-
-
-def _iter_free_trees(n: int) -> Iterator[tuple[list[int], int]]:
-    """(level sequence, diameter) per free tree on n vertices."""
-    for levels in _rooted_level_sequences(n):
-        ok, diam = _free_tree_info(levels)
-        if ok:
-            yield levels, diam
+    return Graph(n, tuple(rows))
 
 
 def write_graph6_stream(graphs: Iterator[Graph] | Sequence[Graph], path: str) -> int:
@@ -275,7 +302,7 @@ def sat_bruteforce(n: int, fam: ForbiddenFamily) -> BruteForceResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeWitness:
     graph6: bytes
     order: int
@@ -343,6 +370,11 @@ def claimed_patterns(k: int) -> list[tuple[str, Graph]]:
     return patterns
 
 
+def _witness_key(w: TreeWitness) -> tuple[int, bytes]:
+    """Report order of witnesses, for one run and for merged shards alike."""
+    return (w.order, w.graph6)
+
+
 def _k3_pk(k: int) -> ForbiddenFamily:
     return ForbiddenFamily((Clique(3), Path(k)))
 
@@ -372,6 +404,7 @@ def scan_saturated_trees(
     patterns = claimed_patterns(k)
     scanned = checked = sat_count = 0
     witnesses: list[TreeWitness] = []
+    flag_sets: dict = {}
     index = 0
     for n in orders:
         for levels, diam in _iter_free_trees(n):
@@ -393,9 +426,13 @@ def scan_saturated_trees(
                 (name, subtree_contains(tree, pat) is not None)
                 for name, pat in patterns
             )
+            # witnesses share one tuple per distinct flag set, in memory
+            # and through pickling
+            flags = flag_sets.setdefault(flags, flags)
             witnesses.append(
                 TreeWitness(graph6_encode(tree), n, is_star, flags)
             )
+    witnesses.sort(key=_witness_key)
     min_edges = min((w.order - 1 for w in witnesses), default=None)
     return ScanReport(
         orders=orders,
@@ -425,10 +462,7 @@ def merge_scan_reports(reports: Sequence[ScanReport]) -> ScanReport:
         ):
             raise ValueError("shard reports disagree on scan parameters")
     witnesses = tuple(
-        sorted(
-            (w for r in reports for w in r.witnesses),
-            key=lambda w: (w.order, w.graph6),
-        )
+        sorted((w for r in reports for w in r.witnesses), key=_witness_key)
     )
     return ScanReport(
         orders=base.orders,

@@ -3,7 +3,7 @@ import json
 
 from satforge import cli
 from satforge.cli import main
-from satforge.graphs import graph6_decode
+from satforge.graphs import build_graph, graph6_decode, graph6_encode
 
 
 def run(capsys, *argv):
@@ -84,6 +84,31 @@ class TestCheck:
         out.write_text("3 2\n0 1\n1 2\n")
         code, stdout, _ = run(capsys, "check", "--family", "P3", str(out))
         assert code == 3
+
+    def test_missing_file_exit_two(self, tmp_path, capsys):
+        code, stdout, err = run(
+            capsys, "check", "--family", "K3", str(tmp_path / "absent.g6")
+        )
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: ") and "absent.g6" in err
+
+    def test_two_graph6_lines_exit_two(self, tmp_path, capsys):
+        # the second graph (K4) would give exit 3 if it were read
+        out = tmp_path / "two.g6"
+        out.write_bytes(b"Bw\n\nC~\n")
+        for extra in ((), ("--format", "graph6")):
+            code, stdout, err = run(capsys, "check", "--family", "K3", *extra, str(out))
+            assert code == 2 and stdout == ""
+            assert "expected one graph6 line, found 2" in err
+
+    def test_path_search_budget_exit_five(self, tmp_path, capsys):
+        # K150,150 is one dense 300-vertex component, over the DFS budget
+        g = build_graph(300, [(u, v) for u in range(150) for v in range(150, 300)])
+        out = tmp_path / "k150.g6"
+        out.write_bytes(graph6_encode(g) + b"\n")
+        code, stdout, err = run(capsys, "check", "--family", "P200", str(out))
+        assert code == cli.EXIT_BUDGET == 5 and stdout == ""
+        assert "path search budget exceeded" in err
 
     def test_bad_family_exit_two(self, tmp_path, capsys):
         out = tmp_path / "t.g6"

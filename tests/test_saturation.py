@@ -14,11 +14,15 @@ from satforge.graphs import (
     path_graph,
 )
 from satforge.saturation import (
+    CONTAINS_MEMBER,
+    MISSING_EDGE,
+    SATURATED,
     Clique,
     DisjointUnion,
     ForbiddenFamily,
     JoinK1,
     Path,
+    SaturationVerdict,
     check_saturated,
     contains_member,
     creates_member,
@@ -190,6 +194,48 @@ class TestScanEquivalence:
             if contains_member(g, fam) is not None:
                 continue
             assert saturation_gap(g, fam) == self._generic_failures(g, fam)
+
+    def _assert_forest_agrees(self, g, fam):
+        """Gap and verdict against the detectors run first and then the
+        generic scan, the order check_saturated used before the forest
+        fast path."""
+        w = contains_member(g, fam)
+        if w is not None:
+            assert check_saturated(g, fam) == SaturationVerdict(CONTAINS_MEMBER, witness=w)
+            with pytest.raises(ValueError):
+                saturation_gap(g, fam)
+            return
+        failures = self._generic_failures(g, fam)
+        assert saturation_gap(g, fam) == failures
+        want = (
+            SaturationVerdict(MISSING_EDGE, missing_edge=failures[0])
+            if failures
+            else SaturationVerdict(SATURATED)
+        )
+        assert check_saturated(g, fam) == want
+
+    def test_forest_fast_path_exhaustive_on_trees(self):
+        # every tree of order <= 11, every k in 5..12
+        from satforge.search import enumerate_trees
+
+        for n in range(1, 12):
+            for tree in enumerate_trees(n):
+                for k in range(5, 13):
+                    self._assert_forest_agrees(tree, parse_family(f"K3,P{k}"))
+
+    def test_forest_fast_path_exhaustive_on_two_trees(self):
+        # every forest of two trees of total order <= 9, plus an isolated
+        # vertex, where cross-component pairs use the eccentricities
+        from satforge.search import enumerate_trees
+
+        trees = [t for n in range(1, 9) for t in enumerate_trees(n)]
+        for i, a in enumerate(trees):
+            for b in trees[i:]:
+                if a.n + b.n > 9:
+                    continue
+                g = disjoint_union(disjoint_union(a, b), empty_graph(1))
+                for k in range(4, 9):
+                    self._assert_forest_agrees(g, parse_family(f"K3,P{k}"))
 
     def test_union_fast_path_matches_generic(self):
         rng = random.Random(47)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -19,8 +20,22 @@ from satforge.search import (
     scan_saturated_trees,
     write_graph6_stream,
 )
+from satforge.search import _iter_free_trees, _levels_to_graph
 
-TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
+# OEIS A000055, free trees on n vertices
+TREE_COUNTS = {
+    1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235,
+    12: 551, 13: 1301, 14: 3159,
+}
+SLOW_TREE_COUNTS = {15: 7741, 16: 19320, 17: 48629, 18: 123867}
+# witnesses of scan_saturated_trees(range(6, 14), k), recorded with the
+# free-tree generator that WROM replaced: count, and sha256 of the graph6
+# strings joined by spaces
+SCAN_GOLDEN = {
+    7: (179, "25de5196b6348073c99b2d0b5daa4164a0f4c43085db9f929d49a1c5506ee5b3"),
+    8: (36, "859fc6de3052fc578ab1a18590feb55984191b73fc85954cdfb8699105a22334"),
+    9: (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
 GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
 
 
@@ -70,6 +85,21 @@ class TestEnumerateTrees:
         for _ in range(50):
             seq = [rng.randrange(10) for _ in range(8)]
             assert canonical_form(prufer_tree(seq, 10)) in enumerated
+
+    @pytest.mark.slow
+    def test_known_counts_to_18(self):
+        for n, want in SLOW_TREE_COUNTS.items():
+            assert sum(1 for _ in enumerate_trees(n)) == want
+
+    def test_counts_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for n in range(1, 15):
+            assert sum(1 for _ in _iter_free_trees(n)) == nx.number_of_nonisomorphic_trees(n)
+
+    def test_yielded_diameter(self):
+        for n in range(1, 15):
+            for levels, diam in _iter_free_trees(n):
+                assert diam == diameter(_levels_to_graph(levels)), levels
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -197,11 +227,15 @@ class TestScans:
             scan_saturated_trees(range(4, 11), 5, shards=3, shard=s) for s in range(3)
         ]
         merged = merge_scan_reports(shards)
-        assert merged.saturated_count == single.saturated_count
-        assert sorted(w.graph6 for w in merged.witnesses) == sorted(
-            w.graph6 for w in single.witnesses
-        )
-        assert merged.trees_scanned == single.trees_scanned
+        assert merged.witnesses == single.witnesses
+        assert merged == single
+
+    @pytest.mark.parametrize("k", sorted(SCAN_GOLDEN))
+    def test_witnesses_match_recorded(self, k):
+        rep = scan_saturated_trees(range(6, 14), k)
+        count, digest = SCAN_GOLDEN[k]
+        joined = b" ".join(w.graph6 for w in rep.witnesses)
+        assert (len(rep.witnesses), hashlib.sha256(joined).hexdigest()) == (count, digest)
 
     def test_witnesses_decode_and_certify(self):
         rep = scan_saturated_trees(range(4, 11), 5)
