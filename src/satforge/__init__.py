@@ -20,15 +20,11 @@ from .graphs import (
 )
 from .canon import CanonicalCode, canonical_form
 from .patterns import (
-    LayerMap,
     Witness,
-    contains_disjoint_clique_path,
     contains_join_k1,
     contains_linear_forest,
     has_clique,
     has_path_of_order,
-    layer_decompose,
-    longest_path_from,
     subtree_contains,
 )
 from .saturation import (
@@ -47,7 +43,6 @@ from .constructions import (
     make_erdos_kp,
     make_g0,
     make_h0,
-    make_join_extremal,
     make_small_tree,
     make_star,
     make_t0k,

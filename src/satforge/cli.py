@@ -13,9 +13,9 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
+from .claims import CLAIMS, UsageError, run_claim, scan
 from .constructions import (
     make_erdos_kp,
     make_g0,
@@ -42,11 +42,9 @@ from .graphs import (
     diameter,
     graph6_decode,
     graph6_encode,
-    join,
     parse_edgelist,
     write_edgelist,
 )
-from .canon import canonical_form
 from .patterns import PathSearchBudgetError
 from .saturation import (
     CONTAINS_MEMBER,
@@ -54,14 +52,7 @@ from .saturation import (
     check_saturated,
     parse_family,
 )
-from .search import (
-    BudgetExceededError,
-    claimed_patterns,
-    graph_budget,
-    merge_scan_reports,
-    sat_bruteforce,
-    scan_saturated_trees,
-)
+from .search import BudgetExceededError, graph_budget, sat_bruteforce
 
 EXIT_OK = 0
 EXIT_CAMPAIGN_FAIL = 1
@@ -69,10 +60,6 @@ EXIT_USAGE = 2
 EXIT_CONTAINS = 3
 EXIT_MISSING = 4
 EXIT_BUDGET = 5
-
-
-class UsageError(ValueError):
-    pass
 
 
 def _parse_int_list(spec: str) -> list[int]:
@@ -281,263 +268,20 @@ def cmd_formula(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _case(case_id: str, claim: str, expected, actual) -> dict:
-    return {
-        "case": case_id,
-        "claim": claim,
-        "expected": expected,
-        "actual": actual,
-        "pass": expected == actual,
-    }
-
-
-def _campaign_lem_2_4(args) -> list[dict]:
-    ks = _parse_int_list(args.k) if args.k else list(range(9, 15))
-    cases = []
-    for k in ks:
-        fam = parse_family(f"K3,P{k}")
-        for label, make in (("short", make_t0k), ("sparse", make_t1k)):
-            verdict = check_saturated(make(k), fam, threads=args.threads)
-            cases.append(
-                _case(f"k={k}/{label}", "layered tree is saturated",
-                      "saturated", verdict.status)
-            )
-    return cases
-
-
-def _g0_pairs(args) -> list[tuple[int, int]]:
-    if args.k or args.n:
-        k = int(args.k) if args.k else 10
-        ns = _parse_int_list(args.n) if args.n else [2 * order_constant("A1", k)]
-        return [(n, k) for n in ns]
-    return [(20, 10), (23, 10), (40, 10), (100, 10), (137, 11), (76, 12)]
-
-
-def _campaign_thm_1_1(args) -> list[dict]:
-    cases = []
-    for n, k in _g0_pairs(args):
-        g = make_g0(n, k)
-        want = n - n // order_constant("A1", k)
-        cases.append(
-            _case(f"n={n},k={k}/edges", "witness edge count matches formula",
-                  want, g.edge_count)
-        )
-        cases.append(
-            _case(f"n={n},k={k}/formula", "formula value", want, sat_k3_pk(n, k))
-        )
-        verdict = check_saturated(g, parse_family(f"K3,P{k}"), threads=args.threads)
-        cases.append(
-            _case(f"n={n},k={k}/saturated", "witness is saturated",
-                  "saturated", verdict.status)
-        )
-    return cases
-
-
-def _campaign_lem_3_1(args) -> list[dict]:
-    cases = []
-    for n, k in _g0_pairs(args):
-        g = make_g0(n, k)
-        a1 = order_constant("A1", k)
-        cases.append(
-            _case(f"n={n},k={k}/components", "component count",
-                  n // a1, len(connected_components(g)))
-        )
-        cases.append(
-            _case(f"n={n},k={k}/edges", "edge count", n - n // a1, g.edge_count)
-        )
-        verdict = check_saturated(g, parse_family(f"K3,P{k}"), threads=args.threads)
-        cases.append(
-            _case(f"n={n},k={k}/saturated", "saturated", "saturated", verdict.status)
-        )
-    return cases
-
-
-def _h0_pairs(args) -> list[tuple[int, int]]:
-    if args.k or args.n:
-        k = int(args.k) if args.k else 10
-        ns = _parse_int_list(args.n) if args.n else [6 * order_constant("A1", k)]
-        return [(n, k) for n in ns]
-    return [(120, 10), (200, 10), (168, 11)]
-
-
-def _campaign_h0(args, with_bounds: bool) -> list[dict]:
-    cases = []
-    for n, k in _h0_pairs(args):
-        h = make_h0(n, k)
-        want = 6 + sat_k3_pk(n, k)
-        cases.append(
-            _case(f"n={n},k={k}/edges", "witness edge count = upper bound",
-                  want, h.edge_count)
-        )
-        if with_bounds:
-            b = sat_k3_cup_pk_bounds(n, k)
-            cases.append(
-                _case(f"n={n},k={k}/bracket", "bracket width is 4",
-                      (want - 4, want), (b.lower, b.upper))
-            )
-        verdict = check_saturated(h, parse_family(f"K3+P{k}"), threads=args.threads)
-        cases.append(
-            _case(f"n={n},k={k}/saturated", "witness is saturated",
-                  "saturated", verdict.status)
-        )
-    return cases
-
-
-def _campaign_thm_1_4(args) -> list[dict]:
-    ns = _parse_int_list(args.n) if args.n else [6, 7]
-    fam_join = parse_family("K1*[2,2]")
-    fam_forest = parse_family("P2+P2")
-    cases = []
-    for n in ns:
-        lhs = sat_bruteforce(n, fam_join)
-        rhs = sat_bruteforce(n - 1, fam_forest)
-        cases.append(
-            _case(f"n={n}/value", "hub-join value equals (n-1) + base value",
-                  (n - 1) + rhs.value, lhs.value)
-        )
-        joined_ok = all(
-            check_saturated(join(make_star(1), graph6_decode(w)), fam_join).is_saturated
-            for w in rhs.witnesses
-        )
-        cases.append(
-            _case(f"n={n}/join-witnesses", "hub over every base witness is saturated",
-                  True, joined_ok)
-        )
-        hub_ok = True
-        for w in lhs.witnesses:
-            g = graph6_decode(w)
-            hubs = [v for v in range(g.n) if g.degree(v) == g.n - 1]
-            ok = False
-            for v in hubs:
-                from .graphs import delete_vertex
-
-                h = delete_vertex(g, v)
-                if (
-                    h.edge_count == rhs.value
-                    and check_saturated(h, fam_forest).is_saturated
-                ):
-                    ok = True
-                    break
-            hub_ok = hub_ok and ok
-        cases.append(
-            _case(f"n={n}/hub-deletion", "every minimum hub-join witness peels "
-                  "to a minimum base witness", True, hub_ok)
-        )
-    return cases
-
-
-_PROP_5_2_ORDERS = {5: (4, 12), 6: (4, 12), 7: (6, 17), 8: (6, 17), 9: (6, 17)}
-# the least-order saturated non-star trees per k; containment is checked
-# against the scan's own targets, which add T1_8 at k=8
-_PROP_5_2_CLAIMED = {
-    5: ("T1",),
-    6: ("T2", "T3"),
-    7: ("T0_7",),
-    8: ("T0_8",),
-    9: ("T0_9", "T1_9"),
-}
-
-
-def _campaign_prop_5_2(args) -> list[dict]:
-    ks = _parse_int_list(args.k) if args.k else [5, 6, 7, 8, 9]
-    cases = []
-    for k in ks:
-        lo, hi = _PROP_5_2_ORDERS[k]
-        rep = _run_scan(range(lo, hi + 1), k, args)
-        claimed = _PROP_5_2_CLAIMED[k]
-        names = {canonical_form(g): name for name, g in claimed_patterns(k)}
-        least = min((w.order for w in rep.witnesses), default=None)
-        codes = [
-            canonical_form(graph6_decode(w.graph6))
-            for w in rep.witnesses
-            if w.order == least
-        ]
-        minimum = sorted(names.get(c, c.decode("ascii")) for c in codes)
-        cases.append(
-            _case(
-                f"k={k}/minimum",
-                f"the least-order saturated non-star trees of orders {lo}..{hi} "
-                f"are exactly {'/'.join(claimed)}",
-                sorted(claimed),
-                minimum,
-            )
-        )
-        bad = [
-            w.graph6.decode("ascii") for w in rep.witnesses if not w.contains_any()
-        ]
-        cases.append(
-            _case(
-                f"k={k}/containment",
-                f"every saturated non-star tree of orders {lo}..{hi} "
-                f"contains one of {'/'.join(rep.pattern_names)}",
-                [],
-                bad,
-            )
-        )
-    return cases
-
-
-def _scan_shard(params: tuple) -> "object":
-    orders, k, prefilter, shards, shard = params
-    return scan_saturated_trees(
-        orders, k, exclude_stars=True, prefilter=prefilter, shards=shards, shard=shard
-    )
-
-
 def _run_scan(orders, k: int, args):
-    prefilter = not args.no_prefilter
-    shards = max(1, args.threads)
-    if shards == 1:
-        return scan_saturated_trees(list(orders), k, prefilter=prefilter)
-    jobs = [(list(orders), k, prefilter, shards, s) for s in range(shards)]
-    with ProcessPoolExecutor(max_workers=shards) as pool:
-        reports = list(pool.map(_scan_shard, jobs))
-    return merge_scan_reports(reports)
-
-
-def _campaign_lem_2_3_k10(args) -> list[dict]:
-    rep = _run_scan([20], 10, args)
-    bad = [
-        w.graph6.decode("ascii") for w in rep.witnesses if not w.contains_any()
-    ]
-    t1k_code = canonical_form(make_t1k(10)).decode("ascii")
-    iso = [
-        w.graph6.decode("ascii")
-        for w in rep.witnesses
-        if canonical_form(graph6_decode(w.graph6)).decode("ascii") == t1k_code
-    ]
-    return [
-        _case("order-20/containment",
-              "every saturated non-star tree contains a minimum variant", [], bad),
-        _case("order-20/sparse-witness",
-              "the sparse layered tree itself appears", True, len(iso) >= 1),
-        _case("order-20/scan-count", "scan looked at every tree",
-              True, rep.trees_scanned == 823065),
-    ]
-
-
-_CAMPAIGNS = {
-    "thm-1.1": _campaign_thm_1_1,
-    "thm-1.2-upper": lambda a: _campaign_h0(a, with_bounds=True),
-    "thm-1.4": _campaign_thm_1_4,
-    "lem-2.4": _campaign_lem_2_4,
-    "lem-3.1": _campaign_lem_3_1,
-    "lem-3.2": lambda a: _campaign_h0(a, with_bounds=False),
-    "prop-5.2": _campaign_prop_5_2,
-    "lem-2.3-k10": _campaign_lem_2_3_k10,
-}
+    """The tree scan with `verify`'s --threads and --no-prefilter options."""
+    return scan(orders, k, args.threads, not args.no_prefilter)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.campaign not in _CAMPAIGNS:
-        print(
-            f"error: unknown campaign {args.campaign!r}; "
-            f"known: {', '.join(sorted(_CAMPAIGNS))}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     start = time.time()
-    cases = _CAMPAIGNS[args.campaign](args)
+    cases = run_claim(
+        args.campaign,
+        _parse_int_list(args.k) if args.k else None,
+        _parse_int_list(args.n) if args.n else None,
+        args.threads,
+        not args.no_prefilter,
+    )
     report = {
         "schema_version": 1,
         "campaign": args.campaign,
@@ -594,7 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bruteforce", help="saturation number by exhaustion")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", required=True)
-    p.add_argument("--budget", help="override enumeration caps, e.g. 'graphs=9'")
     p.set_defaults(func=cmd_bruteforce)
 
     p = sub.add_parser("formula", help="closed-form values as JSON")
@@ -606,14 +349,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orders")
     p.set_defaults(func=cmd_formula)
 
-    p = sub.add_parser("verify", help="run a claim-verification campaign")
+    p = sub.add_parser(
+        "verify",
+        help="run a claim-verification campaign",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="campaigns:\n" + "\n".join(
+            f"  {name:14} {claim.statement}" for name, claim in CLAIMS.items()
+        ),
+    )
     p.add_argument("campaign")
     p.add_argument("--k")
     p.add_argument("--n")
     p.add_argument("--threads", type=int, default=max(1, os.cpu_count() or 1))
     p.add_argument("--no-prefilter", action="store_true")
     p.add_argument("--no-timestamp", action="store_true")
-    p.add_argument("--budget", help="override enumeration caps, e.g. 'trees=24'")
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_verify)
     return ap
@@ -625,8 +374,6 @@ def main(argv: list[str] | None = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if getattr(args, "budget", None):
-        os.environ["SATFORGE_BUDGET"] = args.budget
     try:
         return args.func(args)
     except (UsageError, BudgetExceededError, ValueError, OSError) as exc:

@@ -302,8 +302,3 @@ def make_h0(n: int, k: int) -> Graph:
     if n < 6 * a1:
         raise ValueError(f"make_h0 needs n >= {6 * a1} for k={k}")
     return _h0_assemble(n, k, _h0_attachment(k))
-
-
-def make_join_extremal(h: Graph) -> Graph:
-    """Hub over h: vertex 0 adjacent to everything, h shifted up by one."""
-    return join(empty_graph(1), h)

@@ -13,14 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .graphs import (
-    Graph,
-    component_masks,
-    distance_matrix,
-    full_mask,
-    is_tree,
-    iter_bits,
-)
+from .graphs import Graph, component_masks, full_mask, is_tree, iter_bits
 
 MAX_DFS_COMPONENT = 256
 MAX_CYCLE_RANK_FOR_DELETION = 12
@@ -58,11 +51,6 @@ def witness_ok(g: Graph, w: Witness) -> bool:
     if w.kind == "path":
         (seq,) = w.parts
         return _is_path_in(g, seq)
-    if w.kind == "clique_path":
-        cl, seq = w.parts
-        return all(
-            g.has_edge(u, v) for i, u in enumerate(cl) for v in cl[i + 1 :]
-        ) and _is_path_in(g, seq)
     if w.kind == "linear_forest":
         return all(_is_path_in(g, seq) for seq in w.parts)
     if w.kind == "join_k1":
@@ -292,77 +280,9 @@ def has_path_of_order(g: Graph, k: int) -> Witness | None:
     return Witness("path", (tuple(path[:k]),))
 
 
-def longest_path_from(g: Graph, v: int) -> Witness:
-    """A maximum-order simple path starting at v (exact)."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    comp = next(c for c in component_masks(g) if (c >> v) & 1)
-    rows = [g.rows[u] & comp if (comp >> u) & 1 else 0 for u in range(g.n)]
-    path = _lpf_component(rows, comp, v, set(), frozenset())
-    return Witness("path", (tuple(path),))
-
-
-def _lpf_component(rows: list[int], comp: int, v: int, seen_removed: set, removed: frozenset) -> list[int]:
-    size = comp.bit_count()
-    m = sum((rows[u] & comp).bit_count() for u in iter_bits(comp)) // 2
-    rank = m - size + 1
-    if rank == 0:
-        far, _ = _farthest_from(rows, v, comp)
-        return _shortest_path(rows, v, far, comp) if far != v else [v]
-    if rank <= MAX_CYCLE_RANK_FOR_DELETION:
-        best: list[int] = [v]
-        for a, b in _find_cycle_edges(rows, comp):
-            key = removed | {(min(a, b), max(a, b))}
-            if key in seen_removed:
-                continue
-            seen_removed.add(key)
-            rows2 = list(rows)
-            rows2[a] &= ~(1 << b)
-            rows2[b] &= ~(1 << a)
-            cand = _lpf_component(rows2, comp, v, seen_removed, key)
-            if len(cand) > len(best) or (len(cand) == len(best) and cand < best):
-                best = cand
-        return best
-    if size > MAX_DFS_COMPONENT:
-        raise PathSearchBudgetError(
-            f"path search budget exceeded: dense component of order {size}"
-        )
-    best: list[int] = []
-
-    def extend(u: int, used: int, cur: list[int]) -> None:
-        nonlocal best
-        cur.append(u)
-        if len(cur) > len(best) or (len(cur) == len(best) and cur < best):
-            best = list(cur)
-        free = comp & ~used
-        reach = _reachable(rows, rows[u] & free, free)
-        if len(cur) + reach.bit_count() > len(best):
-            for w in iter_bits(rows[u] & free):
-                extend(w, used | (1 << w), cur)
-        cur.pop()
-
-    extend(v, 1 << v, [])
-    return best
-
-
 # ---------------------------------------------------------------------------
 # composite patterns
 # ---------------------------------------------------------------------------
-
-
-def contains_disjoint_clique_path(g: Graph, p: int, k: int) -> Witness | None:
-    """A K_p copy plus a vertex-disjoint path on >= k vertices, or None."""
-    if p < 1 or k < 1:
-        raise ValueError("pattern orders must be >= 1")
-    m = full_mask(g.n)
-    for cl in iter_cliques(g, p):
-        used = 0
-        for v in cl:
-            used |= 1 << v
-        path = find_path_of_order(g, k, m & ~used)
-        if path is not None:
-            return Witness("clique_path", (cl, tuple(path[:k])))
-    return None
 
 
 def _iter_paths_exact(g: Graph, order: int, mask: int) -> Iterator[tuple[int, ...]]:
@@ -500,56 +420,3 @@ def subtree_contains(host: Graph, pattern: Graph) -> Witness | None:
             extract(0, -1, h, -1)
             return Witness("subtree", (tuple(mapping),))
     return None
-
-
-# ---------------------------------------------------------------------------
-# layer decomposition
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LayerMap:
-    """Per-vertex layer labels of a tree, measured from the middle of a
-    deterministically chosen longest path."""
-
-    layers: tuple[int, ...]
-    reference_path: tuple[int, ...]
-
-    def layer_sizes(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for layer in self.layers:
-            out[layer] = out.get(layer, 0) + 1
-        return out
-
-    def max_layer(self) -> int:
-        return max(self.layers)
-
-
-def layer_decompose(t: Graph) -> LayerMap:
-    """Layer labels: middle vertex/vertices of the lexicographically least
-    longest path get layer 1; every other vertex gets 1 + its distance to
-    that middle set."""
-    if not is_tree(t):
-        raise ValueError("layer decomposition needs a tree")
-    dist = distance_matrix(t)
-    d = max(max(row) for row in dist)
-    if d < 2:
-        raise ValueError("layer decomposition needs diameter >= 2")
-    best: list[int] | None = None
-    for a in range(t.n):
-        if max(dist[a]) != d:
-            continue
-        if best is not None and a > best[0]:
-            break
-        for b in range(t.n):
-            if dist[a][b] != d:
-                continue
-            path = _shortest_path(t.rows, a, b, full_mask(t.n))
-            if best is None or path < best:
-                best = path
-    assert best is not None
-    middle = (
-        [best[d // 2]] if d % 2 == 0 else [best[(d - 1) // 2], best[(d + 1) // 2]]
-    )
-    layers = [1 + min(dist[m][v] for m in middle) for v in range(t.n)]
-    return LayerMap(tuple(layers), tuple(best))

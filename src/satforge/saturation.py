@@ -562,42 +562,40 @@ def _creates_any_member(g: Graph, fam: ForbiddenFamily, u: int, v: int) -> bool:
     return contains_member(g.add_edge(u, v), fam) is not None
 
 
-def _scan_chunk(args: tuple) -> tuple[int, int] | None:
-    g, fam, chunk = args
+def _failing_chunk(job: tuple) -> list[tuple[int, int]]:
+    """The failing non-edges of one chunk, or only its first."""
+    g, fam, chunk, collect_all = job
+    failures = []
     for u, v in chunk:
         if not _creates_any_member(g, fam, u, v):
-            return (u, v)
-    return None
+            failures.append((u, v))
+            if not collect_all:
+                break
+    return failures
 
 
 def _scan_generic(
     g: Graph, fam: ForbiddenFamily, collect_all: bool, threads: int
 ) -> list[tuple[int, int]]:
+    """Detectors on every non-edge.  With threads the non-edges split into
+    contiguous ascending chunks, so the chunks' failures, concatenated, are
+    in ascending order."""
     pairs = list(g.non_edges())
-    if threads <= 1 or len(pairs) < 64:
-        failures = []
-        for u, v in pairs:
-            if not _creates_any_member(g, fam, u, v):
-                failures.append((u, v))
-                if not collect_all:
-                    break
-        return failures
-    if collect_all:
-        chunks = [pairs[i::threads] for i in range(threads)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            found = pool.map(_collect_chunk, [(g, fam, c) for c in chunks])
-        return sorted(pair for sub in found for pair in sub)
-    size = max(1, (len(pairs) + 4 * threads - 1) // (4 * threads))
-    chunks = [pairs[i : i + size] for i in range(0, len(pairs), size)]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(_scan_chunk, [(g, fam, c) for c in chunks]))
-    hits = [r for r in results if r is not None]
-    return [min(hits)] if hits else []
+    workers = threads if len(pairs) >= 64 else 1
+    chunks = 4 * workers if workers > 1 else 1
+    size = -(-len(pairs) // chunks) or 1
+    jobs = [(g, fam, pairs[i : i + size], collect_all) for i in range(0, len(pairs), size)]
+    failures = [f for part in map_jobs(_failing_chunk, jobs, workers) for f in part]
+    return failures if collect_all else failures[:1]
 
 
-def _collect_chunk(args: tuple) -> list[tuple[int, int]]:
-    g, fam, chunk = args
-    return [(u, v) for u, v in chunk if not _creates_any_member(g, fam, u, v)]
+def map_jobs(fn, jobs: list, workers: int) -> list:
+    """fn over jobs, results in job order: inline when workers <= 1, else on
+    a fresh pool of that many processes (fn and jobs must pickle)."""
+    if workers <= 1:
+        return [fn(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))
 
 
 def creates_member(g: Graph, fam: ForbiddenFamily, u: int, v: int) -> bool:

@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 from .canon import canonical_form, canonical_last_vertex, same_orbit
 from .constructions import make_small_tree, make_t0k, make_t1k
-from .graphs import Graph, build_graph, graph6_decode, graph6_encode
+from .graphs import Graph, build_graph, graph6_encode
 from .patterns import subtree_contains
 from .saturation import (
     Clique,
@@ -172,24 +172,6 @@ def _levels_to_graph(levels: Sequence[int]) -> Graph:
         rows[i] = 1 << parent
         chain[lvl] = i
     return Graph(n, tuple(rows))
-
-
-def write_graph6_stream(graphs: Iterator[Graph] | Sequence[Graph], path: str) -> int:
-    """Spill a stream to a file, one graph6 class per line; returns count."""
-    count = 0
-    with open(path, "wb") as fh:
-        for g in graphs:
-            fh.write(graph6_encode(g) + b"\n")
-            count += 1
-    return count
-
-
-def read_graph6_stream(path: str) -> Iterator[Graph]:
-    with open(path, "rb") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield graph6_decode(line)
 
 
 def enumerate_trees(n: int, shards: int = 1, shard: int = 0) -> Iterator[Graph]:

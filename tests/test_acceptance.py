@@ -1,15 +1,20 @@
 """Acceptance gate: one test per criterion, each printing a pass line and
 holding to its stated time budget.
 
-The slow order-20 scan is marked `slow`; everything else runs in the
-default suite.  Criterion 8 checks two separate statements per k: the
+Criteria 3, 4, 5, 7, 8 and 9 run claims from `satforge.claims`, the registry
+behind `satforge verify`, at their default parameters and fail listing any
+failed case; the other criteria are not campaigns and check their facts
+here.  The slow order-20 scan (criterion 9) is marked `slow`.
+
+Criterion 8 runs `prop-5.2` one k at a time.  Per k it checks that the
 least-order saturated non-star trees are exactly the catalogued minimum
-trees, and every saturated non-star tree contains one of the scan's
+trees, and that every saturated non-star tree contains one of the scan's
 containment targets.  At k=8 the two differ: T0_8 (order 10) is the unique
 minimum tree, but the sparse T1_8 (order 11) is itself {K3,P8}-saturated
-without containing T0_8, so containment splits by diameter (diameter 5
-contains T0_8, diameter 6 contains T1_8) and "every saturated non-star tree
-contains T0_8" is refuted; the k=8 subcase asserts that refutation too.
+without containing T0_8.  So for k >= 8 containment is also checked by
+diameter (diameter k-3 contains T0_k, diameter k-2 contains T1_k), and at
+k=8 the refutation of "every saturated non-star tree contains T0_8" is a
+case of its own.
 """
 
 import json
@@ -17,30 +22,25 @@ import time
 
 import pytest
 
-from satforge.canon import canonical_form
+from satforge.claims import PROP_5_2, run_claim
 from satforge.cli import main as cli_main
-from satforge.constructions import (
-    make_g0,
-    make_h0,
-    make_t0k,
-    make_t1k,
-    make_tk,
-)
-from satforge.formulas import order_constant, sat_k3_cup_pk_bounds, sat_k3_pk
-from satforge.graphs import delete_vertex, diameter, empty_graph, graph6_decode, join
-from satforge.patterns import subtree_contains
-from satforge.saturation import check_saturated, contains_member, parse_family
-from satforge.search import (
-    claimed_patterns,
-    enumerate_graphs,
-    merge_scan_reports,
-    sat_bruteforce,
-    scan_saturated_trees,
-)
+from satforge.constructions import make_t0k, make_t1k, make_tk
+from satforge.formulas import order_constant
+from satforge.graphs import delete_vertex, diameter
+from satforge.saturation import parse_family
+from satforge.search import enumerate_graphs, sat_bruteforce
 
 
 def _report(num: int, detail: str) -> None:
     print(f"ACCEPTANCE criterion-{num:02d} PASS: {detail}", flush=True)
+
+
+def _passing(claim_id: str, **kwargs) -> list[dict]:
+    """The cases of a registry claim, asserting that every one passed."""
+    cases = run_claim(claim_id, **kwargs)
+    failed = [c for c in cases if not c["pass"]]
+    assert not failed, f"{claim_id}: {len(failed)} failed cases: {failed}"
+    return cases
 
 
 def test_criterion_01_order_constants():
@@ -73,38 +73,28 @@ def test_criterion_02_diameters():
 
 def test_criterion_03_both_variants_saturated():
     start = time.time()
-    for k in range(9, 15):
-        fam = parse_family(f"K3,P{k}")
-        assert check_saturated(make_t0k(k), fam).is_saturated, k
-        assert check_saturated(make_t1k(k), fam).is_saturated, k
+    cases = _passing("lem-2.4")
     elapsed = time.time() - start
     assert elapsed < 60.0
-    _report(3, f"short and sparse variants saturated for k in 9..14 ({elapsed:.1f}s)")
+    _report(3, f"short and sparse variants saturated, {len(cases)} cases ({elapsed:.1f}s)")
 
 
 def test_criterion_04_disconnected_witness_g0():
     start = time.time()
-    for n, k in [(20, 10), (23, 10), (40, 10), (100, 10), (137, 11), (76, 12)]:
-        g = make_g0(n, k)
-        assert g.edge_count == n - n // order_constant("A1", k)
-        assert g.edge_count == sat_k3_pk(n, k)
-        assert check_saturated(g, parse_family(f"K3,P{k}")).is_saturated, (n, k)
+    cases = _passing("thm-1.1")
     elapsed = time.time() - start
     assert elapsed < 120.0
-    _report(4, f"six witness graphs match the closed form and certify ({elapsed:.1f}s)")
+    _report(4, f"G0 witnesses match the closed form and certify, {len(cases)} cases "
+            f"({elapsed:.1f}s)")
 
 
 def test_criterion_05_union_witness_h0():
     start = time.time()
-    for n, k in [(120, 10), (200, 10), (168, 11)]:
-        h = make_h0(n, k)
-        want = 6 + sat_k3_pk(n, k)
-        assert h.edge_count == want, (n, k)
-        assert h.edge_count == sat_k3_cup_pk_bounds(n, k).upper
-        assert check_saturated(h, parse_family(f"K3+P{k}")).is_saturated, (n, k)
+    cases = _passing("thm-1.2-upper")
     elapsed = time.time() - start
     assert elapsed < 300.0
-    _report(5, f"union witnesses sit on the upper bound and certify ({elapsed:.1f}s)")
+    _report(5, f"union witnesses sit on the upper bound and certify, {len(cases)} "
+            f"cases ({elapsed:.1f}s)")
 
 
 def test_criterion_06_bruteforce_cross_checks():
@@ -121,118 +111,37 @@ def test_criterion_06_bruteforce_cross_checks():
 
 def test_criterion_07_hub_join_duality():
     start = time.time()
-    fam_join = parse_family("K1*[2,2]")
-    fam_base = parse_family("P2+P2")
-    for n in (6, 7):
-        lhs = sat_bruteforce(n, fam_join)
-        rhs = sat_bruteforce(n - 1, fam_base)
-        assert lhs.value == (n - 1) + rhs.value, n
-        for wit in rhs.witnesses:
-            h = graph6_decode(wit)
-            assert check_saturated(join(empty_graph(1), h), fam_join).is_saturated
-        for wit in lhs.witnesses:
-            g = graph6_decode(wit)
-            hubs = [v for v in range(g.n) if g.degree(v) == g.n - 1]
-            assert any(
-                delete_vertex(g, v).edge_count == rhs.value
-                and check_saturated(delete_vertex(g, v), fam_base).is_saturated
-                for v in hubs
-            ), wit
+    cases = _passing("thm-1.4")
     elapsed = time.time() - start
     assert elapsed < 300.0
-    _report(7, f"hub-join minima peel to base minima at n=6,7 ({elapsed:.1f}s)")
+    _report(7, f"hub-join minima peel to base minima, {len(cases)} cases ({elapsed:.1f}s)")
 
 
-_CRITERION_8_CASES = [
-    (5, range(4, 13), ("T1",)),
-    (6, range(4, 13), ("T2", "T3")),
-    (7, range(6, 18), ("T0_7",)),
-    (8, range(6, 18), ("T0_8",)),
-    (9, range(6, 18), ("T0_9", "T1_9")),
-]
-
-
-@pytest.mark.parametrize("k,orders,claimed", _CRITERION_8_CASES, ids=lambda c: str(c))
+@pytest.mark.parametrize(
+    "k,orders,claimed",
+    [(k, orders, claimed) for k, (orders, claimed) in PROP_5_2.items()],
+    ids=lambda c: str(c),
+)
 def test_criterion_08_minimum_tree_catalogue(k, orders, claimed):
     start = time.time()
-    rep = scan_saturated_trees(orders, k)
-    assert rep.saturated_count > 0
-    targets = dict(claimed_patterns(k))
-    trees = [graph6_decode(w.graph6) for w in rep.witnesses]
-
-    # minimum: the least-order witnesses are exactly the claimed trees
-    least = min(t.n for t in trees)
-    assert {targets[name].n for name in claimed} == {least}, (
-        f"k={k}: least saturated non-star order is {least}, but "
-        f"{'/'.join(claimed)} have orders {[targets[n].n for n in claimed]}"
-    )
-    found = {canonical_form(t) for t in trees if t.n == least}
-    want = {canonical_form(targets[name]) for name in claimed}
-    assert found == want, (
-        f"k={k}: order-{least} saturated non-star trees "
-        f"{sorted(c.decode('ascii') for c in found)} are not {'/'.join(claimed)}"
-    )
-
-    # containment: every witness holds a target; for k >= 8 the diameter
-    # decides which one (k-3 holds T0_k, k-2 holds T1_k)
-    bad = [w.graph6.decode("ascii") for w in rep.witnesses if not w.contains_any()]
-    assert not bad, (
-        f"k={k}: {len(bad)} saturated non-star trees contain none of "
-        f"{'/'.join(rep.pattern_names)}; first counterexamples: {bad[:3]}"
-    )
-    if k >= 8:
-        for w, t in zip(rep.witnesses, trees):
-            d = diameter(t)
-            assert d in (k - 3, k - 2), (w.graph6, d)
-            target = f"T0_{k}" if d == k - 3 else f"T1_{k}"
-            assert dict(w.contains)[target], (w.graph6, d, target)
-
-    detail = ""
-    if k == 8:
-        # the refuted reading: "every saturated non-star tree contains T0_8"
-        sparse = make_t1k(8)
-        fam = parse_family("K3,P8")
-        assert contains_member(sparse, fam) is None
-        assert all(
-            contains_member(sparse.add_edge(u, v), fam) is not None
-            for u, v in sparse.non_edges()
-        )
-        assert subtree_contains(sparse, targets["T0_8"]) is None
-        assert canonical_form(sparse) in {canonical_form(t) for t in trees}
-        without = sum(1 for w in rep.witnesses if not dict(w.contains)["T0_8"])
-        detail = f"; T1_8 is saturated without T0_8 ({without} such trees)"
-
+    cases = _passing("prop-5.2", ks=[k])
     elapsed = time.time() - start
     assert elapsed < 900.0
     _report(
         8,
-        f"k={k}: minimum trees {'/'.join(claimed)} at order {least}; all "
-        f"{rep.saturated_count} saturated trees contain "
-        f"{'/'.join(rep.pattern_names)}{detail} ({elapsed:.1f}s)",
+        f"k={k}: minimum trees {'/'.join(claimed)} over orders "
+        f"{orders[0]}..{orders[-1]}; "
+        f"{', '.join(c['case'].split('/')[1] for c in cases)} hold ({elapsed:.1f}s)",
     )
 
 
 @pytest.mark.slow
 def test_criterion_09_order20_scan():
     start = time.time()
-    shards = 2
-    reports = [
-        scan_saturated_trees([20], 10, shards=shards, shard=s) for s in range(shards)
-    ]
-    rep = merge_scan_reports(reports)
-    assert rep.trees_scanned == 823065
-    assert all(w.contains_any() for w in rep.witnesses)
-    t1k_code = canonical_form(make_t1k(10))
-    assert any(
-        canonical_form(graph6_decode(w.graph6)) == t1k_code for w in rep.witnesses
-    )
+    cases = _passing("lem-2.3-k10", threads=2)
     elapsed = time.time() - start
     assert elapsed < 3600.0
-    _report(
-        9,
-        f"all {rep.saturated_count} saturated order-20 trees contain a minimum "
-        f"variant and the sparse tree itself appears ({elapsed:.1f}s)",
-    )
+    _report(9, f"order-20 scan: {', '.join(c['claim'] for c in cases)} ({elapsed:.1f}s)")
 
 
 def _is_two_connected(g) -> bool:

@@ -1,7 +1,7 @@
 import json
 
 
-from satforge import cli
+from satforge import claims, cli
 from satforge.cli import main
 from satforge.graphs import build_graph, graph6_decode, graph6_encode
 
@@ -133,17 +133,10 @@ class TestBruteforce:
         code, _, err = run(capsys, "bruteforce", "--n", "9", "--family", "K3")
         assert code == 2 and "budget" in err
 
-    def test_budget_flag_overrides_cap(self, capsys):
-        import os
-
-        try:
-            code, _, err = run(
-                capsys, "bruteforce", "--n", "5", "--family", "K3",
-                "--budget", "graphs=4",
-            )
-            assert code == 2 and "budget" in err
-        finally:
-            os.environ.pop("SATFORGE_BUDGET", None)
+    def test_budget_flag_overrides_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("SATFORGE_BUDGET", "graphs=4")
+        code, _, err = run(capsys, "bruteforce", "--n", "5", "--family", "K3")
+        assert code == 2 and "budget" in err
 
 
 class TestFormula:
@@ -185,20 +178,18 @@ class TestVerify:
         assert code == 2 and "unknown campaign" in err
 
     def test_failing_campaign_exit_one(self, capsys, monkeypatch):
-        monkeypatch.setitem(
-            cli._CAMPAIGNS,
-            "stub-fail",
-            lambda args: [cli._case("stub/wrong", "a failing case", 1, 2)],
-        )
+        # the registry's table drives the CLI: a wrong k=5 minimum row fails
+        orders, _ = claims.PROP_5_2[5]
+        monkeypatch.setitem(claims.PROP_5_2, 5, (orders, ("T2",)))
         code, stdout, _ = run(
-            capsys, "verify", "stub-fail", "--no-timestamp", "--threads", "1"
+            capsys, "verify", "prop-5.2", "--k", "5", "--no-timestamp", "--threads", "1"
         )
         report = json.loads(stdout)
         assert code == 1 and report["passed"] is False
-        assert [c["pass"] for c in report["cases"]] == [False]
+        assert [c["case"] for c in report["cases"] if not c["pass"]] == ["k=5/minimum"]
 
     def test_prop_5_2_minimum_and_containment(self, capsys):
-        args = ["verify", "prop-5.2", "--k", "5..6", "--no-timestamp"]
+        args = ["verify", "prop-5.2", "--k", "5,6,8", "--no-timestamp"]
         code1, out1, _ = run(capsys, *args, "--threads", "1")
         code2, out2, _ = run(capsys, *args, "--threads", "2")
         assert code1 == code2 == 0
@@ -206,9 +197,22 @@ class TestVerify:
         cases = {c["case"]: c for c in json.loads(out1)["cases"]}
         assert sorted(cases) == [
             "k=5/containment", "k=5/minimum", "k=6/containment", "k=6/minimum",
+            "k=8/by-diameter", "k=8/containment", "k=8/minimum", "k=8/refutation",
         ]
         assert cases["k=6/minimum"]["actual"] == ["T2", "T3"]
         assert all(c["pass"] for c in cases.values())
+
+    def test_k_outside_table_exit_two(self, capsys):
+        code, stdout, err = run(capsys, "verify", "prop-5.2", "--k", "10")
+        assert code == 2 and stdout == ""
+        assert "no k=10" in err and "5, 6, 7, 8, 9" in err
+
+    def test_ignored_option_exit_two(self, capsys):
+        for argv in (("lem-2.3-k10", "--k", "3"), ("prop-5.2", "--n", "20"),
+                     ("thm-1.4", "--k", "10"), ("lem-2.4", "--n", "20")):
+            code, stdout, err = run(capsys, "verify", *argv)
+            assert code == 2 and stdout == "", argv
+            assert f"{argv[0]} takes no {argv[1]}" in err
 
     def test_thread_count_invariance(self, capsys):
         args = ["verify", "thm-1.1", "--k", "10", "--n", "20,23", "--no-timestamp"]

@@ -5,7 +5,6 @@ from satforge.constructions import (
     make_erdos_kp,
     make_g0,
     make_h0,
-    make_join_extremal,
     make_small_tree,
     make_star,
     make_t0k,
@@ -20,12 +19,14 @@ from satforge.graphs import (
     connected_components,
     diameter,
     disjoint_union,
+    distances_from,
     empty_graph,
     graph6_encode,
     induced_subgraph,
     is_tree,
+    join,
 )
-from satforge.patterns import has_clique, longest_path_from
+from satforge.patterns import has_clique
 from satforge.saturation import check_saturated, contains_member, parse_family
 
 
@@ -183,7 +184,7 @@ class TestH0:
     def test_attachment_reach(self):
         k = 10
         att = t1k_attachment_vertex(k)
-        assert len(longest_path_from(make_t1k(k), att).parts[0]) == k - 1
+        assert max(distances_from(make_t1k(k), att)) + 1 == k - 1
 
     def test_free(self):
         assert contains_member(make_h0(120, 10), parse_family("K3+P10")) is None
@@ -196,12 +197,12 @@ class TestH0:
 class TestJoinExtremal:
     def test_hub_is_vertex_zero(self):
         h = make_t1k(10)
-        g = make_join_extremal(h)
+        g = join(empty_graph(1), h)
         assert g.n == 21 and g.edge_count == 19 + 20
         assert g.degree(0) == g.n - 1
 
     def test_wheel_like(self):
-        g = make_join_extremal(complete_graph(3))
+        g = join(empty_graph(1), complete_graph(3))
         assert g.n == 4 and g.edge_count == 6
 
     def test_triangle_plus_isolates_saturated_under_join(self):
@@ -209,7 +210,7 @@ class TestJoinExtremal:
         # the base is saturated for two disjoint edges, so its hub join is
         # saturated for the joined family
         assert check_saturated(base, parse_family("P2+P2")).is_saturated
-        g = make_join_extremal(base)
+        g = join(empty_graph(1), base)
         assert check_saturated(g, parse_family("K1*[2,2]")).is_saturated
 
     def test_reproducible_graph6(self):

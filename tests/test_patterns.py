@@ -15,16 +15,14 @@ from satforge.graphs import (
     path_graph,
 )
 from satforge.patterns import (
-    contains_disjoint_clique_path,
     contains_join_k1,
     contains_linear_forest,
     has_clique,
     has_path_of_order,
-    layer_decompose,
-    longest_path_from,
     subtree_contains,
     witness_ok,
 )
+from satforge.saturation import contains_member, member_witness_ok, parse_family
 
 
 def random_graph(rng, n, p=0.4):
@@ -107,6 +105,14 @@ class TestHasPath:
                 if 1 <= k <= n:
                     assert (has_path_of_order(g, k) is not None) == (k <= lp)
 
+    def test_path_order_vs_diameter_on_trees(self):
+        rng = random.Random(12)
+        for _ in range(30):
+            t = random_tree(rng, rng.randrange(2, 14))
+            d = diameter(t)
+            for k in (d, d + 1, d + 2):
+                assert (has_path_of_order(t, k) is not None) == (k <= d + 1)
+
     def test_witness_is_a_path(self):
         rng = random.Random(4)
         for _ in range(20):
@@ -116,58 +122,20 @@ class TestHasPath:
                 assert witness_ok(g, w) and len(w.parts[0]) == 5
 
 
-class TestLongestPathFrom:
-    def test_path_ends(self):
-        p5 = path_graph(5)
-        assert len(longest_path_from(p5, 0).parts[0]) == 5
-        assert len(longest_path_from(p5, 2).parts[0]) == 3
-
-    def test_layered_tree_middle(self):
-        assert len(longest_path_from(make_t1k(10), 0).parts[0]) == 5
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            longest_path_from(path_graph(3), 7)
-
-    def test_against_dp_random(self):
-        rng = random.Random(31)
-        for _ in range(25):
-            g = random_graph(rng, 8, 0.35)
-            for v in range(g.n):
-                want = longest_path_dp_from(g, v)
-                got = longest_path_from(g, v)
-                assert len(got.parts[0]) == want
-                assert witness_ok(g, got) and got.parts[0][0] == v
-
-
-def longest_path_dp_from(g, src):
-    n = g.n
-    frontier = {(1 << src, src)}
-    best = 1
-    while frontier:
-        nxt = set()
-        for mask, v in frontier:
-            for u in range(n):
-                if g.has_edge(u, v) and not mask >> u & 1:
-                    nxt.add((mask | 1 << u, u))
-        if nxt:
-            best += 1
-        frontier = nxt
-    return best
-
-
 class TestCliquePlusPath:
+    K3_P10 = parse_family("K3+P10")
+
     def test_pattern_itself(self):
         g = disjoint_union(complete_graph(3), path_graph(10))
-        w = contains_disjoint_clique_path(g, 3, 10)
-        assert w is not None and witness_ok(g, w)
+        w = contains_member(g, self.K3_P10)
+        assert w is not None and member_witness_ok(g, self.K3_P10.members[0], w)
 
     def test_h0_is_free(self):
-        assert contains_disjoint_clique_path(make_h0(200, 10), 3, 10) is None
+        assert contains_member(make_h0(200, 10), self.K3_P10) is None
 
     def test_q1_alone_is_free(self):
         q1 = induced_subgraph(make_h0(200, 10), range(80))
-        assert contains_disjoint_clique_path(q1, 3, 10) is None
+        assert contains_member(q1, self.K3_P10) is None
         # but it does have long paths and triangles separately
         assert has_path_of_order(q1, 10) is not None
         assert has_clique(q1, 3) is not None
@@ -281,61 +249,3 @@ class TestSubtreeContains:
                 assert len(set(mapping)) == pattern.n
                 for u, v in pattern.edges():
                     assert host.has_edge(mapping[u], mapping[v])
-
-
-class TestLayerDecompose:
-    def test_path_examples(self):
-        lm = layer_decompose(path_graph(5))
-        assert lm.layer_sizes() == {1: 1, 2: 2, 3: 2}
-        lm = layer_decompose(path_graph(4))
-        assert lm.layer_sizes()[1] == 2
-
-    def test_layered_trees(self):
-        assert layer_decompose(make_t1k(10)).layer_sizes() == {1: 1, 2: 3, 3: 6, 4: 8, 5: 2}
-        assert layer_decompose(make_t1k(9)).layer_sizes() == {1: 2, 2: 4, 3: 7, 4: 3}
-        assert layer_decompose(make_t0k(10)).layer_sizes() == {1: 2, 2: 4, 3: 8, 4: 8}
-        assert layer_decompose(make_t0k(9)).layer_sizes() == {1: 1, 2: 3, 3: 6, 4: 6}
-        assert layer_decompose(make_tk(9)).layer_sizes() == {1: 2, 2: 4, 3: 8, 4: 16}
-
-    def test_max_layer_formula_and_leaves(self):
-        rng = random.Random(2)
-        for _ in range(30):
-            t = random_tree(rng, rng.randrange(3, 14))
-            d = diameter(t)
-            if d < 2:
-                continue
-            lm = layer_decompose(t)
-            assert lm.max_layer() == (d + 1 + 1) // 2
-            path = lm.reference_path
-            assert lm.layers[path[0]] == lm.max_layer()
-            assert lm.layers[path[-1]] == lm.max_layer()
-
-    def test_adjacent_layers_differ_by_at_most_one(self):
-        rng = random.Random(8)
-        for _ in range(20):
-            t = random_tree(rng, 10)
-            if diameter(t) < 2:
-                continue
-            lm = layer_decompose(t)
-            for u, v in t.edges():
-                assert abs(lm.layers[u] - lm.layers[v]) <= 1
-
-    def test_middle_size(self):
-        lm = layer_decompose(path_graph(5))
-        assert sum(1 for x in lm.layers if x == 1) == 1
-        lm = layer_decompose(path_graph(6))
-        assert sum(1 for x in lm.layers if x == 1) == 2
-
-    def test_rejects_non_tree_or_small(self):
-        with pytest.raises(ValueError):
-            layer_decompose(cycle_graph(5))
-        with pytest.raises(ValueError):
-            layer_decompose(complete_graph(2))
-
-    def test_path_order_vs_diameter_on_trees(self):
-        rng = random.Random(12)
-        for _ in range(30):
-            t = random_tree(rng, rng.randrange(2, 14))
-            d = diameter(t)
-            for k in (d, d + 1, d + 2):
-                assert (has_path_of_order(t, k) is not None) == (k <= d + 1)

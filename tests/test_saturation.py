@@ -145,6 +145,20 @@ class TestCheckSaturated:
         sat = make_star(9)
         assert check_saturated(sat, parse_family("K3"), threads=2).is_saturated
 
+    def test_threads_do_not_change_gap(self):
+        # triangle-free bipartite graphs with enough non-edges for the
+        # generic scan to use the pool; failures spread over every chunk
+        fam = parse_family("K3")
+        rng = random.Random(5)
+        for _ in range(3):
+            g = build_graph(
+                16, [(u, v) for u in range(8) for v in range(8, 16) if rng.random() < 0.5]
+            )
+            assert sum(1 for _ in g.non_edges()) >= 64
+            gap = saturation_gap(g, fam)
+            assert gap and saturation_gap(g, fam, threads=2) == gap
+            assert check_saturated(g, fam, threads=2).missing_edge == gap[0]
+
 
 class TestSaturationGap:
     def test_saturated_tree_has_empty_gap(self):

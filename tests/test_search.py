@@ -15,10 +15,8 @@ from satforge.search import (
     enumerate_trees,
     merge_scan_reports,
     min_saturated_tree_order,
-    read_graph6_stream,
     sat_bruteforce,
     scan_saturated_trees,
-    write_graph6_stream,
 )
 from satforge.search import _iter_free_trees, _levels_to_graph
 
@@ -272,17 +270,6 @@ class TestK8Counterexample:
             grown = sparse.copy()
             grown.add_edge(u, v)
             assert has_member(grown), (u, v)
-
-
-class TestStreamSpill:
-    def test_round_trip_file(self, tmp_path):
-        path = str(tmp_path / "trees8.g6")
-        count = write_graph6_stream(enumerate_trees(8), path)
-        assert count == TREE_COUNTS[8]
-        back = list(read_graph6_stream(path))
-        assert [graph6_encode(g) for g in back] == [
-            graph6_encode(g) for g in enumerate_trees(8)
-        ]
 
 
 class TestMinSaturatedTreeOrder:
