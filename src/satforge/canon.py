@@ -6,22 +6,26 @@ back to a member of the class).  Trees go through a linear-time rooted-code
 relabelling; everything else goes through equitable refinement plus
 individualization/backtracking, which is exact and fast enough for the
 orders this library canonicalizes (components up to a few dozen vertices).
+Components are listed by (order, code).  The same pass collects the
+automorphisms it meets, which generate the whole group, so it also yields
+exact vertex orbits.
 """
 
 from __future__ import annotations
 
-from .graphs import (
-    Graph,
-    build_graph,
-    component_masks,
-    disjoint_union,
-    graph6_encode,
-    induced_subgraph,
-    is_tree,
-    iter_bits,
-)
+from .graphs import Graph, _g6_size_bytes, build_graph, component_masks, iter_bits
 
 CanonicalCode = bytes
+
+
+def _find(orbit: list[int], v: int) -> int:
+    while orbit[v] != v:
+        orbit[v] = v = orbit[orbit[v]]
+    return v
+
+
+def _union(orbit: list[int], u: int, v: int) -> None:
+    orbit[_find(orbit, u)] = _find(orbit, v)
 
 
 # ---------------------------------------------------------------------------
@@ -29,71 +33,50 @@ CanonicalCode = bytes
 # ---------------------------------------------------------------------------
 
 
-def _tree_centers(g: Graph) -> list[int]:
-    """One or two middle vertices, by repeated leaf stripping."""
-    n = g.n
-    if n <= 2:
-        return list(range(n))
-    deg = [g.degree(v) for v in range(n)]
-    layer = [v for v in range(n) if deg[v] == 1]
-    removed = 0
-    alive = [True] * n
-    while n - removed > 2:
-        nxt = []
-        for v in layer:
-            alive[v] = False
-        removed += len(layer)
-        for v in layer:
-            for u in g.neighbors(v):
-                if alive[u]:
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-    return sorted(v for v in range(n) if alive[v])
-
-
-def _tree_canonical_order(g: Graph) -> list[int]:
+def _tree_order(rows: tuple[int, ...], alive: int, orbit: list[int]) -> list[int]:
     """Vertices of a tree in a canonical DFS order (old ids, new order)."""
-    centers = _tree_centers(g)
-    if len(centers) == 2:
-        # Subdivide the centre edge with a virtual vertex; the virtual vertex
-        # becomes the unique centre of an odd-diameter tree.
-        a, b = centers
-        virtual = g.n
-        rows = [r for r in g.rows]
-        rows[a] = (rows[a] | 1 << virtual) & ~(1 << b)
-        rows[b] = (rows[b] | 1 << virtual) & ~(1 << a)
-        rows.append((1 << a) | (1 << b))
-        work = Graph(g.n + 1, tuple(rows))
-        order = _rooted_canonical_order(work, virtual)
-        return [v for v in order if v != virtual]
-    return _rooted_canonical_order(g, centers[0])
+    while alive.bit_count() > 2:  # strip leaves down to the centre
+        alive &= ~sum(1 << v for v in iter_bits(alive) if (rows[v] & alive).bit_count() == 1)
+    centers = list(iter_bits(alive))
+    if len(centers) == 1:
+        return _rooted_order(rows, centers[0], orbit)
+    # Subdivide the centre edge with a virtual vertex; the virtual vertex
+    # becomes the unique centre of an odd-diameter tree.
+    a, b = centers
+    virtual = len(rows)
+    work = list(rows)
+    work[a] = (work[a] | 1 << virtual) & ~(1 << b)
+    work[b] = (work[b] | 1 << virtual) & ~(1 << a)
+    work.append((1 << a) | (1 << b))
+    return _rooted_order(work, virtual, orbit)[1:]
 
 
-def _rooted_canonical_order(g: Graph, root: int) -> list[int]:
+def _rooted_order(rows, root: int, orbit: list[int]) -> list[int]:
+    """Preorder with children sorted by subtree code.  Two vertices share an
+    orbit when their parents do and their subtree codes are equal."""
     code: dict[int, str] = {}
+    kids: dict[int, list[int]] = {}
 
     def build(v: int, parent: int) -> str:
-        kids = sorted(
-            (u for u in g.neighbors(v) if u != parent),
+        kids[v] = sorted(
+            (u for u in iter_bits(rows[v]) if u != parent),
             key=lambda u: (build(u, v), u),
         )
-        code[v] = "(" + "".join(code[u] for u in kids) + ")"
+        code[v] = "(" + "".join(code[u] for u in kids[v]) + ")"
         return code[v]
 
     build(root, -1)
     order: list[int] = []
-
-    def emit(v: int, parent: int) -> None:
+    rep = {root: root}  # the first vertex of each orbit met in preorder
+    first: dict[tuple[int, str], int] = {}
+    todo = [root]
+    while todo:
+        v = todo.pop()
         order.append(v)
-        for u in sorted(
-            (u for u in g.neighbors(v) if u != parent),
-            key=lambda u: (code[u], u),
-        ):
-            emit(u, v)
-
-    emit(root, -1)
+        for u in kids[v]:
+            rep[u] = first.setdefault((rep[v], code[u]), u)
+            _union(orbit, u, rep[u])
+        todo.extend(reversed(kids[v]))
     return order
 
 
@@ -103,7 +86,8 @@ def _rooted_canonical_order(g: Graph, root: int) -> list[int]:
 
 
 def _refine(rows: tuple[int, ...], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Equitable refinement of an ordered partition (stable, deterministic)."""
+    """Equitable refinement of an ordered partition (stable, deterministic).
+    A cell splits in place, so cells keep their relative order."""
     while True:
         masks = [_cell_mask(c) for c in cells]
         new_cells: list[tuple[int, ...]] = []
@@ -112,12 +96,11 @@ def _refine(rows: tuple[int, ...], cells: list[tuple[int, ...]]) -> list[tuple[i
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
-            keys = {
-                v: tuple((rows[v] & m).bit_count() for m in masks) for v in cell
-            }
             groups: dict[tuple[int, ...], list[int]] = {}
             for v in cell:
-                groups.setdefault(keys[v], []).append(v)
+                row = rows[v]
+                key = tuple([(row & m).bit_count() for m in masks])
+                groups.setdefault(key, []).append(v)
             if len(groups) == 1:
                 new_cells.append(cell)
                 continue
@@ -137,9 +120,9 @@ def _cell_mask(cell: tuple[int, ...]) -> int:
 
 
 def _adjacency_code(rows: tuple[int, ...], order: list[int]) -> int:
-    """Upper-triangle bits of the relabelled adjacency matrix, as one int."""
+    """Upper-triangle bits of the relabelled adjacency matrix, as one int,
+    in graph6 bit order."""
     code = 0
-    pos = {v: i for i, v in enumerate(order)}
     for j, v in enumerate(order):
         row = rows[v]
         for i in range(j):
@@ -152,116 +135,126 @@ def _are_twins(rows: tuple[int, ...], u: int, v: int) -> bool:
     return rows[u] & ~(1 << v) == rows[v] & ~(1 << u)
 
 
-def _canonical_search(rows: tuple[int, ...], n: int, initial: list[tuple[int, ...]]):
-    """Minimum adjacency code over all discrete refinements of `initial`.
+def _search_order(
+    rows: tuple[int, ...], verts: list[int], degs: list[int], orbit: list[int], mark: int
+) -> list[int] | None:
+    """Order of the minimum adjacency code over all discrete refinements of
+    the degree partition of a connected graph.
 
-    Returns (code, order).  Twin candidates inside a branching cell are
-    skipped (a twin swap is always an automorphism), which keeps graphs with
-    many interchangeable vertices from exploding factorially.
+    Twin candidates inside a branching cell are skipped (a twin swap is
+    always an automorphism), which keeps graphs with many interchangeable
+    vertices from exploding factorially.  The last vertex lies in the last
+    cell of the refined degree partition, so a `mark` outside that cell
+    cannot share its orbit and the search is skipped (None).
     """
+    if mark >= 0 and rows[mark].bit_count() != max(degs):
+        return None
+    degrees: dict[int, list[int]] = {}
+    for v, d in zip(verts, degs):
+        degrees.setdefault(d, []).append(v)
+    cells = _refine(rows, [tuple(degrees[d]) for d in sorted(degrees)])
+    if mark >= 0 and mark not in cells[-1]:
+        return None
     best: list = [None, None]  # code, order
 
     def walk(cells: list[tuple[int, ...]]) -> None:
-        cells = _refine(rows, cells)
         split = next((i for i, c in enumerate(cells) if len(c) > 1), -1)
         if split < 0:
             order = [c[0] for c in cells]
             code = _adjacency_code(rows, order)
             if best[0] is None or code < best[0]:
                 best[0], best[1] = code, order
+            elif code == best[0]:
+                for u, v in zip(best[1], order):
+                    _union(orbit, u, v)
             return
         cell = cells[split]
         tried: list[int] = []
         for v in cell:
-            if any(_are_twins(rows, v, u) for u in tried):
+            twin = next((u for u in tried if _are_twins(rows, u, v)), -1)
+            if twin >= 0:
+                _union(orbit, v, twin)
                 continue
             tried.append(v)
             rest = tuple(u for u in cell if u != v)
-            walk(cells[:split] + [(v,), rest] + cells[split + 1 :])
+            walk(_refine(rows, cells[:split] + [(v,), rest] + cells[split + 1 :]))
 
-    walk(initial)
-    return best[0], best[1]
-
-
-def _connected_canonical_order(g: Graph) -> list[int]:
-    if is_tree(g):
-        return _tree_canonical_order(g)
-    if g.n <= 1:
-        return list(range(g.n))
-    degrees: dict[int, list[int]] = {}
-    for v in range(g.n):
-        degrees.setdefault(g.degree(v), []).append(v)
-    initial = [tuple(degrees[d]) for d in sorted(degrees)]
-    _, order = _canonical_search(g.rows, g.n, initial)
-    return order
+    walk(cells)
+    return best[1]
 
 
-def _relabel(g: Graph, order: list[int]) -> Graph:
-    pos = {v: i for i, v in enumerate(order)}
-    return build_graph(g.n, [(pos[u], pos[v]) for u, v in g.edges()])
+# ---------------------------------------------------------------------------
+# the one canonical pass, and what it answers
+# ---------------------------------------------------------------------------
+
+
+def _labelling(g: Graph, mark: int = -1) -> tuple[list[int], list[int]] | None:
+    """Canonical order of g's vertices (old ids, new order) and a union-find
+    forest whose trees are the automorphism orbits.
+
+    With `mark` >= 0 the pass stops early with None once mark provably lies
+    outside the orbit of the canonical last vertex, which sits in a
+    component of the largest order.
+    """
+    rows = g.rows
+    orbit = list(range(g.n))
+    comps = component_masks(g)
+    mine = next((c for c in comps if c >> mark & 1), 0) if mark >= 0 else 0
+    if mine and mine.bit_count() < max(map(int.bit_count, comps)):
+        return None
+    parts = []
+    for comp in comps:
+        m = mark if comp == mine else -1
+        verts = list(iter_bits(comp)) if len(comps) > 1 else list(range(g.n))
+        degs = [rows[v].bit_count() for v in verts]
+        if sum(degs) == 2 * len(verts) - 2:
+            order = _tree_order(rows, comp, orbit)
+        elif (order := _search_order(rows, verts, degs, orbit, m)) is None:
+            return None
+        parts.append((len(order), _adjacency_code(rows, order) if len(comps) > 1 else 0, order))
+    parts.sort(key=lambda p: p[:2])  # stable: equal components keep their order
+    for (na, ka, a), (nb, kb, b) in zip(parts, parts[1:]):
+        if (na, ka) == (nb, kb):  # isomorphic components swap
+            for u, v in zip(a, b):
+                _union(orbit, u, v)
+    return [v for p in parts for v in p[2]], orbit
+
+
+def _code(rows: tuple[int, ...], order: list[int]) -> CanonicalCode:
+    """graph6 bytes of the graph relabelled by order."""
+    n = len(order)
+    pad = -(n * (n - 1) // 2) % 6
+    code = _adjacency_code(rows, order) << pad
+    return _g6_size_bytes(n) + bytes(
+        (code >> s & 63) + 63 for s in range(n * (n - 1) // 2 + pad - 6, -1, -6)
+    )
 
 
 def canonical_relabel(g: Graph) -> Graph:
     """A canonically labelled copy of g (equal for isomorphic inputs)."""
-    comps = component_masks(g)
-    if len(comps) <= 1:
-        return _relabel(g, _connected_canonical_order(g)) if g.n else g
-    parts = [
-        induced_subgraph(g, list(iter_bits(m))) for m in comps
-    ]
-    canon_parts = [_relabel(p, _connected_canonical_order(p)) for p in parts]
-    canon_parts.sort(key=lambda p: (p.n, graph6_encode(p)))
-    out = canon_parts[0]
-    for p in canon_parts[1:]:
-        out = disjoint_union(out, p)
-    return out
+    pos = {v: i for i, v in enumerate(_labelling(g)[0])}
+    return build_graph(g.n, [(pos[u], pos[v]) for u, v in g.edges()])
 
 
 def canonical_form(g: Graph) -> CanonicalCode:
     """Byte string equal for two graphs iff they are isomorphic."""
-    return graph6_encode(canonical_relabel(g))
+    return _code(g.rows, _labelling(g)[0])
 
 
-def marked_code(g: Graph, marked: int) -> CanonicalCode:
-    """Canonical code of (g, one distinguished vertex).
-
-    Two marks at u and v give equal codes iff some automorphism of g maps u
-    to v, so this decides vertex-orbit equivalence without needing the
-    automorphism group itself.
-    """
-    rest = tuple(v for v in range(g.n) if v != marked)
-    cells: list[tuple[int, ...]] = [(marked,)]
-    if rest:
-        cells.append(rest)
-    code, _ = _canonical_search(g.rows, g.n, cells)
-    return g.n.to_bytes(2, "big") + code.to_bytes(
-        (g.n * (g.n - 1) // 2 + 7) // 8 or 1, "big"
-    )
+def augmentation_code(g: Graph, v: int) -> CanonicalCode | None:
+    """The canonical code of g when v shares the orbit of the canonical last
+    vertex (g is then the canonical augmentation of g - v), else None."""
+    found = _labelling(g, v)
+    if found is None or _find(found[1], v) != _find(found[1], found[0][-1]):
+        return None
+    return _code(g.rows, found[0])
 
 
 def same_orbit(g: Graph, u: int, v: int) -> bool:
-    if u == v:
-        return True
-    if _are_twins(g.rows, u, v):
-        return True
-    return marked_code(g, u) == marked_code(g, v)
+    orbit = _labelling(g)[1]
+    return _find(orbit, u) == _find(orbit, v)
 
 
 def canonical_last_vertex(g: Graph) -> int:
     """The original id of the vertex placed last by canonical relabelling."""
-    comps = component_masks(g)
-    if len(comps) <= 1:
-        return _connected_canonical_order(g)[-1]
-    # Last vertex of the component that sorts last; recover via marked codes
-    # is overkill here: relabel components and track which original vertex
-    # lands in the final slot.
-    parts = []
-    for m in comps:
-        verts = list(iter_bits(m))
-        sub = induced_subgraph(g, verts)
-        order = _connected_canonical_order(sub)
-        canon = _relabel(sub, order)
-        parts.append((canon.n, graph6_encode(canon), verts, order))
-    parts.sort(key=lambda t: (t[0], t[1]))
-    _, _, verts, order = parts[-1]
-    return verts[order[-1]]
+    return _labelling(g)[0][-1]

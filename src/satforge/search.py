@@ -4,11 +4,11 @@ saturation numbers, and exhaustive tree scans.
 Free trees come from the Wright-Richmond-Odlyzko-McKay generator, which
 visits only canonical level sequences rooted at a centre, in constant
 amortised time per tree, and yields each tree's diameter with it.  Graphs
-come from canonical augmentation: children of a canonical parent are
-deduplicated per parent by canonical code, and a child survives only when
-its new vertex sits in the canonical-deletion orbit, so every class is
-produced exactly once across all parents.  Both streams are deterministic
-and shardable by index.
+come from canonical augmentation: a child of a canonical parent is first
+accepted, when its new vertex sits in the orbit of its canonical last
+vertex, and then deduplicated per parent by canonical code, so every class
+is produced exactly once across all parents.  Both streams are
+deterministic and shardable by index.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .canon import canonical_form, canonical_last_vertex, same_orbit
+from .canon import augmentation_code
 from .constructions import make_small_tree, make_t0k, make_t1k
 from .graphs import Graph, build_graph, graph6_encode
 from .patterns import subtree_contains
@@ -195,13 +195,9 @@ def enumerate_trees(n: int, shards: int = 1, shard: int = 0) -> Iterator[Graph]:
 
 
 def _augmented(parent: Graph, neighborhood: int) -> Graph:
-    rows = [r for r in parent.rows]
-    new_row = neighborhood
-    for v in range(parent.n):
-        if (neighborhood >> v) & 1:
-            rows[v] |= 1 << parent.n
-    rows.append(new_row)
-    return Graph(parent.n + 1, tuple(rows))
+    m = parent.n
+    rows = [r | (neighborhood >> v & 1) << m for v, r in enumerate(parent.rows)]
+    return Graph(m + 1, (*rows, neighborhood))
 
 
 def _children(parent: Graph) -> list[Graph]:
@@ -211,11 +207,9 @@ def _children(parent: Graph) -> list[Graph]:
     m = parent.n
     for subset in range(1 << m):
         child = _augmented(parent, subset)
-        code = canonical_form(child)
-        if code in seen:
-            continue
-        seen.add(code)
-        if same_orbit(child, m, canonical_last_vertex(child)):
+        code = augmentation_code(child, m)
+        if code is not None and code not in seen:
+            seen.add(code)
             out.append(child)
     return out
 

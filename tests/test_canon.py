@@ -1,7 +1,12 @@
 import itertools
 import random
 
-from satforge.canon import canonical_form, canonical_relabel, same_orbit
+from satforge.canon import (
+    canonical_form,
+    canonical_last_vertex,
+    canonical_relabel,
+    same_orbit,
+)
 from satforge.graphs import (
     build_graph,
     complete_graph,
@@ -9,6 +14,7 @@ from satforge.graphs import (
     graph6_decode,
     path_graph,
 )
+from satforge.search import enumerate_graphs
 
 
 def permuted(g, perm):
@@ -123,3 +129,27 @@ def test_same_orbit_against_bruteforce():
         for u in range(g.n):
             for v in range(u + 1, g.n):
                 assert same_orbit(g, u, v) == (orb[u] == orb[v]), (g, u, v)
+
+
+def test_orbits_against_bruteforce_on_catalogue():
+    # every graph of order <= 6: trees, twins, disconnected graphs with
+    # isomorphic components, and graphs whose orbits only pruned twin
+    # swaps reveal
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            orb = brute_orbits(g)
+            for u in range(n):
+                for v in range(u + 1, n):
+                    assert same_orbit(g, u, v) == (orb[u] == orb[v]), (g, u, v)
+
+
+def test_last_vertex_orbit_is_invariant():
+    # relabelling moves the canonical last vertex only within its orbit
+    rng = random.Random(23)
+    for n in range(2, 8):
+        for g in list(enumerate_graphs(n))[:: 7]:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = permuted(g, perm)
+            inverse = perm.index(canonical_last_vertex(h))
+            assert same_orbit(g, canonical_last_vertex(g), inverse), g

@@ -4,7 +4,12 @@ import random
 
 import pytest
 
-from satforge.canon import canonical_form
+from satforge.canon import (
+    augmentation_code,
+    canonical_form,
+    canonical_last_vertex,
+    same_orbit,
+)
 from satforge.constructions import make_small_tree, make_t0k, make_t1k
 from satforge.graphs import build_graph, diameter, graph6_decode, graph6_encode, is_tree
 from satforge.saturation import check_saturated, parse_family
@@ -18,7 +23,7 @@ from satforge.search import (
     sat_bruteforce,
     scan_saturated_trees,
 )
-from satforge.search import _iter_free_trees, _levels_to_graph
+from satforge.search import _augmented, _iter_free_trees, _levels_to_graph
 
 # OEIS A000055, free trees on n vertices
 TREE_COUNTS = {
@@ -34,7 +39,34 @@ SCAN_GOLDEN = {
     8: (36, "859fc6de3052fc578ab1a18590feb55984191b73fc85954cdfb8699105a22334"),
     9: (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
-GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+# OEIS A000088, graphs on n vertices
+GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+# sha256 of the graph6 strings of enumerate_graphs(n) joined by newlines,
+# recorded while each augmented child still ran three canonical searches:
+# the labelled representatives, and so every brute-force witness, are fixed
+GRAPH_STREAM_GOLDEN = {
+    1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    2: "66f7cc5c004391e37949da741ea5ce5831ff34dd3c3a4e2bea3ccd225d7b2fb1",
+    3: "964a9bccff2882955bf2a5d8e13359dac830812ec049f0f312501df87890e906",
+    4: "a9d25df6b3fb30c1d80567d868d9fc883f4b43ce43be23bcc1f73fafd2ef817c",
+    5: "6d0f21eb001a663444f72a1a636e7ba92c6514d66ac570406f398eefa986e29a",
+    6: "b59a06620b82e6c75ef1cd62b8ec75ef87da2108d5a308e9895286643d9fdc1f",
+    7: "9e0997e6f04eeabbfa7a2618bf4ac40afb0828236d3924534ec8815178de8553",
+}
+# order-8 classes the catalogue lost while it deduplicated a parent's
+# children before testing their acceptance
+RECOVERED_ORDER_8 = (b"GhoGbg", b"GhMgck", b"GPzsB[")
+
+
+def marked(g, v):
+    """g with a clique on g.n + 1 new vertices, each joined to v: two marked
+    copies are isomorphic iff an automorphism of g maps one mark to the
+    other, since only the clique and the mark reach degree g.n + 1."""
+    k = g.n + 1
+    clique = range(g.n, g.n + k)
+    edges = list(g.edges()) + [(v, c) for c in clique]
+    edges += list(itertools.combinations(clique, 2))
+    return build_graph(g.n + k, edges)
 
 
 def prufer_tree(seq, n):
@@ -155,6 +187,55 @@ class TestEnumerateGraphs:
         with pytest.raises(BudgetExceededError):
             list(enumerate_graphs(9))
 
+    @pytest.mark.slow
+    def test_order_8_count(self):
+        codes = {canonical_form(g) for g in enumerate_graphs(8)}
+        assert len(codes) == 12346
+        for w in RECOVERED_ORDER_8:
+            assert canonical_form(graph6_decode(w)) in codes, w
+
+    @pytest.mark.parametrize("n", sorted(GRAPH_STREAM_GOLDEN))
+    def test_labelled_stream_matches_recorded(self, n):
+        stream = b"\n".join(graph6_encode(g) for g in enumerate_graphs(n))
+        assert hashlib.sha256(stream).hexdigest() == GRAPH_STREAM_GOLDEN[n]
+
+    def test_classes_match_networkx_atlas(self):
+        nx = pytest.importorskip("networkx")
+        atlas: dict[int, set] = {}
+        for h in nx.graph_atlas_g():
+            pos = {v: i for i, v in enumerate(h)}
+            g = build_graph(len(pos), [(pos[u], pos[v]) for u, v in h.edges()])
+            atlas.setdefault(g.n, set()).add(canonical_form(g))
+        for n in range(1, 8):
+            assert {canonical_form(g) for g in enumerate_graphs(n)} == atlas[n]
+
+
+class TestAugmentation:
+    """The one canonical pass behind each augmented child against the full
+    pass and against orbits found by marking."""
+
+    def test_early_rejection_matches_full_pass(self):
+        # every child of every parent of order <= 6
+        for k in range(1, 7):
+            for parent in enumerate_graphs(k):
+                for subset in range(1 << k):
+                    child = _augmented(parent, subset)
+                    last = canonical_last_vertex(child)
+                    want = canonical_form(child) if same_orbit(child, k, last) else None
+                    assert augmentation_code(child, k) == want, (parent, subset)
+
+    def test_acceptance_against_marked_oracle(self):
+        # every child of every parent of order <= 5
+        for k in range(1, 6):
+            for parent in enumerate_graphs(k):
+                for subset in range(1 << k):
+                    child = _augmented(parent, subset)
+                    last = canonical_last_vertex(child)
+                    same = last == k or canonical_form(
+                        marked(child, k)
+                    ) == canonical_form(marked(child, last))
+                    assert (augmentation_code(child, k) is not None) == same
+
 
 class TestSatBruteforce:
     def test_triangle(self):
@@ -178,6 +259,11 @@ class TestSatBruteforce:
         assert canonical_form(graph6_decode(r.witnesses[0])) == canonical_form(
             make_erdos_kp(6, 4)
         )
+
+    @pytest.mark.slow
+    def test_triangle_order_8(self):
+        r = sat_bruteforce(8, parse_family("K3"))
+        assert r.value == 7 and r.classes_examined == 12346
 
     def test_edgeless_base_case(self):
         # greedy maximality means a saturated graph always exists; the
