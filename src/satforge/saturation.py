@@ -3,32 +3,36 @@
 A family member is a clique, a path, a disjoint union of cliques and paths,
 or a hub joined to a linear forest.  A graph is family-saturated when it is
 member-free and every added non-edge creates a member.  Non-edges are always
-tested in ascending order, so the reported failure is the smallest one
-whatever the execution strategy.
+decided in ascending order, so the reported failure is the smallest one
+whatever the execution strategy, and each verdict names its strategy.
 
-Two structure-aware scans keep the common checks fast: a forest against
-{triangle, Pk} is member-free exactly when every component has diameter
-below k-1, and each of its non-edges reduces to tree distance arithmetic on
-BFS rows computed as the scan first needs them; sparse graphs against one
-{triangle union path} member reuse per-triangle masked distance tables
-instead of re-running detectors from scratch.
+Two structure-aware scans decide whole components at once instead of one
+non-edge at a time:
+
+* "forest": a forest against {Pk} or {K3, Pk} is member-free exactly when
+  every component has diameter below k-1.  A chord inside a tree reduces
+  to distance arithmetic on BFS rows kept per component and computed on
+  first use.  A pair in two trees fails exactly when
+  ecc(u) + ecc(v) + 2 < k, so one mask of the vertices of eccentricity at
+  most t, per threshold t, gives all of u's failing partners at once.
+* "triangle_table": against the single member K3 u Pk, with few
+  triangles, the same arithmetic decides every pair between trees that
+  hold no Pk.  Only pairs that touch another component go through
+  per-triangle tables built over those components alone.
+
+Everything else goes through the "generic" scan, which runs the detectors
+on every non-edge, optionally on a process pool.
 """
 
 from __future__ import annotations
 
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice
 from typing import Sequence
 
-from .graphs import (
-    Graph,
-    component_masks,
-    distance_matrix,
-    distances_from,
-    full_mask,
-    iter_bits,
-)
+from .graphs import Graph, component_masks, full_mask, iter_bits
 from .patterns import (
     Witness,
     contains_join_k1,
@@ -268,9 +272,15 @@ MISSING_EDGE = "missing_edge"
 
 @dataclass(frozen=True)
 class SaturationVerdict:
+    """A verdict, its witness or smallest failing non-edge, and the strategy
+    that reached it: "detector" (g holds a member), "forest",
+    "triangle_table" or "generic" (the non-edge scan that decided).  The
+    strategy takes no part in equality."""
+
     status: str
     witness: Witness | None = None
     missing_edge: tuple[int, int] | None = None
+    strategy: str | None = field(default=None, compare=False)
 
     @property
     def is_saturated(self) -> bool:
@@ -285,6 +295,8 @@ class SaturationVerdict:
             }
         if self.missing_edge is not None:
             out["missing_edge"] = list(self.missing_edge)
+        if self.strategy is not None:
+            out["strategy"] = self.strategy
         return out
 
 
@@ -294,72 +306,56 @@ def check_saturated(g: Graph, fam: ForbiddenFamily, threads: int = 1) -> Saturat
     The reported failure is always the ascending-smallest one; thread count
     never changes the verdict.
     """
-    w, failures = _member_or_failures(g, fam, collect_all=False, threads=threads)
+    strategy, w, failures = _decide(g, fam, collect_all=False, threads=threads)
     if w is not None:
-        return SaturationVerdict(CONTAINS_MEMBER, witness=w)
+        return SaturationVerdict(CONTAINS_MEMBER, witness=w, strategy=strategy)
     if failures:
-        return SaturationVerdict(MISSING_EDGE, missing_edge=failures[0])
-    return SaturationVerdict(SATURATED)
+        return SaturationVerdict(MISSING_EDGE, missing_edge=failures[0], strategy=strategy)
+    return SaturationVerdict(SATURATED, strategy=strategy)
 
 
 def saturation_gap(g: Graph, fam: ForbiddenFamily, threads: int = 1) -> list[tuple[int, int]]:
     """All non-edges whose addition creates no member (empty iff saturated)."""
-    w, failures = _member_or_failures(g, fam, collect_all=True, threads=threads)
+    _, w, failures = _decide(g, fam, collect_all=True, threads=threads)
     if w is not None:
         raise ValueError("graph already contains a family member")
     return failures
 
 
-def _member_or_failures(
+def _decide(
     g: Graph, fam: ForbiddenFamily, collect_all: bool, threads: int
-) -> tuple[Witness | None, list[tuple[int, int]]]:
-    """The first member witness of g, or else its failing non-edges.
+) -> tuple[str, Witness | None, list[tuple[int, int]]]:
+    """The strategy, and the first member witness of g or else its failing
+    non-edges.
 
     A forest holds no triangle, and it holds Pk exactly when some component
-    has diameter at least k-1, so a member-free {K3, Pk} forest goes to its
-    scan without running the detectors.
+    has diameter at least k-1, so a member-free forest against {Pk} or
+    {K3, Pk} goes to its scan without running the detectors.
     """
-    k = _k3_pk_shape(fam)
-    if k is not None:
+    shape = _forest_shape(fam)
+    if shape is not None:
         forest = _Forest.of(g)
-        if forest is not None and forest.diameter < k - 1:
-            return None, _scan_k3_pk_forest(forest, k, collect_all)
+        if forest is not None and forest.diameter < shape[0] - 1:
+            return "forest", None, _scan_forest(forest, *shape, collect_all)
     w = contains_member(g, fam)
     if w is not None:
-        return w, []
-    return None, _failing_non_edges(g, fam, collect_all, threads)
-
-
-# ---------------------------------------------------------------------------
-# non-edge scans
-# ---------------------------------------------------------------------------
-
-
-def _failing_non_edges(
-    g: Graph, fam: ForbiddenFamily, collect_all: bool, threads: int = 1
-) -> list[tuple[int, int]]:
+        return "detector", w, []
     k = _k3_cup_pk_shape(fam)
     if k is not None:
-        tris = []
-        for cl in iter_cliques(g, 3):
-            tris.append(cl)
-            if len(tris) > _TRIANGLE_TABLE_CAP:
-                break
+        tris = list(islice(iter_cliques(g, 3), _TRIANGLE_TABLE_CAP + 1))
         if len(tris) <= _TRIANGLE_TABLE_CAP:
-            return _scan_k3_cup_pk(g, k, tris, collect_all)
-    return _scan_generic(g, fam, collect_all, threads)
+            return "triangle_table", None, _scan_k3_cup_pk(g, k, tris, collect_all)
+    return "generic", None, _scan_generic(g, fam, collect_all, threads)
 
 
-def _k3_pk_shape(fam: ForbiddenFamily) -> int | None:
-    """k when the family is exactly {K3, Pk}, else None."""
-    if len(fam.members) != 2:
+def _forest_shape(fam: ForbiddenFamily) -> tuple[int, bool] | None:
+    """(k, whether a chord at distance 2 creates a member) when the family
+    is exactly {Pk} or {K3, Pk}, else None."""
+    paths = [m for m in fam.members if isinstance(m, Path)]
+    rest = [m for m in fam.members if not isinstance(m, Path)]
+    if len(paths) != 1 or rest not in ([], [Clique(3)]):
         return None
-    kinds = {type(m) for m in fam.members}
-    if kinds != {Clique, Path}:
-        return None
-    cl = next(m for m in fam.members if isinstance(m, Clique))
-    pa = next(m for m in fam.members if isinstance(m, Path))
-    return pa.k if cl.p == 3 else None
+    return paths[0].k, bool(rest)
 
 
 def _k3_cup_pk_shape(fam: ForbiddenFamily) -> int | None:
@@ -376,190 +372,337 @@ def _k3_cup_pk_shape(fam: ForbiddenFamily) -> int | None:
     return None
 
 
-class _Forest:
-    """A forest with its BFS distance rows, each computed on first use.
+# ---------------------------------------------------------------------------
+# forest arithmetic
+# ---------------------------------------------------------------------------
 
-    Indexing gives a row, so a _Forest stands in for a distance matrix.
+
+def _is_tree(g: Graph, mask: int) -> bool:
+    edges2 = sum((g.rows[v] & mask).bit_count() for v in iter_bits(mask))
+    return edges2 == 2 * (mask.bit_count() - 1)
+
+
+def _mask(vertices, n: int) -> int:
+    """Bitmask of the given vertices of an order-n graph, in linear time."""
+    buf = bytearray(n // 8 + 1)
+    for v in vertices:
+        buf[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _at_most(values: list[int], vertices: list[int], top: int, n: int) -> list[int]:
+    """For t = 0..top, the mask of the given vertices whose value is <= t."""
+    return [_mask((v for v in vertices if values[v] <= t), n) for t in range(top + 1)]
+
+
+class _Forest:
+    """Vertex-disjoint parts of a graph, each inducing a tree.
+
+    A BFS row holds the distances from one vertex to the vertices of its
+    part, indexed by position in the part's ascending vertex list, and is
+    computed on first use.  So memory and time follow the part sizes and
+    the pairs a scan reaches, never the order of the whole graph squared.
+    In a tree every vertex is farthest from one end of a longest path, so
+    the rows of the two ends give the part's diameter and every
+    eccentricity.
     """
 
-    def __init__(self, g: Graph, comps: list[int]):
-        self.g = g
-        self.verts = [list(iter_bits(m)) for m in comps]
-        self.comp_of = [0] * g.n
-        for ci, vs in enumerate(self.verts[1:], 1):
+    def __init__(self, g: Graph, parts: list[int]):
+        self.n = g.n
+        self.parts = parts
+        self.verts = [list(iter_bits(m)) for m in parts]
+        self.comp_of = comp_of = [-1] * g.n
+        self.index = index = [0] * g.n
+        for ci, vs in enumerate(self.verts):
+            for i, v in enumerate(vs):
+                comp_of[v] = ci
+                index[v] = i
+        rows = g.rows
+        self.adj = []  # by position; the bit loop is inline for speed
+        for m, vs in zip(parts, self.verts):
+            adj = []
             for v in vs:
-                self.comp_of[v] = ci
+                nbrs = []
+                x = rows[v] & m
+                while x:
+                    low = x & -x
+                    nbrs.append(index[low.bit_length() - 1])
+                    x ^= low
+                adj.append(nbrs)
+            self.adj.append(adj)
         self._rows: list[list[int] | None] = [None] * g.n
-        # the ends of a longest path per component: in a tree, the vertex
-        # farthest from any vertex ends one
         self.ends = []
+        self.diameters = []
         for vs in self.verts:
-            r = self[vs[0]]
-            a = r.index(max(r))
-            r = self[a]
-            self.ends.append((a, r.index(max(r))))
-        self.diameter = max((self[a][b] for a, b in self.ends), default=0)
+            r = self.row(vs[0])
+            a = vs[r.index(max(r))]
+            r = self.row(a)
+            d = max(r)
+            self.ends.append((a, vs[r.index(d)]))
+            self.diameters.append(d)
+        self.diameter = max(self.diameters, default=0)
 
     @classmethod
     def of(cls, g: Graph) -> "_Forest | None":
+        """The components of g, when g is a forest."""
+        if g.edge_count >= g.n:
+            return None
         comps = component_masks(g)
         if g.edge_count != g.n - len(comps):
             return None
         return cls(g, comps)
 
-    def __getitem__(self, v: int) -> list[int]:
-        """Distances from v (-1 outside v's component)."""
+    def row(self, v: int) -> list[int]:
         r = self._rows[v]
         if r is None:
-            r = self._rows[v] = distances_from(self.g, v)
+            adj = self.adj[self.comp_of[v]]
+            r = [-1] * len(adj)
+            s = self.index[v]
+            r[s] = 0
+            queue = [s]
+            for x in queue:
+                dx = r[x] + 1
+                for y in adj[x]:
+                    if r[y] < 0:
+                        r[y] = dx
+                        queue.append(y)
+            self._rows[v] = r
         return r
 
     def eccentricities(self) -> list[int]:
-        """In a tree every vertex is farthest from one end of a longest path."""
-        ecc = [0] * self.g.n
+        """Per vertex, its eccentricity in its part (-1 outside the parts)."""
+        ecc = [-1] * self.n
         for vs, (a, b) in zip(self.verts, self.ends):
-            ra, rb = self[a], self[b]
-            for w in vs:
-                ecc[w] = max(ra[w], rb[w])
+            for w, x, y in zip(vs, self.row(a), self.row(b)):
+                ecc[w] = x if x > y else y
         return ecc
 
+    def later(self, u: int) -> list[int]:
+        """The non-neighbours of u in its part above u, ascending."""
+        vs = self.verts[self.comp_of[u]]
+        du = self.row(u)
+        return [vs[j] for j in range(self.index[u] + 1, len(vs)) if du[j] > 1]
 
-def _through_edge_reach(dist, verts: list[int], u: int, v: int) -> int:
-    """Order of the longest path through a new chord uv of a tree component
-    whose vertices are verts.
+    def reach(self, u: int, v: int) -> int:
+        """Order of the longest path through a new chord uv of one part."""
+        du = self.row(u)
+        return _through_edge_reach(du, self.row(v), du[self.index[v]])
+
+    def chord_fails(self, k: int, closes_two: bool, by_path: bool):
+        """fails(u, v) for a chord inside one part: it succeeds at distance
+        2 when closes_two, and else, when by_path, when the longest path
+        through it has order >= k."""
+
+        def fails(u: int, v: int) -> bool:
+            du = self.row(u)
+            d = du[self.index[v]]
+            if closes_two and d == 2:
+                return False
+            return not by_path or _through_edge_reach(du, self.row(v), d) < k
+
+        return fails
+
+
+def _through_edge_reach(du: list[int], dv: list[int], d: int) -> int:
+    """Order of the longest path through a new chord uv of a tree, from the
+    rows of u and v over the tree's vertices and their distance d.
 
     Every path through uv splits at some edge of the tree u..v path, so the
     optimum is a prefix/suffix maximum over the split position of
     (far side of u) + (far side of v) + 2.
     """
-    du, dv = dist[u], dist[v]
-    d = du[v]
-    pref = [-1] * d          # farthest-from-u among vertices hanging at <= i
-    suf = [-1] * d           # farthest-from-v among vertices hanging at >= i+1
-    for w in verts:
-        a, b = du[w], dv[w]
-        i = (a + d - b) // 2
-        if i < d and a > pref[i]:
+    pref = [-1] * (d + 1)    # by position on the u..v path: farthest from u
+    suf = [-1] * (d + 1)     # and farthest from v among the vertices hanging there
+    for a, b in zip(du, dv):
+        i = (a + d - b) >> 1
+        if a > pref[i]:
             pref[i] = a
-        if i > 0 and b > suf[i - 1]:
-            suf[i - 1] = b
-    best = 0
+        if b > suf[i]:
+            suf[i] = b
     run = -1
     for i in range(d):
-        run = max(run, pref[i])
+        if pref[i] > run:
+            run = pref[i]
         pref[i] = run
-    run = -1
-    for i in range(d - 1, -1, -1):
-        run = max(run, suf[i])
-        suf[i] = run
-    for i in range(d):
-        best = max(best, pref[i] + suf[i] + 2)
-    return best
+    best = run = -1
+    for i in range(d, 0, -1):   # split the path between positions i-1 and i
+        if suf[i] > run:
+            run = suf[i]
+        if pref[i - 1] + run > best:
+            best = pref[i - 1] + run
+    return best + 2
 
 
-def _scan_k3_pk_forest(dist: _Forest, k: int, collect_all: bool) -> list[tuple[int, int]]:
-    """Failing non-edges of a member-free forest, ascending.  Distance rows
-    are computed only as pairs need them, so a scan that stops at an early
-    failure computes few."""
-    comp_of = dist.comp_of
-    ecc = None
-    failures: list[tuple[int, int]] = []
-    for u, v in dist.g.non_edges():
-        if comp_of[u] == comp_of[v]:
-            if dist[u][v] == 2:
-                continue  # closes a triangle
-            if _through_edge_reach(dist, dist.verts[comp_of[u]], u, v) >= k:
-                continue
-        else:
-            if ecc is None:
-                ecc = dist.eccentricities()
-            if ecc[u] + ecc[v] + 2 >= k:
-                continue
-        failures.append((u, v))
-        if not collect_all:
-            break
-    return failures
+def _ascending_failures(n: int, partners, collect_all: bool) -> list[tuple[int, int]]:
+    """Failing non-edges in ascending order.
+
+    partners(u) describes the non-neighbours of u above it as (tested,
+    fails, failing): tested lists, ascending, those that fails(u, v) decides
+    one at a time, and the mask failing holds the others that are known to
+    fail (its bits at or below u are ignored).  Without collect_all, pair
+    tests stop at the first known failure.
+    """
+    out: list[tuple[int, int]] = []
+    for u in range(n):
+        tested, fails, failing = partners(u)
+        failing = failing >> (u + 1) << (u + 1)
+        first = (failing & -failing).bit_length() - 1 if failing else n
+        found = []
+        for v in tested:
+            if v > first and not collect_all:
+                break
+            if fails(u, v):
+                found.append(v)
+                if not collect_all:
+                    break
+        if collect_all:
+            found.extend(iter_bits(failing))
+            out.extend((u, v) for v in sorted(found))
+        elif found or failing:
+            return [(u, found[0] if found else first)]
+    return out
+
+
+def _scan_forest(f: _Forest, k: int, closes_two: bool, collect_all: bool) -> list[tuple[int, int]]:
+    """Failing non-edges of a member-free forest against {Pk}, or {K3, Pk}
+    when closes_two.
+
+    A chord inside a tree creates Pk exactly when the longest path through
+    it has order >= k.  An edge between two trees joins a longest path from
+    each end, so it fails exactly when ecc(u) + ecc(v) + 2 < k: u's failing
+    partners in other trees are the vertices of eccentricity at most
+    k-3-ecc(u), one mask per threshold.
+    """
+    fails = f.chord_fails(k, closes_two, True)
+    cross: list[int] = []
+    if len(f.parts) > 1:
+        ecc = f.eccentricities()
+        cross = _at_most(ecc, range(f.n), k - 3, f.n)
+
+    def partners(u: int):
+        failing = 0
+        if cross:
+            t = k - 3 - ecc[u]
+            if t >= 0:
+                failing = cross[t] & ~f.parts[f.comp_of[u]]
+        return f.later(u), fails, failing
+
+    return _ascending_failures(f.n, partners, collect_all)
 
 
 def _scan_k3_cup_pk(
     g: Graph, k: int, tris: list[tuple[int, ...]], collect_all: bool
 ) -> list[tuple[int, int]]:
-    """Non-edge scan for the single member K3 u Pk.
+    """Non-edge scan for the single member K3 u Pk, on a member-free g.
 
-    For a triangle already in g, no old path of order >= k can avoid it
-    (that pair would be a member of g), so only paths through the new edge
-    matter; those reduce to masked tree arithmetic when the masked component
-    is a tree.  A freshly created triangle needs an old path avoiding its
-    three vertices.
+    A chord uv creates a member in one of two ways.  Around an old triangle
+    T: no old Pk avoids T (g is member-free), so a path of order >= k
+    through uv avoids T, which is tree arithmetic where the parts of g - T
+    holding u and v are trees.  Or with a new triangle uvw, and then an old
+    Pk avoiding u, v and w.
+
+    A plain component is a tree that holds no Pk, and so no triangle.  For
+    a chord between plain vertices every triangle leaves the same parts,
+    the trees holding u and v, so the forest rule decides it once when some
+    triangle exists; a chord at distance 2 also succeeds when some
+    component holds a Pk.  Only chords that touch another component go
+    through per-triangle tables, built over those components alone.  A
+    chord from such a vertex u to a plain v depends on v only through
+    ecc(v), and more is better, so one probe per eccentricity gives u's
+    threshold; chords between components become mask lookups as in the
+    forest scan.
     """
-    n = g.n
+    n, rows = g.n, g.rows
     comps = component_masks(g)
-    comp_of = [0] * n
-    for ci, m in enumerate(comps):
-        for v in iter_bits(m):
-            comp_of[v] = ci
-    comp_has_pk = [find_path_of_order(g, k, mask=m) is not None for m in comps]
+    trees = [m for m in comps if _is_tree(g, m)]
+    forest = _Forest(g, trees)
+    ecc = forest.eccentricities()
+    plain = [ci for ci, d in enumerate(forest.diameters) if d < k - 1]
+    plain_vs = [v for ci in plain for v in forest.verts[ci]]
+    rest = full_mask(n) & ~_mask(plain_vs, n)
+    home = {v: m for m in comps if m & rest for v in iter_bits(m)}
+    pk = [m for m, d in zip(trees, forest.diameters) if d >= k - 1]
+    pk += [m for m in comps if m & rest and not _is_tree(g, m)
+           and find_path_of_order(g, k, mask=m) is not None]
 
     tables = []
     for cl in tris:
-        tmask = full_mask(n)
-        for v in cl:
-            tmask &= ~(1 << v)
-        dist = distance_matrix(g, tmask)
-        parts = component_masks(g, tmask)
-        part_of = [-1] * n
-        part_tree = []
-        part_verts = [list(iter_bits(m)) for m in parts]
-        for ci, (m, vs) in enumerate(zip(parts, part_verts)):
-            edges = sum((g.rows[v] & m).bit_count() for v in vs) // 2
-            part_tree.append(edges == len(vs) - 1)
-            for v in vs:
-                part_of[v] = ci
-        ecc = [max(dist[v]) if part_of[v] >= 0 else -1 for v in range(n)]
-        tables.append((set(cl), dist, parts, part_verts, part_of, part_tree, ecc))
+        tmask = (1 << cl[0]) | (1 << cl[1]) | (1 << cl[2])
+        parts = component_masks(g, rest & ~tmask)
+        is_tree = [_is_tree(g, m) for m in parts]
+        tf = _Forest(g, [m for m, t in zip(parts, is_tree) if t])
+        others = [m for m, t in zip(parts, is_tree) if not t]
+        tables.append((tmask, tf, tf.eccentricities(), others))
 
-    failures: list[tuple[int, int]] = []
-    for u, v in g.non_edges():
-        if _creates_k3_cup_pk(g, k, u, v, tables, comps, comp_of, comp_has_pk):
-            continue
-        failures.append((u, v))
-        if not collect_all:
-            break
-    return failures
+    def part(tf: _Forest, others: list[int], x: int) -> int:
+        c = tf.comp_of[x]
+        return tf.parts[c] if c >= 0 else next(m for m in others if m >> x & 1)
+
+    def creates(u: int, v: int) -> bool:
+        """u not plain; v plain or not."""
+        pv = forest.comp_of[v]
+        v_plain = pv >= 0 and forest.diameters[pv] < k - 1
+        for tmask, tf, tecc, others in tables:
+            if (tmask >> u | tmask >> v) & 1:
+                continue
+            cu, cv = tf.comp_of[u], tf.comp_of[v]
+            if cu >= 0 and (v_plain or cv >= 0):
+                if cu == cv and not v_plain:
+                    if tf.reach(u, v) >= k:
+                        return True
+                elif tecc[u] + (ecc[v] if v_plain else tecc[v]) + 2 >= k:
+                    return True
+            else:
+                mask = part(tf, others, u) | (forest.parts[pv] if v_plain else part(tf, others, v))
+                if find_path_of_order(g.add_edge(u, v), k, mask=mask) is not None:
+                    return True
+        common = rows[u] & rows[v]
+        if common:
+            if any(not m >> u & 1 for m in pk):
+                return True
+            for w in iter_bits(common):
+                mask = home[u] & ~((1 << u) | (1 << v) | (1 << w))
+                if find_path_of_order(g, k, mask=mask) is not None:
+                    return True
+        return False
+
+    # the largest plain eccentricity that a chord from each non-plain
+    # vertex fails against (-1 for none)
+    reps: dict[int, int] = {}
+    for v in plain_vs:
+        reps.setdefault(ecc[v], v)
+    probes = sorted(reps.items())
+    th = {}
+    for u in home:
+        th[u] = -1
+        for e, v in probes:
+            if creates(u, v):
+                break
+            th[u] = e
+    le = _at_most(ecc, plain_vs, k - 2, n)
+    np_ge = [_mask((u for u in th if th[u] >= e), n) for e in range(k - 1)]
+    plain_fails = forest.chord_fails(k, bool(pk), bool(tables))
+
+    def non_plain_fails(u: int, v: int) -> bool:
+        return not creates(u, v)
+
+    def partners(u: int):
+        c = forest.comp_of[u]
+        if c >= 0 and forest.diameters[c] < k - 1:
+            t = k - 3 - ecc[u] if tables else k - 2
+            failing = np_ge[ecc[u]]
+            if t >= 0:
+                failing |= le[t] & ~forest.parts[c]
+            return forest.later(u), plain_fails, failing
+        tested = iter_bits(rest & (~rows[u] >> (u + 1) << (u + 1)))
+        return tested, non_plain_fails, le[th[u]] if th[u] >= 0 else 0
+
+    return _ascending_failures(n, partners, collect_all)
 
 
-def _creates_k3_cup_pk(g, k, u, v, tables, comps, comp_of, comp_has_pk) -> bool:
-    for tset, dist, parts, part_verts, part_of, part_tree, ecc in tables:
-        if u in tset or v in tset:
-            continue
-        pu, pv = part_of[u], part_of[v]
-        if pu != pv and part_tree[pu] and part_tree[pv]:
-            # in a tree part the longest path ending at u is ecc(u)+1
-            if ecc[u] + ecc[v] + 2 >= k:
-                return True
-        elif pu == pv and part_tree[pu]:
-            if _through_edge_reach(dist, part_verts[pu], u, v) >= k:
-                return True
-        else:
-            mask = parts[pu] | parts[pv]
-            if find_path_of_order(g.add_edge(u, v), k, mask=mask) is not None:
-                return True
-    # new triangles through uv: need an old path avoiding u, v and the apex
-    common = g.rows[u] & g.rows[v]
-    if common:
-        cu = comp_of[u]
-        for ci in range(len(comps)):
-            if ci != cu and comp_has_pk[ci]:
-                return True
-        for w in iter_bits(common):
-            mask = comps[cu] & ~(1 << u) & ~(1 << v) & ~(1 << w)
-            if find_path_of_order(g, k, mask=mask) is not None:
-                return True
-    return False
-
-
-def _creates_any_member(g: Graph, fam: ForbiddenFamily, u: int, v: int) -> bool:
-    return contains_member(g.add_edge(u, v), fam) is not None
+# ---------------------------------------------------------------------------
+# generic scan
+# ---------------------------------------------------------------------------
 
 
 def _failing_chunk(job: tuple) -> list[tuple[int, int]]:
@@ -567,7 +710,7 @@ def _failing_chunk(job: tuple) -> list[tuple[int, int]]:
     g, fam, chunk, collect_all = job
     failures = []
     for u, v in chunk:
-        if not _creates_any_member(g, fam, u, v):
+        if contains_member(g.add_edge(u, v), fam) is None:
             failures.append((u, v))
             if not collect_all:
                 break
@@ -596,10 +739,3 @@ def map_jobs(fn, jobs: list, workers: int) -> list:
         return [fn(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
-
-
-def creates_member(g: Graph, fam: ForbiddenFamily, u: int, v: int) -> bool:
-    """Does adding the non-edge uv create some family member?"""
-    if g.has_edge(u, v):
-        raise ValueError(f"({u},{v}) is already an edge")
-    return _creates_any_member(g, fam, u, v)

@@ -110,6 +110,16 @@ class TestCheck:
         assert code == cli.EXIT_BUDGET == 5 and stdout == ""
         assert "path search budget exceeded" in err
 
+    def test_strategy_reported(self, tmp_path, capsys):
+        out = tmp_path / "t12.g6"
+        run(capsys, "construct", "tk", "--k", "12", "-o", str(out))
+        code, stdout, _ = run(capsys, "check", "--family", "P12", str(out))
+        assert code == 0
+        assert json.loads(stdout)["strategy"] == "forest"
+        code, stdout, _ = run(capsys, "check", "--family", "P11", str(out))
+        assert code == 3
+        assert json.loads(stdout)["strategy"] == "detector"
+
     def test_bad_family_exit_two(self, tmp_path, capsys):
         out = tmp_path / "t.g6"
         out.write_bytes(b"Bw\n")

@@ -25,7 +25,6 @@ from satforge.saturation import (
     SaturationVerdict,
     check_saturated,
     contains_member,
-    creates_member,
     member_witness_ok,
     parse_family,
     saturation_gap,
@@ -133,7 +132,16 @@ class TestCheckSaturated:
         rng = random.Random(37)
         pairs = list(g.non_edges())
         for u, v in rng.sample(pairs, min(100, len(pairs))):
-            assert creates_member(g, fam, u, v)
+            assert contains_member(g.add_edge(u, v), fam) is not None
+
+    def test_g0_at_order_20010(self):
+        # 1000 components: rows stay per component, never n x n
+        from satforge.claims import run_claim
+
+        cases = run_claim("lem-3.1", ns=[20010])
+        assert len(cases) == 3 and all(c["pass"] for c in cases)
+        v = check_saturated(make_g0(20010, 10), parse_family("K3,P10"))
+        assert v.is_saturated and v.strategy == "forest"
 
     def test_threads_do_not_change_verdict(self):
         g = cycle_graph(6)
@@ -209,13 +217,14 @@ class TestScanEquivalence:
                 continue
             assert saturation_gap(g, fam) == self._generic_failures(g, fam)
 
-    def _assert_forest_agrees(self, g, fam):
+    def _assert_agrees(self, g, fam, strategy=None):
         """Gap and verdict against the detectors run first and then the
-        generic scan, the order check_saturated used before the forest
-        fast path."""
+        generic scan; witness and missing edge must match too."""
         w = contains_member(g, fam)
         if w is not None:
-            assert check_saturated(g, fam) == SaturationVerdict(CONTAINS_MEMBER, witness=w)
+            v = check_saturated(g, fam)
+            assert v == SaturationVerdict(CONTAINS_MEMBER, witness=w)
+            assert v.strategy == "detector"
             with pytest.raises(ValueError):
                 saturation_gap(g, fam)
             return
@@ -226,16 +235,20 @@ class TestScanEquivalence:
             if failures
             else SaturationVerdict(SATURATED)
         )
-        assert check_saturated(g, fam) == want
+        v = check_saturated(g, fam)
+        assert v == want
+        if strategy is not None:
+            assert v.strategy == strategy
 
     def test_forest_fast_path_exhaustive_on_trees(self):
-        # every tree of order <= 11, every k in 5..12
+        # every tree of order <= 11 against {K3, Pk} and {Pk}, k in 2..12
         from satforge.search import enumerate_trees
 
         for n in range(1, 12):
             for tree in enumerate_trees(n):
-                for k in range(5, 13):
-                    self._assert_forest_agrees(tree, parse_family(f"K3,P{k}"))
+                for k in range(2, 13):
+                    for text in (f"K3,P{k}", f"P{k}"):
+                        self._assert_agrees(tree, parse_family(text), "forest")
 
     def test_forest_fast_path_exhaustive_on_two_trees(self):
         # every forest of two trees of total order <= 9, plus an isolated
@@ -248,8 +261,9 @@ class TestScanEquivalence:
                 if a.n + b.n > 9:
                     continue
                 g = disjoint_union(disjoint_union(a, b), empty_graph(1))
-                for k in range(4, 9):
-                    self._assert_forest_agrees(g, parse_family(f"K3,P{k}"))
+                for k in range(2, 9):
+                    for text in (f"K3,P{k}", f"P{k}"):
+                        self._assert_agrees(g, parse_family(text), "forest")
 
     def test_union_fast_path_matches_generic(self):
         rng = random.Random(47)
@@ -263,6 +277,41 @@ class TestScanEquivalence:
             checked += 1
             assert saturation_gap(g, fam) == self._generic_failures(g, fam), g
         assert checked >= 10
+
+    # exhaustive catalogues: the verdict, its witness or missing edge, and
+    # the whole gap of every structure-aware scan against the generic one
+
+    def test_every_graph_of_order_7_against_k3_pk(self):
+        from satforge.search import enumerate_graphs
+
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                for k in range(3, 8):
+                    self._assert_agrees(g, parse_family(f"K3,P{k}"))
+
+    def test_every_graph_of_order_7_against_k3_cup_pk(self):
+        from satforge.search import enumerate_graphs
+
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                for k in range(2, 7):
+                    self._assert_agrees(g, parse_family(f"K3+P{k}"))
+
+    def test_relabelled_layered_copies_less_one_edge(self):
+        # isomorphic components, and the two halves of a cut copy, hit the
+        # cross-component thresholds from every side
+        rng = random.Random(61)
+        g = empty_graph(0)
+        for _ in range(4):
+            g = disjoint_union(g, make_t1k(10))
+        edges = list(g.edges())
+        edges.remove(rng.choice(edges))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = build_graph(g.n, [(perm[u], perm[v]) for u, v in edges])
+        for text in ("K3,P10", "P10"):
+            self._assert_agrees(g, parse_family(text), "forest")
+        assert check_saturated(g, parse_family("K3,P10")).status == MISSING_EDGE
 
 
 class TestJoinDuality:
