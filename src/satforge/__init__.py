@@ -65,7 +65,6 @@ from .search import (
     ScanReport,
     enumerate_graphs,
     enumerate_trees,
-    min_saturated_tree_order,
     sat_bruteforce,
     scan_saturated_trees,
 )

@@ -13,7 +13,7 @@ exact vertex orbits.
 
 from __future__ import annotations
 
-from .graphs import Graph, _g6_size_bytes, build_graph, component_masks, iter_bits
+from .graphs import Graph, _g6_size_bytes, component_masks, iter_bits
 
 CanonicalCode = bytes
 
@@ -228,12 +228,6 @@ def _code(rows: tuple[int, ...], order: list[int]) -> CanonicalCode:
     return _g6_size_bytes(n) + bytes(
         (code >> s & 63) + 63 for s in range(n * (n - 1) // 2 + pad - 6, -1, -6)
     )
-
-
-def canonical_relabel(g: Graph) -> Graph:
-    """A canonically labelled copy of g (equal for isomorphic inputs)."""
-    pos = {v: i for i, v in enumerate(_labelling(g)[0])}
-    return build_graph(g.n, [(pos[u], pos[v]) for u, v in g.edges()])
 
 
 def canonical_form(g: Graph) -> CanonicalCode:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable
 
 from .canon import canonical_form
 from .constructions import make_g0, make_h0, make_t0k, make_t1k
@@ -25,13 +25,8 @@ from .graphs import (
     join,
 )
 from .patterns import subtree_contains
-from .saturation import check_saturated, contains_member, map_jobs, parse_family
-from .search import (
-    claimed_patterns,
-    merge_scan_reports,
-    sat_bruteforce,
-    scan_saturated_trees,
-)
+from .saturation import check_saturated, contains_member, parse_family
+from .search import claimed_patterns, sat_bruteforce, scan_saturated_trees
 
 
 class UsageError(ValueError):
@@ -177,26 +172,12 @@ def _hub_join(ns, threads, prefilter) -> list[dict]:
     return cases
 
 
-def _scan_shard(job: tuple):
-    orders, k, prefilter, shards, shard = job
-    return scan_saturated_trees(
-        orders, k, exclude_stars=True, prefilter=prefilter, shards=shards, shard=shard
-    )
-
-
-def scan(orders: Sequence[int], k: int, threads: int, prefilter: bool):
-    """The non-star saturated-tree scan, in one shard per thread."""
-    shards = max(1, threads)
-    jobs = [(list(orders), k, prefilter, shards, s) for s in range(shards)]
-    return merge_scan_reports(map_jobs(_scan_shard, jobs, shards))
-
-
 def _minimum_trees(ks, threads, prefilter) -> list[dict]:
     cases = []
     for k in ks:
         orders, claimed = PROP_5_2[k]
         lo, hi = orders[0], orders[-1]
-        rep = scan(orders, k, threads, prefilter)
+        rep = scan_saturated_trees(orders, k, prefilter, threads)
         targets = dict(claimed_patterns(k))
         names = {canonical_form(g): name for name, g in targets.items()}
         trees = [graph6_decode(w.graph6) for w in rep.witnesses]
@@ -276,7 +257,7 @@ def _refutation(k: int, targets: dict, trees) -> dict:
 
 
 def _order_20(points, threads, prefilter) -> list[dict]:
-    rep = scan([20], 10, threads, prefilter)
+    rep = scan_saturated_trees([20], 10, prefilter, threads)
     bad = [
         w.graph6.decode("ascii") for w in rep.witnesses if not w.contains_any()
     ]

@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import __version__
-from .claims import CLAIMS, UsageError, run_claim, scan
+from .claims import CLAIMS, UsageError, run_claim
 from .constructions import (
     make_erdos_kp,
     make_g0,
@@ -52,7 +52,7 @@ from .saturation import (
     check_saturated,
     parse_family,
 )
-from .search import BudgetExceededError, graph_budget, sat_bruteforce
+from .search import BudgetExceededError, graph_budget, sat_bruteforce, scan_saturated_trees
 
 EXIT_OK = 0
 EXIT_CAMPAIGN_FAIL = 1
@@ -269,8 +269,12 @@ def cmd_formula(args: argparse.Namespace) -> int:
 
 
 def _run_scan(orders, k: int, args):
-    """The tree scan with `verify`'s --threads and --no-prefilter options."""
-    return scan(orders, k, args.threads, not args.no_prefilter)
+    """The tree scan under `verify`'s --threads and --no-prefilter options.
+
+    `verify` reaches the scan through `run_claim`; this helper is kept as the
+    benchmark's entry point to the scan as the command line configures it.
+    """
+    return scan_saturated_trees(orders, k, not args.no_prefilter, args.threads)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

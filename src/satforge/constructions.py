@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .formulas import order_constant
 from .graphs import Graph, build_graph, complete_graph, disjoint_union, empty_graph, join
-from .saturation import Clique, DisjointUnion, ForbiddenFamily, Path, check_saturated
+from .saturation import check_saturated, parse_family
 
 
 def _grow_layers(first_layer: int, child_plan) -> tuple[list[tuple[int, int]], list[list[int]]]:
@@ -198,10 +198,6 @@ def make_erdos_kp(n: int, p: int) -> Graph:
     return join(complete_graph(p - 2), empty_graph(n - p + 2))
 
 
-def _k3_pk_family(k: int) -> ForbiddenFamily:
-    return ForbiddenFamily((Clique(3), Path(k)))
-
-
 def saturated_tree_of_order(n: int, k: int) -> Graph:
     """A non-star {triangle, path}-saturated tree of order exactly n.
 
@@ -215,7 +211,7 @@ def saturated_tree_of_order(n: int, k: int) -> Graph:
     a1 = order_constant("A1", k)
     if n < a1:
         raise ValueError(f"no non-star saturated tree below order {a1} for k={k}")
-    fam = _k3_pk_family(k)
+    fam = parse_family(f"K3,P{k}")
     tree = make_t1k(k)
     while tree.n < n:
         grown = None
@@ -280,7 +276,7 @@ def _h0_attachment(k: int) -> int:
     if k in _h0_attachment_cache:
         return _h0_attachment_cache[k]
     a1 = order_constant("A1", k)
-    fam = ForbiddenFamily((DisjointUnion((Clique(3), Path(k))),))
+    fam = parse_family(f"K3+P{k}")
     candidates = [t1k_attachment_vertex(k)] + list(range(a1 - 1, -1, -1))
     for att in dict.fromkeys(candidates):
         if check_saturated(_h0_assemble(6 * a1, k, att), fam).is_saturated:

@@ -162,23 +162,6 @@ def connected_components(g: Graph) -> list[list[int]]:
     return [list(iter_bits(m)) for m in component_masks(g)]
 
 
-def bfs_levels(g: Graph, src: int, mask: int) -> list[int]:
-    """Frontier bitmasks by distance from src, restricted to mask."""
-    rows = g.rows
-    seen = 1 << src
-    frontier = seen
-    levels = [frontier]
-    while True:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= rows[v]
-        frontier = nxt & mask & ~seen
-        if not frontier:
-            return levels
-        seen |= frontier
-        levels.append(frontier)
-
-
 def distances_from(g: Graph, src: int, mask: int | None = None) -> list[int]:
     """Distance from src to every vertex (-1 if unreachable or outside mask)."""
     m = full_mask(g.n) if mask is None else mask
@@ -212,11 +195,7 @@ def diameter(g: Graph) -> int | float:
     comps = component_masks(g)
     if len(comps) > 1:
         return INFINITE
-    best = 0
-    for v in range(g.n):
-        levels = bfs_levels(g, v, full_mask(g.n))
-        best = max(best, len(levels) - 1)
-    return best
+    return max(max(distances_from(g, v)) for v in range(g.n))
 
 
 def is_connected(g: Graph) -> bool:

@@ -121,10 +121,6 @@ class ForbiddenFamily:
     def __str__(self) -> str:
         return ",".join(str(m) for m in self.members)
 
-    @classmethod
-    def parse(cls, text: str) -> "ForbiddenFamily":
-        return parse_family(text)
-
 
 _ATOM_RE = re.compile(r"^([KP])(\d+)$")
 

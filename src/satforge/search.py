@@ -8,7 +8,8 @@ come from canonical augmentation: a child of a canonical parent is first
 accepted, when its new vertex sits in the orbit of its canonical last
 vertex, and then deduplicated per parent by canonical code, so every class
 is produced exactly once across all parents.  Both streams are
-deterministic and shardable by index.
+deterministic.  The saturated-tree scan splits the free-tree stream of all
+its orders into shards by index, one per worker process.
 """
 
 from __future__ import annotations
@@ -21,12 +22,7 @@ from .canon import augmentation_code
 from .constructions import make_small_tree, make_t0k, make_t1k
 from .graphs import Graph, build_graph, graph6_encode
 from .patterns import subtree_contains
-from .saturation import (
-    Clique,
-    ForbiddenFamily,
-    Path,
-    check_saturated,
-)
+from .saturation import ForbiddenFamily, check_saturated, map_jobs, parse_family
 
 DEFAULT_TREE_BUDGET = 22
 DEFAULT_GRAPH_BUDGET = 8
@@ -174,19 +170,13 @@ def _levels_to_graph(levels: Sequence[int]) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def enumerate_trees(n: int, shards: int = 1, shard: int = 0) -> Iterator[Graph]:
-    """One representative per isomorphism class of free trees on n vertices.
-
-    Deterministic order; with shards > 1 only every shards-th tree (offset
-    `shard`) of the same global stream is yielded.
-    """
+def enumerate_trees(n: int) -> Iterator[Graph]:
+    """One representative per isomorphism class of free trees on n vertices,
+    in a deterministic order."""
     if not 1 <= n <= tree_budget():
         raise BudgetExceededError(f"tree order {n} outside 1..{tree_budget()}")
-    if not 0 <= shard < shards:
-        raise ValueError("need 0 <= shard < shards")
-    for i, (levels, _) in enumerate(_iter_free_trees(n)):
-        if i % shards == shard:
-            yield _levels_to_graph(levels)
+    for levels, _ in _iter_free_trees(n):
+        yield _levels_to_graph(levels)
 
 
 # ---------------------------------------------------------------------------
@@ -221,23 +211,16 @@ def _graph_level(n: int) -> list[Graph]:
     return level
 
 
-def enumerate_graphs(n: int, shards: int = 1, shard: int = 0) -> Iterator[Graph]:
-    """One representative per isomorphism class of graphs on n vertices."""
+def enumerate_graphs(n: int) -> Iterator[Graph]:
+    """One representative per isomorphism class of graphs on n vertices, in
+    a deterministic order."""
     if not 1 <= n <= graph_budget():
         raise BudgetExceededError(f"graph order {n} outside 1..{graph_budget()}")
-    if not 0 <= shard < shards:
-        raise ValueError("need 0 <= shard < shards")
     if n == 1:
-        if shard == 0:
-            yield build_graph(1, [])
+        yield build_graph(1, [])
         return
-    parents = _graph_level(n - 1)
-    i = 0
-    for parent in parents:
-        for child in _children(parent):
-            if i % shards == shard:
-                yield child
-            i += 1
+    for parent in _graph_level(n - 1):
+        yield from _children(parent)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +265,6 @@ def sat_bruteforce(n: int, fam: ForbiddenFamily) -> BruteForceResult:
 class TreeWitness:
     graph6: bytes
     order: int
-    is_star: bool
     contains: tuple[tuple[str, bool], ...]  # per claimed pattern
 
     def contains_any(self) -> bool:
@@ -293,36 +275,12 @@ class TreeWitness:
 class ScanReport:
     orders: tuple[int, ...]
     k: int
-    exclude_stars: bool
     prefilter: bool
     trees_scanned: int
     trees_checked: int
     saturated_count: int
-    min_edges: int | None
     witnesses: tuple[TreeWitness, ...]
     pattern_names: tuple[str, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "orders": list(self.orders),
-            "k": self.k,
-            "exclude_stars": self.exclude_stars,
-            "prefilter": self.prefilter,
-            "trees_scanned": self.trees_scanned,
-            "trees_checked": self.trees_checked,
-            "saturated_count": self.saturated_count,
-            "min_edges": self.min_edges,
-            "pattern_names": list(self.pattern_names),
-            "witnesses": [
-                {
-                    "graph6": w.graph6.decode("ascii"),
-                    "order": w.order,
-                    "is_star": w.is_star,
-                    "contains": {name: flag for name, flag in w.contains},
-                }
-                for w in self.witnesses
-            ],
-        }
 
 
 def claimed_patterns(k: int) -> list[tuple[str, Graph]]:
@@ -346,39 +304,13 @@ def claimed_patterns(k: int) -> list[tuple[str, Graph]]:
     return patterns
 
 
-def _witness_key(w: TreeWitness) -> tuple[int, bytes]:
-    """Report order of witnesses, for one run and for merged shards alike."""
-    return (w.order, w.graph6)
-
-
-def _k3_pk(k: int) -> ForbiddenFamily:
-    return ForbiddenFamily((Clique(3), Path(k)))
-
-
-def scan_saturated_trees(
-    orders: Sequence[int],
-    k: int,
-    exclude_stars: bool = True,
-    prefilter: bool = True,
-    shards: int = 1,
-    shard: int = 0,
-) -> ScanReport:
-    """Saturation-scan all free trees of the given orders against
-    {triangle, k-path}; saturated trees are reported with containment flags
-    against the claimed minimum trees.
-
-    The prefilter keeps only diameters k-3 and k-2 (plus stars, which have
-    diameter 2); an audit run with prefilter=False checks every tree.
-    """
-    if k < 5:
-        raise ValueError("scan needs k >= 5")
-    cap = tree_budget()
-    orders = tuple(sorted(orders))
-    if not orders or orders[0] < 1 or orders[-1] > cap:
-        raise BudgetExceededError(f"orders must sit inside 1..{cap}")
-    fam = _k3_pk(k)
+def _scan_shard(job: tuple) -> tuple[int, int, int, list[TreeWitness]]:
+    """(scanned, checked, saturated, witnesses) over the trees whose index in
+    the stream of all the orders is `shard` modulo `shards`."""
+    orders, k, prefilter, shards, shard = job
+    fam = parse_family(f"K3,P{k}")
     patterns = claimed_patterns(k)
-    scanned = checked = sat_count = 0
+    scanned = checked = saturated = 0
     witnesses: list[TreeWitness] = []
     flag_sets: dict = {}
     index = 0
@@ -388,16 +320,14 @@ def scan_saturated_trees(
             if (index - 1) % shards != shard:
                 continue
             scanned += 1
-            is_star = n <= 2 or diam <= 2
-            if exclude_stars and is_star:
-                continue
-            if prefilter and not is_star and diam not in (k - 3, k - 2):
+            # stars (diameter <= 2) are saturated and never reported
+            if diam <= 2 or prefilter and diam not in (k - 3, k - 2):
                 continue
             tree = _levels_to_graph(levels)
             checked += 1
             if not check_saturated(tree, fam).is_saturated:
                 continue
-            sat_count += 1
+            saturated += 1
             flags = tuple(
                 (name, subtree_contains(tree, pat) is not None)
                 for name, pat in patterns
@@ -405,69 +335,42 @@ def scan_saturated_trees(
             # witnesses share one tuple per distinct flag set, in memory
             # and through pickling
             flags = flag_sets.setdefault(flags, flags)
-            witnesses.append(
-                TreeWitness(graph6_encode(tree), n, is_star, flags)
-            )
-    witnesses.sort(key=_witness_key)
-    min_edges = min((w.order - 1 for w in witnesses), default=None)
+            witnesses.append(TreeWitness(graph6_encode(tree), n, flags))
+    return scanned, checked, saturated, witnesses
+
+
+def scan_saturated_trees(
+    orders: Sequence[int], k: int, prefilter: bool = True, threads: int = 1
+) -> ScanReport:
+    """Saturation-scan every non-star free tree of the given orders against
+    {triangle, k-path}; saturated trees are reported with containment flags
+    against the claimed minimum trees, ordered by (order, graph6).
+
+    The prefilter checks only diameters k-3 and k-2; an audit run with
+    prefilter=False checks every non-star tree.  With threads > 1 the trees
+    are dealt round-robin, over the stream of all the orders, into one shard
+    per thread, each run on its own worker process; the report is the same
+    for every thread count.
+    """
+    if k < 5:
+        raise ValueError("scan needs k >= 5")
+    cap = tree_budget()
+    orders = tuple(sorted(set(orders)))
+    if not orders or orders[0] < 1 or orders[-1] > cap:
+        raise BudgetExceededError(f"orders must sit inside 1..{cap}")
+    shards = max(1, threads)
+    parts = map_jobs(
+        _scan_shard, [(orders, k, prefilter, shards, s) for s in range(shards)], shards
+    )
     return ScanReport(
         orders=orders,
         k=k,
-        exclude_stars=exclude_stars,
         prefilter=prefilter,
-        trees_scanned=scanned,
-        trees_checked=checked,
-        saturated_count=sat_count,
-        min_edges=min_edges,
-        witnesses=tuple(witnesses),
-        pattern_names=tuple(name for name, _ in patterns),
-    )
-
-
-def merge_scan_reports(reports: Sequence[ScanReport]) -> ScanReport:
-    """Combine shard reports of one scan into the single-run report."""
-    if not reports:
-        raise ValueError("nothing to merge")
-    base = reports[0]
-    for r in reports[1:]:
-        if (r.orders, r.k, r.exclude_stars, r.prefilter) != (
-            base.orders,
-            base.k,
-            base.exclude_stars,
-            base.prefilter,
-        ):
-            raise ValueError("shard reports disagree on scan parameters")
-    witnesses = tuple(
-        sorted((w for r in reports for w in r.witnesses), key=_witness_key)
-    )
-    return ScanReport(
-        orders=base.orders,
-        k=base.k,
-        exclude_stars=base.exclude_stars,
-        prefilter=base.prefilter,
-        trees_scanned=sum(r.trees_scanned for r in reports),
-        trees_checked=sum(r.trees_checked for r in reports),
-        saturated_count=sum(r.saturated_count for r in reports),
-        min_edges=min((r.min_edges for r in reports if r.min_edges is not None), default=None),
-        witnesses=witnesses,
-        pattern_names=base.pattern_names,
-    )
-
-
-def min_saturated_tree_order(k: int, search_cap: int) -> tuple[int, Graph]:
-    """Smallest order admitting a non-star saturated tree, with a witness."""
-    if k < 5:
-        raise ValueError("needs k >= 5")
-    if search_cap > tree_budget():
-        raise BudgetExceededError(f"cap {search_cap} over budget {tree_budget()}")
-    fam = _k3_pk(k)
-    for n in range(2, search_cap + 1):
-        for levels, diam in _iter_free_trees(n):
-            if diam <= 2 or diam not in (k - 3, k - 2):
-                continue
-            tree = _levels_to_graph(levels)
-            if check_saturated(tree, fam).is_saturated:
-                return n, tree
-    raise NoSaturatedGraphError(
-        f"no non-star saturated tree of order <= {search_cap} for k={k}"
+        trees_scanned=sum(p[0] for p in parts),
+        trees_checked=sum(p[1] for p in parts),
+        saturated_count=sum(p[2] for p in parts),
+        witnesses=tuple(
+            sorted((w for p in parts for w in p[3]), key=lambda w: (w.order, w.graph6))
+        ),
+        pattern_names=tuple(name for name, _ in claimed_patterns(k)),
     )

@@ -1,5 +1,7 @@
+import hashlib
 import json
 
+import pytest
 
 from satforge import claims, cli
 from satforge.cli import main
@@ -239,3 +241,27 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads(out.read_text())["passed"] is True
+
+
+# sha256 of `satforge verify <argv> --no-timestamp` stdout, recorded before
+# the tree scan took over its own sharding; every report keeps its bytes at
+# any --threads value
+REPORT_SHA256 = {
+    ("lem-2.4",): "f9c77f6441175d50b616bd9739ca0fca45e2d081e3557cf5f63f92810512d45c",
+    ("thm-1.1",): "1ce33cd1991e4f5c30155177a2a6a7234e470db9de59a2e41e373d6bda6a97fb",
+    ("lem-3.1",): "021067e7a07357c890f34ee93d5f2ee56426a1ae9b9e736b74faef25c05b1d61",
+    ("lem-3.2",): "7495975f63fc05995667686bc3961933c9f58d0167d8057efa5f778323a5cd57",
+    ("thm-1.2-upper",): "d75f4a15f65d8092ea057ef4c3556e2a9e0ba27ea48c552ff721c337580d4a25",
+    ("thm-1.4",): "5d59a6b0e92d88b6bd98a589e17a20ae88724de46d0dace8f83fa2135497d3c3",
+    ("prop-5.2", "--k", "5,6"): "211be81e06f39f9145cf0477a61b387ff85ace6ac5021acc58684f257e089aba",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("argv", sorted(REPORT_SHA256), ids="".join)
+def test_report_bytes_pinned(capsys, argv, threads):
+    code, stdout, _ = run(
+        capsys, "verify", *argv, "--no-timestamp", "--threads", threads
+    )
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == REPORT_SHA256[argv]

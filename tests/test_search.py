@@ -10,16 +10,13 @@ from satforge.canon import (
     canonical_last_vertex,
     same_orbit,
 )
-from satforge.constructions import make_small_tree, make_t0k, make_t1k
+from satforge.constructions import make_t0k, make_t1k
 from satforge.graphs import build_graph, diameter, graph6_decode, graph6_encode, is_tree
 from satforge.saturation import check_saturated, parse_family
 from satforge.search import (
     BudgetExceededError,
-    NoSaturatedGraphError,
     enumerate_graphs,
     enumerate_trees,
-    merge_scan_reports,
-    min_saturated_tree_order,
     sat_bruteforce,
     scan_saturated_trees,
 )
@@ -143,15 +140,6 @@ class TestEnumerateTrees:
         with pytest.raises(BudgetExceededError):
             list(enumerate_graphs(5))
 
-    def test_sharding_partitions_stream(self):
-        full = [graph6_encode(t) for t in enumerate_trees(9)]
-        pieces = [
-            [graph6_encode(t) for t in enumerate_trees(9, shards=4, shard=s)]
-            for s in range(4)
-        ]
-        assert sorted(full) == sorted(x for p in pieces for x in p)
-        assert all(len(p) > 0 for p in pieces)
-
 
 class TestEnumerateGraphs:
     def test_known_counts(self):
@@ -173,15 +161,6 @@ class TestEnumerateGraphs:
         for n in range(1, 7):
             for g in enumerate_graphs(n):
                 assert graph6_decode(graph6_encode(g)) == g
-
-    def test_shard_multiset(self):
-        full = sorted(graph6_encode(g) for g in enumerate_graphs(5))
-        pieces = sorted(
-            graph6_encode(g)
-            for s in range(3)
-            for g in enumerate_graphs(5, shards=3, shard=s)
-        )
-        assert full == pieces
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -276,7 +255,7 @@ class TestScans:
     def test_k5_scan(self):
         rep = scan_saturated_trees(range(4, 11), 5)
         assert rep.saturated_count > 0
-        assert rep.min_edges == 4  # the order-5 chair
+        assert min(w.order for w in rep.witnesses) == 5  # the order-5 chair
         assert all(dict(w.contains)["T1"] for w in rep.witnesses)
 
     def test_k6_scan(self):
@@ -285,13 +264,12 @@ class TestScans:
         assert all(w.contains_any() for w in rep.witnesses)
 
     def test_stars_excluded_by_default(self):
-        rep = scan_saturated_trees(range(4, 9), 5, exclude_stars=True)
-        assert all(not w.is_star for w in rep.witnesses)
-
-    def test_stars_included_when_asked(self):
-        rep = scan_saturated_trees(range(4, 7), 5, exclude_stars=False)
-        stars = [w for w in rep.witnesses if w.is_star]
-        assert stars  # every star is saturated (leaf pairs close triangles)
+        # every star is saturated (leaf pairs close triangles), and none is
+        # reported, with or without the prefilter
+        for prefilter in (True, False):
+            rep = scan_saturated_trees(range(1, 9), 5, prefilter)
+            assert rep.witnesses
+            assert all(diameter(graph6_decode(w.graph6)) > 2 for w in rep.witnesses)
 
     def test_prefilter_agrees_with_audit(self):
         # the diameter window is a performance assumption; confirm it finds
@@ -307,12 +285,18 @@ class TestScans:
 
     def test_shards_merge_to_single_run(self):
         single = scan_saturated_trees(range(4, 11), 5)
-        shards = [
-            scan_saturated_trees(range(4, 11), 5, shards=3, shard=s) for s in range(3)
-        ]
-        merged = merge_scan_reports(shards)
+        merged = scan_saturated_trees(range(4, 11), 5, threads=3)
         assert merged.witnesses == single.witnesses
         assert merged == single
+
+    def test_repeated_order_scanned_once(self):
+        rep = scan_saturated_trees([5, 5, 6], 5)
+        assert rep == scan_saturated_trees([5, 6], 5)
+        assert rep.trees_scanned == TREE_COUNTS[5] + TREE_COUNTS[6]
+
+    def test_no_saturated_tree_below_order_13_at_k10(self):
+        # T1_10, of order 20, is the least; prop-5.2 covers k = 5..9
+        assert scan_saturated_trees(range(6, 13), 10).witnesses == ()
 
     @pytest.mark.parametrize("k", sorted(SCAN_GOLDEN))
     def test_witnesses_match_recorded(self, k):
@@ -357,18 +341,3 @@ class TestK8Counterexample:
             grown.add_edge(u, v)
             assert has_member(grown), (u, v)
 
-
-class TestMinSaturatedTreeOrder:
-    def test_small_k(self):
-        n, wit = min_saturated_tree_order(5, 10)
-        assert n == 5
-        assert canonical_form(wit) == canonical_form(make_small_tree("T1"))
-
-    def test_k9(self):
-        n, wit = min_saturated_tree_order(9, 16)
-        assert n == 16
-        assert diameter(wit) in (6, 7)
-
-    def test_not_found_is_distinct(self):
-        with pytest.raises(NoSaturatedGraphError):
-            min_saturated_tree_order(10, 12)
