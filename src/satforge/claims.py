@@ -76,7 +76,7 @@ def _layered_trees(ks, threads, prefilter) -> list[dict]:
     for k in ks:
         fam = parse_family(f"K3,P{k}")
         for label, make in (("short", make_t0k), ("sparse", make_t1k)):
-            verdict = check_saturated(make(k), fam, threads=threads)
+            verdict = check_saturated(make(k), fam)
             cases.append(
                 _case(f"k={k}/{label}", "layered tree is saturated",
                       "saturated", verdict.status)
@@ -105,7 +105,7 @@ def _g0(pairs, threads, prefilter, lemma: bool) -> list[dict]:
         )
         if not lemma:
             cases.append(_case(f"{tag}/formula", "formula value", want, sat_k3_pk(n, k)))
-        verdict = check_saturated(g, parse_family(f"K3,P{k}"), threads=threads)
+        verdict = check_saturated(g, parse_family(f"K3,P{k}"))
         cases.append(
             _case(f"{tag}/saturated", "saturated" if lemma else "witness is saturated",
                   "saturated", verdict.status)
@@ -129,7 +129,7 @@ def _h0(pairs, threads, prefilter, with_bounds: bool) -> list[dict]:
                 _case(f"n={n},k={k}/bracket", "bracket width is 4",
                       (want - 4, want), (b.lower, b.upper))
             )
-        verdict = check_saturated(h, parse_family(f"K3+P{k}"), threads=threads)
+        verdict = check_saturated(h, parse_family(f"K3+P{k}"))
         cases.append(
             _case(f"n={n},k={k}/saturated", "witness is saturated",
                   "saturated", verdict.status)

@@ -77,19 +77,27 @@ def iter_cliques(g: Graph, p: int, mask: int | None = None) -> Iterator[tuple[in
         raise ValueError("clique order must be >= 1")
     m = full_mask(g.n) if mask is None else mask
     rows = g.rows
-
-    def extend(chosen: list[int], cand: int) -> Iterator[tuple[int, ...]]:
-        if len(chosen) == p:
-            yield tuple(chosen)
-            return
-        if len(chosen) + cand.bit_count() < p:
-            return
-        for v in iter_bits(cand):
+    # stack[i] holds the candidates not yet tried after chosen[:i]; a level
+    # is entered only when it has enough candidates to finish a clique
+    chosen: list[int] = []
+    stack = [m] if m.bit_count() >= p else []
+    while stack:
+        cand = stack[-1]
+        if not cand:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        low = cand & -cand
+        stack[-1] = cand ^ low
+        v = low.bit_length() - 1
+        if len(chosen) + 1 == p:
+            yield (*chosen, v)
+            continue
+        nxt = stack[-1] & rows[v]
+        if len(chosen) + 1 + nxt.bit_count() >= p:
             chosen.append(v)
-            yield from extend(chosen, cand & rows[v] & ~((1 << (v + 1)) - 1))
-            chosen.pop()
-
-    yield from extend([], m)
+            stack.append(nxt)
 
 
 def has_clique(g: Graph, p: int) -> Witness | None:
@@ -293,18 +301,26 @@ def _iter_paths_exact(g: Graph, order: int, mask: int) -> Iterator[tuple[int, ..
             yield (v,)
         return
 
-    def extend(seq: list[int], used: int) -> Iterator[tuple[int, ...]]:
-        if len(seq) == order:
-            if seq[0] < seq[-1]:
-                yield tuple(seq)
-            return
-        for u in iter_bits(rows[seq[-1]] & mask & ~used):
-            seq.append(u)
-            yield from extend(seq, used | (1 << u))
-            seq.pop()
-
     for s in iter_bits(mask):
-        yield from extend([s], 1 << s)
+        # stack[i] holds the next vertices not yet tried after seq[:i+1]
+        seq, used = [s], 1 << s
+        stack = [rows[s] & mask & ~used]
+        while stack:
+            cand = stack[-1]
+            if not cand:
+                stack.pop()
+                used ^= 1 << seq.pop()
+                continue
+            low = cand & -cand
+            stack[-1] = cand ^ low
+            u = low.bit_length() - 1
+            if len(seq) + 1 == order:
+                if s < u:
+                    yield (*seq, u)
+                continue
+            seq.append(u)
+            used |= low
+            stack.append(rows[u] & mask & ~used)
 
 
 def contains_linear_forest(g: Graph, orders: Sequence[int], mask: int | None = None) -> Witness | None:

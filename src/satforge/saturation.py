@@ -20,14 +20,13 @@ non-edge at a time:
   hold no Pk.  Only pairs that touch another component go through
   per-triangle tables built over those components alone.
 
-Everything else goes through the "generic" scan, which runs the detectors
-on every non-edge, optionally on a process pool.
+Everything else goes through the "generic" scan, one lazy loop that runs
+the detectors on each non-edge in turn.
 """
 
 from __future__ import annotations
 
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Sequence
@@ -296,13 +295,12 @@ class SaturationVerdict:
         return out
 
 
-def check_saturated(g: Graph, fam: ForbiddenFamily, threads: int = 1) -> SaturationVerdict:
+def check_saturated(g: Graph, fam: ForbiddenFamily) -> SaturationVerdict:
     """Saturated iff g is member-free and every non-edge creates a member.
 
-    The reported failure is always the ascending-smallest one; thread count
-    never changes the verdict.
+    The reported failure is always the ascending-smallest one.
     """
-    strategy, w, failures = _decide(g, fam, collect_all=False, threads=threads)
+    strategy, w, failures = _decide(g, fam, collect_all=False)
     if w is not None:
         return SaturationVerdict(CONTAINS_MEMBER, witness=w, strategy=strategy)
     if failures:
@@ -310,16 +308,16 @@ def check_saturated(g: Graph, fam: ForbiddenFamily, threads: int = 1) -> Saturat
     return SaturationVerdict(SATURATED, strategy=strategy)
 
 
-def saturation_gap(g: Graph, fam: ForbiddenFamily, threads: int = 1) -> list[tuple[int, int]]:
+def saturation_gap(g: Graph, fam: ForbiddenFamily) -> list[tuple[int, int]]:
     """All non-edges whose addition creates no member (empty iff saturated)."""
-    _, w, failures = _decide(g, fam, collect_all=True, threads=threads)
+    _, w, failures = _decide(g, fam, collect_all=True)
     if w is not None:
         raise ValueError("graph already contains a family member")
     return failures
 
 
 def _decide(
-    g: Graph, fam: ForbiddenFamily, collect_all: bool, threads: int
+    g: Graph, fam: ForbiddenFamily, collect_all: bool
 ) -> tuple[str, Witness | None, list[tuple[int, int]]]:
     """The strategy, and the first member witness of g or else its failing
     non-edges.
@@ -341,7 +339,7 @@ def _decide(
         tris = list(islice(iter_cliques(g, 3), _TRIANGLE_TABLE_CAP + 1))
         if len(tris) <= _TRIANGLE_TABLE_CAP:
             return "triangle_table", None, _scan_k3_cup_pk(g, k, tris, collect_all)
-    return "generic", None, _scan_generic(g, fam, collect_all, threads)
+    return "generic", None, _scan_generic(g, fam, collect_all)
 
 
 def _forest_shape(fam: ForbiddenFamily) -> tuple[int, bool] | None:
@@ -701,37 +699,13 @@ def _scan_k3_cup_pk(
 # ---------------------------------------------------------------------------
 
 
-def _failing_chunk(job: tuple) -> list[tuple[int, int]]:
-    """The failing non-edges of one chunk, or only its first."""
-    g, fam, chunk, collect_all = job
+def _scan_generic(g: Graph, fam: ForbiddenFamily, collect_all: bool) -> list[tuple[int, int]]:
+    """Detectors on every non-edge in ascending order, stopping at the first
+    failure unless collect_all."""
     failures = []
-    for u, v in chunk:
+    for u, v in g.non_edges():
         if contains_member(g.add_edge(u, v), fam) is None:
             failures.append((u, v))
             if not collect_all:
                 break
     return failures
-
-
-def _scan_generic(
-    g: Graph, fam: ForbiddenFamily, collect_all: bool, threads: int
-) -> list[tuple[int, int]]:
-    """Detectors on every non-edge.  With threads the non-edges split into
-    contiguous ascending chunks, so the chunks' failures, concatenated, are
-    in ascending order."""
-    pairs = list(g.non_edges())
-    workers = threads if len(pairs) >= 64 else 1
-    chunks = 4 * workers if workers > 1 else 1
-    size = -(-len(pairs) // chunks) or 1
-    jobs = [(g, fam, pairs[i : i + size], collect_all) for i in range(0, len(pairs), size)]
-    failures = [f for part in map_jobs(_failing_chunk, jobs, workers) for f in part]
-    return failures if collect_all else failures[:1]
-
-
-def map_jobs(fn, jobs: list, workers: int) -> list:
-    """fn over jobs, results in job order: inline when workers <= 1, else on
-    a fresh pool of that many processes (fn and jobs must pickle)."""
-    if workers <= 1:
-        return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))

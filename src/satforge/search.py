@@ -9,12 +9,14 @@ accepted, when its new vertex sits in the orbit of its canonical last
 vertex, and then deduplicated per parent by canonical code, so every class
 is produced exactly once across all parents.  Both streams are
 deterministic.  The saturated-tree scan splits the free-tree stream of all
-its orders into shards by index, one per worker process.
+its orders into shards by index, one per worker process; it owns the
+package's one process pool.
 """
 
 from __future__ import annotations
 
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -22,7 +24,7 @@ from .canon import augmentation_code
 from .constructions import make_small_tree, make_t0k, make_t1k
 from .graphs import Graph, build_graph, graph6_encode
 from .patterns import subtree_contains
-from .saturation import ForbiddenFamily, check_saturated, map_jobs, parse_family
+from .saturation import ForbiddenFamily, check_saturated, parse_family
 
 DEFAULT_TREE_BUDGET = 22
 DEFAULT_GRAPH_BUDGET = 8
@@ -36,12 +38,13 @@ class NoSaturatedGraphError(RuntimeError):
     """No saturated graph of the requested order exists."""
 
 
-def _env_budget(key: str, default: int) -> int:
-    """Budget caps, overridable via SATFORGE_BUDGET.
+def _env_budget(key: str) -> int:
+    """The `trees` or `graphs` cap, overridable via SATFORGE_BUDGET.
 
     Accepts either a bare integer (applied to both caps) or a comma list of
     key=value entries with keys `trees` and `graphs`.
     """
+    default = DEFAULT_TREE_BUDGET if key == "trees" else DEFAULT_GRAPH_BUDGET
     raw = os.environ.get("SATFORGE_BUDGET")
     if not raw:
         return default
@@ -57,12 +60,14 @@ def _env_budget(key: str, default: int) -> int:
     return default
 
 
-def tree_budget() -> int:
-    return _env_budget("trees", DEFAULT_TREE_BUDGET)
-
-
-def graph_budget() -> int:
-    return _env_budget("graphs", DEFAULT_GRAPH_BUDGET)
+def _check_budget(key: str, what: str, lo: int, hi: int) -> None:
+    """Raise BudgetExceededError unless lo..hi sits inside the `key` cap."""
+    cap = _env_budget(key)
+    if not 1 <= lo <= hi <= cap:
+        raise BudgetExceededError(
+            f"{what} outside the {key} budget 1..{cap}; "
+            f"set SATFORGE_BUDGET={key}=N to raise it"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +178,7 @@ def _levels_to_graph(levels: Sequence[int]) -> Graph:
 def enumerate_trees(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of free trees on n vertices,
     in a deterministic order."""
-    if not 1 <= n <= tree_budget():
-        raise BudgetExceededError(f"tree order {n} outside 1..{tree_budget()}")
+    _check_budget("trees", f"tree order {n}", n, n)
     for levels, _ in _iter_free_trees(n):
         yield _levels_to_graph(levels)
 
@@ -214,8 +218,7 @@ def _graph_level(n: int) -> list[Graph]:
 def enumerate_graphs(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of graphs on n vertices, in
     a deterministic order."""
-    if not 1 <= n <= graph_budget():
-        raise BudgetExceededError(f"graph order {n} outside 1..{graph_budget()}")
+    _check_budget("graphs", f"graph order {n}", n, n)
     if n == 1:
         yield build_graph(1, [])
         return
@@ -349,19 +352,24 @@ def scan_saturated_trees(
     The prefilter checks only diameters k-3 and k-2; an audit run with
     prefilter=False checks every non-star tree.  With threads > 1 the trees
     are dealt round-robin, over the stream of all the orders, into one shard
-    per thread, each run on its own worker process; the report is the same
-    for every thread count.
+    per thread, each run on a fresh pool of that many worker processes; with
+    threads == 1 the one shard runs inline.  The report is the same for
+    every thread count.
     """
     if k < 5:
         raise ValueError("scan needs k >= 5")
-    cap = tree_budget()
     orders = tuple(sorted(set(orders)))
-    if not orders or orders[0] < 1 or orders[-1] > cap:
-        raise BudgetExceededError(f"orders must sit inside 1..{cap}")
+    if not orders:
+        raise ValueError("scan needs at least one order")
+    lo, hi = orders[0], orders[-1]
+    _check_budget("trees", f"tree orders {lo}..{hi}", lo, hi)
     shards = max(1, threads)
-    parts = map_jobs(
-        _scan_shard, [(orders, k, prefilter, shards, s) for s in range(shards)], shards
-    )
+    jobs = [(orders, k, prefilter, shards, s) for s in range(shards)]
+    if shards == 1:
+        parts = [_scan_shard(jobs[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=shards) as pool:
+            parts = list(pool.map(_scan_shard, jobs))
     return ScanReport(
         orders=orders,
         k=k,

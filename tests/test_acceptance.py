@@ -166,8 +166,9 @@ def test_criterion_10_two_connected_diameter_two():
 
 
 def test_criterion_11_thread_determinism(capsys):
+    # prop-5.2 runs the tree scan, which reads --threads
     args = [
-        "verify", "lem-2.4", "--k", "9..11", "--no-timestamp",
+        "verify", "prop-5.2", "--k", "5..6", "--no-timestamp",
     ]
     code1 = cli_main(args + ["--threads", "1"])
     out1 = capsys.readouterr().out

@@ -5,7 +5,14 @@ import pytest
 
 from satforge import claims, cli
 from satforge.cli import main
-from satforge.graphs import build_graph, graph6_decode, graph6_encode
+from satforge.graphs import (
+    build_graph,
+    complete_graph,
+    disjoint_union,
+    graph6_decode,
+    graph6_encode,
+    path_graph,
+)
 
 
 def run(capsys, *argv):
@@ -122,6 +129,17 @@ class TestCheck:
         assert code == 3
         assert json.loads(stdout)["strategy"] == "detector"
 
+    def test_deep_union_member_exit_three(self, tmp_path, capsys):
+        # a P1500 search deeper than Python's recursion limit
+        g = disjoint_union(path_graph(1600), complete_graph(3))
+        out = tmp_path / "p1600k3.g6"
+        out.write_bytes(graph6_encode(g) + b"\n")
+        code, stdout, err = run(capsys, "check", "--family", "K3+P1500", str(out))
+        assert code == 3 and err == ""
+        data = json.loads(stdout)
+        assert data["strategy"] == "detector"
+        assert data["witness"]["parts"] == [[1600, 1601, 1602], list(range(1500))]
+
     def test_bad_family_exit_two(self, tmp_path, capsys):
         out = tmp_path / "t.g6"
         out.write_bytes(b"Bw\n")
@@ -149,6 +167,11 @@ class TestBruteforce:
         monkeypatch.setenv("SATFORGE_BUDGET", "graphs=4")
         code, _, err = run(capsys, "bruteforce", "--n", "5", "--family", "K3")
         assert code == 2 and "budget" in err
+
+    def test_verify_over_budget_names_the_budget(self, capsys):
+        code, stdout, err = run(capsys, "verify", "thm-1.4", "--n", "9")
+        assert code == 2 and stdout == ""
+        assert "graphs budget 1..8" in err and "SATFORGE_BUDGET" in err
 
 
 class TestFormula:
@@ -225,6 +248,14 @@ class TestVerify:
             code, stdout, err = run(capsys, "verify", *argv)
             assert code == 2 and stdout == "", argv
             assert f"{argv[0]} takes no {argv[1]}" in err
+
+    def test_threads_below_one_exit_two(self, capsys):
+        for threads in ("0", "-3"):
+            code, stdout, err = run(
+                capsys, "verify", "lem-2.4", "--k", "9", "--threads", threads
+            )
+            assert code == 2 and stdout == "", threads
+            assert "--threads" in err
 
     def test_thread_count_invariance(self, capsys):
         args = ["verify", "thm-1.1", "--k", "10", "--n", "20,23", "--no-timestamp"]

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,10 +16,12 @@ from satforge.graphs import (
     path_graph,
 )
 from satforge.patterns import (
+    _iter_paths_exact,
     contains_join_k1,
     contains_linear_forest,
     has_clique,
     has_path_of_order,
+    iter_cliques,
     subtree_contains,
     witness_ok,
 )
@@ -71,6 +74,24 @@ class TestHasClique:
     def test_lex_least(self):
         g = build_graph(5, [(1, 2), (2, 3), (1, 3), (0, 4)])
         assert has_clique(g, 3).parts == ((1, 2, 3),)
+
+    def test_yield_order_against_brute_force(self):
+        rng = random.Random(11)
+        for _ in range(100):
+            n = rng.randint(1, 9)
+            g = random_graph(rng, n, rng.random())
+            mask = rng.getrandbits(n)
+            for p in range(1, 5):
+                want = [
+                    c for c in itertools.combinations(range(n), p)
+                    if all(mask >> v & 1 for v in c)
+                    and all(g.has_edge(a, b) for a, b in itertools.combinations(c, 2))
+                ]
+                assert list(iter_cliques(g, p, mask)) == want
+
+    def test_clique_deeper_than_the_recursion_limit(self):
+        w = has_clique(complete_graph(1200), 1100)
+        assert w.parts == (tuple(range(1100)),)
 
 
 class TestHasPath:
@@ -156,6 +177,27 @@ class TestLinearForest:
     def test_rejects_bad_orders(self):
         with pytest.raises(ValueError):
             contains_linear_forest(path_graph(3), [])
+
+    def test_exact_paths_against_brute_force(self):
+        # each path once, from its smaller end, in lexicographic order
+        rng = random.Random(12)
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            g = random_graph(rng, n, rng.random())
+            mask = rng.getrandbits(n)
+            for order in range(1, 6):
+                want = [
+                    seq for seq in itertools.permutations(range(n), order)
+                    if all(mask >> v & 1 for v in seq)
+                    and (order == 1 or seq[0] < seq[-1])
+                    and all(g.has_edge(a, b) for a, b in zip(seq, seq[1:]))
+                ]
+                assert list(_iter_paths_exact(g, order, mask)) == want
+
+    def test_path_deeper_than_the_recursion_limit(self):
+        g = disjoint_union(path_graph(1600), complete_graph(3))
+        w = contains_linear_forest(g, [1500])
+        assert w.parts == (tuple(range(1500)),)
 
 
 class TestJoinK1:

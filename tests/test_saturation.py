@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -143,29 +144,18 @@ class TestCheckSaturated:
         v = check_saturated(make_g0(20010, 10), parse_family("K3,P10"))
         assert v.is_saturated and v.strategy == "forest"
 
-    def test_threads_do_not_change_verdict(self):
-        g = cycle_graph(6)
-        fam = parse_family("K3")
-        assert (
-            check_saturated(g, fam, threads=2).missing_edge
-            == check_saturated(g, fam).missing_edge
-        )
-        sat = make_star(9)
-        assert check_saturated(sat, parse_family("K3"), threads=2).is_saturated
-
-    def test_threads_do_not_change_gap(self):
-        # triangle-free bipartite graphs with enough non-edges for the
-        # generic scan to use the pool; failures spread over every chunk
-        fam = parse_family("K3")
-        rng = random.Random(5)
-        for _ in range(3):
-            g = build_graph(
-                16, [(u, v) for u in range(8) for v in range(8, 16) if rng.random() < 0.5]
-            )
-            assert sum(1 for _ in g.non_edges()) >= 64
-            gap = saturation_gap(g, fam)
-            assert gap and saturation_gap(g, fam, threads=2) == gap
-            assert check_saturated(g, fam, threads=2).missing_edge == gap[0]
+    def test_generic_scan_stops_at_first_failure(self):
+        # the scan tests non-edges lazily: C2000 has about two million, and
+        # the first, (0, 2), already fails against K4
+        g = cycle_graph(2000)
+        tracemalloc.start()
+        try:
+            v = check_saturated(g, parse_family("K4"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.missing_edge == (0, 2) and v.strategy == "generic"
+        assert peak < 16 * 2**20
 
 
 class TestSaturationGap:

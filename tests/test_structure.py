@@ -16,25 +16,37 @@ def _functions():
                 yield path.stem, node
 
 
-def test_process_pool_only_in_map_jobs():
+def _parameters(fn) -> list[str]:
+    args = fn.args
+    return [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+
+
+def test_process_pool_only_in_the_tree_scan():
     users = {
         f"{module}.{fn.name}"
         for module, fn in _functions()
         for node in ast.walk(fn)
         if isinstance(node, ast.Name) and node.id == "ProcessPoolExecutor"
     }
-    assert users == {"saturation.map_jobs"}
+    assert users == {"search.scan_saturated_trees"}
     # and nowhere else: not at module level, not through an alias
     mentions = {p.stem for p in SOURCES if "ProcessPoolExecutor" in p.read_text()}
-    assert mentions == {"saturation"}
+    assert mentions == {"search"}
+
+
+def test_saturation_takes_no_threads():
+    # a saturation verdict has one code path, with nothing to configure
+    owners = {
+        fn.name for module, fn in _functions()
+        if module == "saturation" and "threads" in _parameters(fn)
+    }
+    assert owners == set()
 
 
 def test_no_shards_parameter_but_the_scan_shard():
     # the tree scan deals its own shards; no public signature takes them
     owners = set()
     for module, fn in _functions():
-        args = fn.args
-        names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-        if "shards" in names:
+        if "shards" in _parameters(fn):
             owners.add(f"{module}.{fn.name}")
     assert owners <= {"search._scan_shard"}
