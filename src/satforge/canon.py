@@ -13,6 +13,8 @@ exact vertex orbits.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .graphs import Graph, _g6_size_bytes, component_masks, iter_bits
 
 CanonicalCode = bytes
@@ -33,39 +35,82 @@ def _union(orbit: list[int], u: int, v: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _tree_order(rows: tuple[int, ...], alive: int, orbit: list[int]) -> list[int]:
-    """Vertices of a tree in a canonical DFS order (old ids, new order)."""
-    while alive.bit_count() > 2:  # strip leaves down to the centre
-        alive &= ~sum(1 << v for v in iter_bits(alive) if (rows[v] & alive).bit_count() == 1)
-    centers = list(iter_bits(alive))
-    if len(centers) == 1:
-        return _rooted_order(rows, centers[0], orbit)
-    # Subdivide the centre edge with a virtual vertex; the virtual vertex
-    # becomes the unique centre of an odd-diameter tree.
-    a, b = centers
+def _layers(rows: Sequence[int], src: int, alive: int) -> list[int]:
+    """Breadth-first layers from src within alive, as masks."""
+    layers = [1 << src]
+    seen = layers[0]
+    while True:
+        nxt = 0
+        for v in iter_bits(layers[-1]):
+            nxt |= rows[v]
+        nxt &= alive & ~seen
+        if not nxt:
+            return layers
+        seen |= nxt
+        layers.append(nxt)
+
+
+def _centre_rooted(rows: Sequence[int], alive: int) -> tuple[Sequence[int], int]:
+    """Rows of the tree on `alive` rooted at its centre, and the root.
+
+    The centre is the middle of a longest path a..b, found by a double
+    sweep: the vertices at distance i from a and d-i from b.  Two centres
+    get their edge subdivided by a virtual vertex len(rows), which becomes
+    the unique centre of an odd-diameter tree.
+    """
+    far = _layers(rows, (alive & -alive).bit_length() - 1, alive)[-1]
+    from_a = _layers(rows, (far & -far).bit_length() - 1, alive)
+    far = from_a[-1]
+    from_b = _layers(rows, (far & -far).bit_length() - 1, alive)
+    d = len(from_a) - 1
+    mid = from_a[d // 2] & from_b[d - d // 2]
+    if d % 2 == 0:
+        return rows, mid.bit_length() - 1
+    a = mid.bit_length() - 1
+    b = (from_a[d // 2 + 1] & from_b[d // 2]).bit_length() - 1
     virtual = len(rows)
     work = list(rows)
     work[a] = (work[a] | 1 << virtual) & ~(1 << b)
     work[b] = (work[b] | 1 << virtual) & ~(1 << a)
     work.append((1 << a) | (1 << b))
-    return _rooted_order(work, virtual, orbit)[1:]
+    return work, virtual
+
+
+def _subtree_codes(rows: Sequence[int], root: int) -> tuple[dict[int, str], dict[int, list[int]]]:
+    """Per vertex, its AHU subtree code and its children sorted by (code,
+    id), computed children first from an explicit breadth-first order."""
+    kids: dict[int, list[int]] = {}
+    seen = 1 << root
+    todo = [root]
+    for v in todo:  # in a tree the unseen neighbours are the children
+        kids[v] = list(iter_bits(rows[v] & ~seen))
+        seen |= rows[v]
+        todo.extend(kids[v])
+    code: dict[int, str] = {}
+    for v in reversed(todo):
+        kids[v].sort(key=code.__getitem__)  # stable: ties stay ascending by id
+        code[v] = "(" + "".join(code[u] for u in kids[v]) + ")"
+    return code, kids
+
+
+def tree_code(rows: Sequence[int]) -> str:
+    """Centre-rooted AHU code of the tree whose rows, over vertices
+    0..len(rows)-1, are given: equal for two trees iff they are isomorphic."""
+    work, root = _centre_rooted(rows, (1 << len(rows)) - 1)
+    return _subtree_codes(work, root)[0][root]
+
+
+def _tree_order(rows: tuple[int, ...], alive: int, orbit: list[int]) -> list[int]:
+    """Vertices of a tree in a canonical DFS order (old ids, new order)."""
+    work, root = _centre_rooted(rows, alive)
+    order = _rooted_order(work, root, orbit)
+    return order if root < len(rows) else order[1:]
 
 
 def _rooted_order(rows, root: int, orbit: list[int]) -> list[int]:
     """Preorder with children sorted by subtree code.  Two vertices share an
     orbit when their parents do and their subtree codes are equal."""
-    code: dict[int, str] = {}
-    kids: dict[int, list[int]] = {}
-
-    def build(v: int, parent: int) -> str:
-        kids[v] = sorted(
-            (u for u in iter_bits(rows[v]) if u != parent),
-            key=lambda u: (build(u, v), u),
-        )
-        code[v] = "(" + "".join(code[u] for u in kids[v]) + ")"
-        return code[v]
-
-    build(root, -1)
+    code, kids = _subtree_codes(rows, root)
     order: list[int] = []
     rep = {root: root}  # the first vertex of each orbit met in preorder
     first: dict[tuple[int, str], int] = {}

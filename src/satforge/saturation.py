@@ -12,13 +12,18 @@ non-edge at a time:
 * "forest": a forest against {Pk} or {K3, Pk} is member-free exactly when
   every component has diameter below k-1.  A chord inside a tree reduces
   to distance arithmetic on BFS rows kept per component and computed on
-  first use.  A pair in two trees fails exactly when
+  first use.  Isomorphic trees, found by their AHU codes, have their
+  chords decided once: when none of one copy's chords fails, no copy's
+  chord is tested.  A pair in two trees fails exactly when
   ecc(u) + ecc(v) + 2 < k, so one mask of the vertices of eccentricity at
   most t, per threshold t, gives all of u's failing partners at once.
 * "triangle_table": against the single member K3 u Pk, with few
   triangles, the same arithmetic decides every pair between trees that
-  hold no Pk.  Only pairs that touch another component go through
-  per-triangle tables built over those components alone.
+  hold no Pk, again once per isomorphism class of such trees.  Only pairs
+  that touch another component go through per-triangle tables built over
+  those components alone.  The K3 u Pk detector itself looks for Pk only
+  in the components, left by each triangle, that have order at least k
+  and, for a tree, diameter at least k-1.
 
 Everything else goes through the "generic" scan, one lazy loop that runs
 the detectors on each non-edge in turn.
@@ -31,9 +36,11 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Sequence
 
+from .canon import tree_code
 from .graphs import Graph, component_masks, full_mask, iter_bits
 from .patterns import (
     Witness,
+    _farthest_from,
     contains_join_k1,
     contains_linear_forest,
     find_path_of_order,
@@ -178,14 +185,19 @@ def _find_union(g: Graph, parts: Sequence[Clique | Path]) -> Witness | None:
     """Disjoint embeddings for every union part, searched cliques-first."""
     clique_idx = [i for i, m in enumerate(parts) if isinstance(m, Clique)]
     path_idx = [i for i, m in enumerate(parts) if isinstance(m, Path)]
+    orders = [parts[i].k for i in path_idx]
     placed: dict[int, tuple[int, ...]] = {}
+    # the paths look only in components that can hold the shortest one; a
+    # component of g - cliques lies in a component of g, so narrow g first
+    hosts = full_mask(g.n)
+    if clique_idx and orders:
+        hosts = _path_hosts(g, hosts, min(orders))
 
     def place_clique(j: int, free: int) -> bool:
         if j == len(clique_idx):
-            if not path_idx:
+            if not orders:
                 return True
-            orders = [parts[i].k for i in path_idx]
-            lf = contains_linear_forest(g, orders, mask=free)
+            lf = contains_linear_forest(g, orders, mask=_path_hosts(g, free & hosts, min(orders)))
             if lf is None:
                 return False
             for i, seq in zip(path_idx, lf.parts):
@@ -205,6 +217,22 @@ def _find_union(g: Graph, parts: Sequence[Clique | Path]) -> Witness | None:
     if not place_clique(0, full_mask(g.n)):
         return None
     return Witness("disjoint_union", tuple(placed[i] for i in range(len(parts))))
+
+
+def _path_hosts(g: Graph, free: int, k: int) -> int:
+    """The components of g[free] that can hold a path of order k: order at
+    least k and, for a tree, diameter at least k-1.  Every path of order
+    >= k within free lies in one of them."""
+    hosts = 0
+    for m in component_masks(g, free):
+        if m.bit_count() < k:
+            continue
+        if _is_tree(g, m):
+            a = _farthest_from(g.rows, (m & -m).bit_length() - 1, m)[0]
+            if _farthest_from(g.rows, a, m)[1] < k - 1:
+                continue
+        hosts |= m
+    return hosts
 
 
 def find_member(g: Graph, member: Member) -> Witness | None:
@@ -399,6 +427,11 @@ class _Forest:
     In a tree every vertex is farthest from one end of a longest path, so
     the rows of the two ends give the part's diameter and every
     eccentricity.
+
+    Many parts are often copies of one tree.  skip_clean_copies tests the
+    chords of one part per isomorphism class, and later() then lists
+    nothing in the parts of a class where none fails, so those parts never
+    build the BFS rows of their inner vertices.
     """
 
     def __init__(self, g: Graph, parts: list[int]):
@@ -435,6 +468,7 @@ class _Forest:
             self.ends.append((a, vs[r.index(d)]))
             self.diameters.append(d)
         self.diameter = max(self.diameters, default=0)
+        self.clean = [False] * len(parts)
 
     @classmethod
     def of(cls, g: Graph) -> "_Forest | None":
@@ -472,10 +506,41 @@ class _Forest:
         return ecc
 
     def later(self, u: int) -> list[int]:
-        """The non-neighbours of u in its part above u, ascending."""
-        vs = self.verts[self.comp_of[u]]
+        """The non-neighbours of u in its part above u, ascending; none in
+        a part that skip_clean_copies found clean."""
+        c = self.comp_of[u]
+        if self.clean[c]:
+            return []
+        vs = self.verts[c]
         du = self.row(u)
         return [vs[j] for j in range(self.index[u] + 1, len(vs)) if du[j] > 1]
+
+    def skip_clean_copies(self, fails, among) -> None:
+        """Mark clean the parts, among the given ones, whose isomorphism
+        class has several parts and no chord u < v that fails(u, v).
+
+        fails must depend only on the part up to isomorphism.  Parts are
+        keyed by AHU tree code, computed only for parts that have a chord
+        and share (order, diameter) with another part, and the chords of one
+        part per class are tested.  A class with a failing chord is left to
+        the scan, so the failures it finds do not change.
+        """
+        shapes: dict[tuple[int, int], list[int]] = {}
+        for c in among:
+            if self.diameters[c] > 1:
+                shapes.setdefault((len(self.verts[c]), self.diameters[c]), []).append(c)
+        classes: dict[str, list[int]] = {}
+        for same in shapes.values():
+            if len(same) > 1:
+                for c in same:
+                    rows = [sum(1 << j for j in nbrs) for nbrs in self.adj[c]]
+                    classes.setdefault(tree_code(rows), []).append(c)
+        for same in classes.values():
+            if len(same) > 1 and not any(
+                fails(u, v) for u in self.verts[same[0]] for v in self.later(u)
+            ):
+                for c in same:
+                    self.clean[c] = True
 
     def reach(self, u: int, v: int) -> int:
         """Order of the longest path through a new chord uv of one part."""
@@ -570,6 +635,7 @@ def _scan_forest(f: _Forest, k: int, closes_two: bool, collect_all: bool) -> lis
     fails = f.chord_fails(k, closes_two, True)
     cross: list[int] = []
     if len(f.parts) > 1:
+        f.skip_clean_copies(fails, range(len(f.parts)))
         ecc = f.eccentricities()
         cross = _at_most(ecc, range(f.n), k - 3, f.n)
 
@@ -676,6 +742,7 @@ def _scan_k3_cup_pk(
     le = _at_most(ecc, plain_vs, k - 2, n)
     np_ge = [_mask((u for u in th if th[u] >= e), n) for e in range(k - 1)]
     plain_fails = forest.chord_fails(k, bool(pk), bool(tables))
+    forest.skip_clean_copies(plain_fails, plain)
 
     def non_plain_fails(u: int, v: int) -> bool:
         return not creates(u, v)

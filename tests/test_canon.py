@@ -5,6 +5,7 @@ from satforge.canon import (
     canonical_form,
     canonical_last_vertex,
     same_orbit,
+    tree_code,
 )
 from satforge.graphs import (
     build_graph,
@@ -146,3 +147,49 @@ def test_last_vertex_orbit_is_invariant():
             h = permuted(g, perm)
             inverse = perm.index(canonical_last_vertex(h))
             assert same_orbit(g, canonical_last_vertex(g), inverse), g
+
+
+def caterpillar(spine, legs):
+    """A path of `spine` vertices with legs(i) leaves hung on vertex i."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    n = spine
+    for i in range(spine):
+        for _ in range(legs(i)):
+            edges.append((i, n))
+            n += 1
+    return build_graph(n, edges)
+
+
+def test_tree_codes_of_deep_trees():
+    # radius far above the recursion limit; relabelled copies share a code
+    rng = random.Random(29)
+    for g, other in (
+        (path_graph(5000), caterpillar(4999, lambda i: i == 1)),
+        (caterpillar(3000, lambda i: i % 3), caterpillar(3000, lambda i: (i + 1) % 3)),
+    ):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert tree_code(g.rows) == tree_code(permuted(g, perm).rows)
+        assert other.n == g.n and tree_code(other.rows) != tree_code(g.rows)
+
+
+def test_orbits_of_a_deep_path():
+    g = path_graph(3000)
+    assert same_orbit(g, 0, 2999) and same_orbit(g, 1499, 1500)
+    assert not same_orbit(g, 0, 1)
+    assert canonical_last_vertex(g) in (0, 2999)
+
+
+def test_tree_codes_separate_every_class():
+    # equal codes exactly for isomorphic trees, over every tree of order <= 10
+    from satforge.search import enumerate_trees
+
+    rng = random.Random(31)
+    for n in range(1, 11):
+        trees = list(enumerate_trees(n))
+        codes = [tree_code(t.rows) for t in trees]
+        assert len(set(codes)) == len(trees)
+        for t, code in zip(trees, codes):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert tree_code(permuted(t, perm).rows) == code

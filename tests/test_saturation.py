@@ -1,16 +1,20 @@
+import hashlib
 import itertools
 import random
 import tracemalloc
 
 import pytest
 
-from satforge.constructions import make_g0, make_star, make_t1k
+from satforge import saturation
+from satforge.constructions import make_g0, make_h0, make_star, make_t1k
 from satforge.graphs import (
     build_graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
     empty_graph,
+    graph6_decode,
+    graph6_encode,
     join,
     path_graph,
 )
@@ -30,6 +34,14 @@ from satforge.saturation import (
     parse_family,
     saturation_gap,
 )
+
+
+# sha256 of "<graph6> <family> <repr((kind, parts)) or None>" lines for the
+# contains_member witness of every graph of order <= 7 (enumerate_graphs
+# order) against each UNION_WITNESS_FAMILIES member, recorded while the
+# union detector still searched paths in every component
+UNION_WITNESS_FAMILIES = ("K3+P2", "K3+P3", "K3+P4", "P2+P2", "P2+P3")
+UNION_WITNESS_GOLDEN = "a31f5c9096ac90b6fe252792bfec1a79baf36e010323ea1bd06e2e56186a56da"
 
 
 def random_graph(rng, n, p=0.4):
@@ -81,6 +93,18 @@ class TestContainsMember:
         assert w.kind == "path"
         w = contains_member(g, parse_family("K3,P3"))
         assert w.kind == "clique"
+
+    def test_union_witnesses_match_recorded(self):
+        from satforge.search import enumerate_graphs
+
+        lines = []
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                for text in UNION_WITNESS_FAMILIES:
+                    w = contains_member(g, parse_family(text))
+                    found = None if w is None else (w.kind, w.parts)
+                    lines.append(b"%s %s %r" % (graph6_encode(g), text.encode(), found))
+        assert hashlib.sha256(b"\n".join(lines)).hexdigest() == UNION_WITNESS_GOLDEN
 
     def test_witness_validates(self):
         rng = random.Random(19)
@@ -143,6 +167,26 @@ class TestCheckSaturated:
         assert len(cases) == 3 and all(c["pass"] for c in cases)
         v = check_saturated(make_g0(20010, 10), parse_family("K3,P10"))
         assert v.is_saturated and v.strategy == "forest"
+
+    def test_copies_cost_no_more_chord_arithmetic(self, monkeypatch):
+        # ten times the copies of T1_10 make no more through-chord path
+        # computations: one copy per class has its chords decided
+        calls = []
+        reach = saturation._through_edge_reach
+
+        def counted(*args):
+            calls.append(1)
+            return reach(*args)
+
+        monkeypatch.setattr(saturation, "_through_edge_reach", counted)
+
+        def count(g, text):
+            calls.clear()
+            assert check_saturated(g, parse_family(text)).is_saturated
+            return len(calls)
+
+        assert count(make_g0(2010, 10), "K3,P10") == count(make_g0(20010, 10), "K3,P10") > 0
+        assert count(make_h0(1210, 10), "K3+P10") == count(make_h0(12010, 10), "K3+P10") > 0
 
     def test_generic_scan_stops_at_first_failure(self):
         # the scan tests non-edges lazily: C2000 has about two million, and
@@ -302,6 +346,94 @@ class TestScanEquivalence:
         for text in ("K3,P10", "P10"):
             self._assert_agrees(g, parse_family(text), "forest")
         assert check_saturated(g, parse_family("K3,P10")).status == MISSING_EDGE
+
+    # copies of a few tree classes, relabelled at random: the forest and
+    # triangle-table scans decide each class of copies once
+
+    def _copies(self, parts, rng):
+        """The disjoint union of the given graphs, relabelled at random, and
+        the label set of each part."""
+        n = sum(h.n for h in parts)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges, labels, off = [], [], 0
+        for h in parts:
+            edges += [(perm[off + u], perm[off + v]) for u, v in h.edges()]
+            labels.append({perm[off + v] for v in range(h.n)})
+            off += h.n
+        return build_graph(n, edges), labels
+
+    def _clean_after_grouping(self, monkeypatch):
+        """Per _Forest.skip_clean_copies call, how many parts it left clean."""
+        counts = []
+        skip = saturation._Forest.skip_clean_copies
+
+        def spy(forest, fails, among):
+            skip(forest, fails, among)
+            counts.append(sum(forest.clean))
+
+        monkeypatch.setattr(saturation._Forest, "skip_clean_copies", spy)
+        return counts
+
+    def test_clean_copy_classes_match_generic(self, monkeypatch):
+        # classes whose chords all create a member; two of each family's
+        # classes share order and diameter, so only their codes tell them apart
+        clean = {
+            "K3,P5": ("Eia?", "Eka?", "Dk_"),  # orders 6, 6, 5; diameter 3
+            "P5": ("Eia?", "GiQCC?", "GiaCC?"),  # orders 6, 8, 8; diameter 3
+        }
+        counts = self._clean_after_grouping(monkeypatch)
+        rng = random.Random(67)
+        for text, codes in clean.items():
+            trees = [graph6_decode(c) for c in codes]
+            for _ in range(3):
+                g, _ = self._copies([t for t, m in zip(trees, (3, 2, 2)) for _ in range(m)], rng)
+                counts.clear()
+                self._assert_agrees(g, parse_family(text), "forest")
+                assert counts and counts[-1] == 7, text
+
+    def test_failing_copy_class_matches_generic(self, monkeypatch):
+        # one chord of each failing class fails: P4's long chord against
+        # {K3,P5}, and against {P5} the triangle-closing chord of the double
+        # star Eka?, which shares order and diameter with the clean Eia?.
+        # The smallest failure must at times come from a copy other than the
+        # one with the class's lowest label, which is the copy grouping tests
+        counts = self._clean_after_grouping(monkeypatch)
+        clean = graph6_decode("Eia?")
+        rng = random.Random(71)
+        for text, failing in (("K3,P5", path_graph(4)), ("P5", graph6_decode("Eka?"))):
+            fam = parse_family(text)
+            hits = 0
+            for _ in range(12):
+                g, labels = self._copies([failing] * 3 + [clean] * 2, rng)
+                counts.clear()
+                self._assert_agrees(g, fam, "forest")
+                assert counts[-1] == 2  # the two clean copies
+                u, v = check_saturated(g, fam).missing_edge
+                home = next(i for i, vs in enumerate(labels) if u in vs)
+                assert v in labels[home] and home < 3
+                tested = min(range(3), key=lambda i: min(labels[i]))
+                hits += home != tested
+            assert hits, text
+
+    def test_copy_classes_beside_a_k4_part_match_generic(self, monkeypatch):
+        # plain copies beside a K4 with a pendant edge, which holds a Pk, go
+        # through the triangle table's grouping: chords of the star K1,3
+        # and of P3 close a triangle beside that Pk, while P4's long chord
+        # fails at k = 5
+        counts = self._clean_after_grouping(monkeypatch)
+        k4 = build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
+        star, p3, p4 = make_star(4), path_graph(3), path_graph(4)
+        rng = random.Random(73)
+        mixes = ((4, [star] * 3 + [p3] * 2, 5), (5, [star] * 2 + [p3] * 2 + [p4] * 3, 4))
+        for k, trees, clean in mixes:
+            for _ in range(3):
+                g, _ = self._copies([k4] + trees, rng)
+                counts.clear()
+                self._assert_agrees(g, parse_family(f"K3+P{k}"), "triangle_table")
+                assert counts == [clean, clean]
+                if k == 5:
+                    assert check_saturated(g, parse_family("K3+P5")).status == MISSING_EDGE
 
 
 class TestJoinDuality:
