@@ -6,9 +6,11 @@ back to a member of the class).  Trees go through a linear-time rooted-code
 relabelling; everything else goes through equitable refinement plus
 individualization/backtracking, which is exact and fast enough for the
 orders this library canonicalizes (components up to a few dozen vertices).
-Components are listed by (order, code).  The same pass collects the
-automorphisms it meets, which generate the whole group, so it also yields
-exact vertex orbits.
+Components are listed by (order, code).  The same pass meets a generating
+set of the automorphism group: the maps between search leaves with equal
+codes, twin swaps, swaps of isomorphic components and, in trees, swaps of
+sibling subtrees with equal codes.  Their orbits are exact, and canonical
+augmentation can collect them as permutations to prune at the parent.
 """
 
 from __future__ import annotations
@@ -26,8 +28,14 @@ def _find(orbit: list[int], v: int) -> int:
     return v
 
 
-def _union(orbit: list[int], u: int, v: int) -> None:
-    orbit[_find(orbit, u)] = _find(orbit, v)
+def _meet(orbit: list[int], sink: list | None, src: Sequence[int], dst: Sequence[int]) -> None:
+    """Record the automorphism that maps src[i] to dst[i] and fixes every
+    other vertex: union its pairs into the orbit forest and, when a sink is
+    given, append (src, dst) to it."""
+    for u, v in zip(src, dst):
+        orbit[_find(orbit, u)] = _find(orbit, v)
+    if sink is not None:
+        sink.append((src, dst))
 
 
 # ---------------------------------------------------------------------------
@@ -100,28 +108,32 @@ def tree_code(rows: Sequence[int]) -> str:
     return _subtree_codes(work, root)[0][root]
 
 
-def _tree_order(rows: tuple[int, ...], alive: int, orbit: list[int]) -> list[int]:
+def _tree_order(rows: tuple[int, ...], alive: int, orbit: list[int], sink: list | None) -> list[int]:
     """Vertices of a tree in a canonical DFS order (old ids, new order)."""
     work, root = _centre_rooted(rows, alive)
-    order = _rooted_order(work, root, orbit)
+    order = _rooted_order(work, root, orbit, sink)
     return order if root < len(rows) else order[1:]
 
 
-def _rooted_order(rows, root: int, orbit: list[int]) -> list[int]:
-    """Preorder with children sorted by subtree code.  Two vertices share an
-    orbit when their parents do and their subtree codes are equal."""
+def _rooted_order(rows, root: int, orbit: list[int], sink: list | None) -> list[int]:
+    """Preorder with children sorted by subtree code.  Swapping two
+    adjacent siblings with equal codes, block for block in preorder, is an
+    automorphism, and these swaps generate the group of the rooted tree
+    (the centre, or the virtual middle of the central edge, is fixed)."""
     code, kids = _subtree_codes(rows, root)
     order: list[int] = []
-    rep = {root: root}  # the first vertex of each orbit met in preorder
-    first: dict[tuple[int, str], int] = {}
     todo = [root]
     while todo:
         v = todo.pop()
         order.append(v)
-        for u in kids[v]:
-            rep[u] = first.setdefault((rep[v], code[u]), u)
-            _union(orbit, u, rep[u])
         todo.extend(reversed(kids[v]))
+    at = {v: i for i, v in enumerate(order)}
+    for v in order:
+        for a, b in zip(kids[v], kids[v][1:]):
+            if code[a] == code[b]:
+                size = len(code[a]) // 2  # one bracket pair per vertex
+                one, two = order[at[a] : at[a] + size], order[at[b] : at[b] + size]
+                _meet(orbit, sink, one + two, two + one)
     return order
 
 
@@ -164,15 +176,38 @@ def _cell_mask(cell: tuple[int, ...]) -> int:
     return m
 
 
-def _adjacency_code(rows: tuple[int, ...], order: list[int]) -> int:
+def _adjacency_code(rows: Sequence[int], order: list[int]) -> int:
     """Upper-triangle bits of the relabelled adjacency matrix, as one int,
-    in graph6 bit order."""
+    in graph6 bit order.  Each column's bits are gathered in a small int
+    first, so the long code is shifted once per column, not once per bit."""
     code = 0
     for j, v in enumerate(order):
         row = rows[v]
-        for i in range(j):
-            code = (code << 1) | (row >> order[i] & 1)
+        col = 0
+        for u in order[:j]:
+            col = col << 1 | (row >> u & 1)
+        code = code << j | col
     return code
+
+
+def _code(rows: Sequence[int], order: list[int]) -> CanonicalCode:
+    """graph6 bytes of the graph relabelled by order: the bits of
+    _adjacency_code, read column by column and written six to a byte, so
+    no long int is ever shifted."""
+    out = bytearray(_g6_size_bytes(len(order)))
+    bits = held = 0  # the last `held` bits read, not yet written
+    for j, v in enumerate(order):
+        row = rows[v]
+        for u in order[:j]:
+            bits = bits << 1 | (row >> u & 1)
+        held += j
+        while held >= 6:
+            held -= 6
+            out.append((bits >> held) + 63)
+            bits &= (1 << held) - 1
+    if held:
+        out.append((bits << 6 - held) + 63)
+    return bytes(out)
 
 
 def _are_twins(rows: tuple[int, ...], u: int, v: int) -> bool:
@@ -181,7 +216,12 @@ def _are_twins(rows: tuple[int, ...], u: int, v: int) -> bool:
 
 
 def _search_order(
-    rows: tuple[int, ...], verts: list[int], degs: list[int], orbit: list[int], mark: int
+    rows: tuple[int, ...],
+    verts: list[int],
+    degs: list[int],
+    orbit: list[int],
+    mark: int,
+    sink: list | None,
 ) -> list[int] | None:
     """Order of the minimum adjacency code over all discrete refinements of
     the degree partition of a connected graph.
@@ -191,6 +231,10 @@ def _search_order(
     vertices from exploding factorially.  The last vertex lies in the last
     cell of the refined degree partition, so a `mark` outside that cell
     cannot share its orbit and the search is skipped (None).
+
+    Each leaf whose code equals the best one found so far, mapped from the
+    best leaf, and each skipped twin swap are automorphisms; together they
+    generate the group of the component.
     """
     if mark >= 0 and rows[mark].bit_count() != max(degs):
         return None
@@ -210,15 +254,14 @@ def _search_order(
             if best[0] is None or code < best[0]:
                 best[0], best[1] = code, order
             elif code == best[0]:
-                for u, v in zip(best[1], order):
-                    _union(orbit, u, v)
+                _meet(orbit, sink, best[1], order)
             return
         cell = cells[split]
         tried: list[int] = []
         for v in cell:
             twin = next((u for u in tried if _are_twins(rows, u, v)), -1)
             if twin >= 0:
-                _union(orbit, v, twin)
+                _meet(orbit, sink, (v, twin), (twin, v))
                 continue
             tried.append(v)
             rest = tuple(u for u in cell if u != v)
@@ -233,13 +276,17 @@ def _search_order(
 # ---------------------------------------------------------------------------
 
 
-def _labelling(g: Graph, mark: int = -1) -> tuple[list[int], list[int]] | None:
+def _labelling(
+    g: Graph, mark: int = -1, sink: list | None = None
+) -> tuple[list[int], list[int]] | None:
     """Canonical order of g's vertices (old ids, new order) and a union-find
     forest whose trees are the automorphism orbits.
 
     With `mark` >= 0 the pass stops early with None once mark provably lies
     outside the orbit of the canonical last vertex, which sits in a
-    component of the largest order.
+    component of the largest order.  A `sink` list receives the
+    automorphisms the pass meets, as (src, dst) pairs (see _meet); when the
+    pass completes they generate the automorphism group of g.
     """
     rows = g.rows
     orbit = list(range(g.n))
@@ -253,26 +300,15 @@ def _labelling(g: Graph, mark: int = -1) -> tuple[list[int], list[int]] | None:
         verts = list(iter_bits(comp)) if len(comps) > 1 else list(range(g.n))
         degs = [rows[v].bit_count() for v in verts]
         if sum(degs) == 2 * len(verts) - 2:
-            order = _tree_order(rows, comp, orbit)
-        elif (order := _search_order(rows, verts, degs, orbit, m)) is None:
+            order = _tree_order(rows, comp, orbit, sink)
+        elif (order := _search_order(rows, verts, degs, orbit, m, sink)) is None:
             return None
         parts.append((len(order), _adjacency_code(rows, order) if len(comps) > 1 else 0, order))
     parts.sort(key=lambda p: p[:2])  # stable: equal components keep their order
     for (na, ka, a), (nb, kb, b) in zip(parts, parts[1:]):
         if (na, ka) == (nb, kb):  # isomorphic components swap
-            for u, v in zip(a, b):
-                _union(orbit, u, v)
+            _meet(orbit, sink, a + b, b + a)
     return [v for p in parts for v in p[2]], orbit
-
-
-def _code(rows: tuple[int, ...], order: list[int]) -> CanonicalCode:
-    """graph6 bytes of the graph relabelled by order."""
-    n = len(order)
-    pad = -(n * (n - 1) // 2) % 6
-    code = _adjacency_code(rows, order) << pad
-    return _g6_size_bytes(n) + bytes(
-        (code >> s & 63) + 63 for s in range(n * (n - 1) // 2 + pad - 6, -1, -6)
-    )
 
 
 def canonical_form(g: Graph) -> CanonicalCode:
@@ -283,7 +319,13 @@ def canonical_form(g: Graph) -> CanonicalCode:
 def augmentation_code(g: Graph, v: int) -> CanonicalCode | None:
     """The canonical code of g when v shares the orbit of the canonical last
     vertex (g is then the canonical augmentation of g - v), else None."""
-    found = _labelling(g, v)
+    return _augmentation(g, v, None)
+
+
+def _augmentation(g: Graph, v: int, sink: list | None) -> CanonicalCode | None:
+    """augmentation_code, with the automorphisms of g that the pass meets
+    appended to sink; they generate the group whenever the code is not None."""
+    found = _labelling(g, v, sink)
     if found is None or _find(found[1], v) != _find(found[1], found[0][-1]):
         return None
     return _code(g.rows, found[0])

@@ -200,7 +200,12 @@ def _find_cycle_edges(rows: Sequence[int], comp: int) -> list[tuple[int, int]]:
     raise AssertionError("no cycle in a component with cycle rank > 0")
 
 
-def _lp_component(rows: list[int], comp: int, k: int, seen_removed: set, removed: frozenset) -> list[int] | None:
+def _lp_component(
+    rows: Sequence[int] | dict[int, int], comp: int, k: int, seen_removed: set, removed: frozenset
+) -> list[int] | None:
+    """A path on >= k vertices in the component comp, or None.  rows may
+    reach outside comp (every read is masked) and, once cycle edges are
+    deleted, holds only the rows of comp."""
     size = comp.bit_count()
     if size < k:
         return None
@@ -215,7 +220,7 @@ def _lp_component(rows: list[int], comp: int, k: int, seen_removed: set, removed
             if key in seen_removed:
                 continue
             seen_removed.add(key)
-            rows2 = list(rows)
+            rows2 = {w: rows[w] for w in iter_bits(comp)}
             rows2[u] &= ~(1 << v)
             rows2[v] &= ~(1 << u)
             # removing a cycle edge keeps the component connected
@@ -272,10 +277,8 @@ def find_path_of_order(g: Graph, k: int, mask: int | None = None) -> list[int] |
     m = full_mask(g.n) if mask is None else mask
     if k == 1:
         return [(m & -m).bit_length() - 1] if m else None
-    rows = list(g.rows)
     for comp in component_masks(g, m):
-        masked = [rows[v] & comp if (comp >> v) & 1 else 0 for v in range(g.n)]
-        res = _lp_component(masked, comp, k, set(), frozenset())
+        res = _lp_component(g.rows, comp, k, set(), frozenset())
         if res is not None:
             return res
     return None

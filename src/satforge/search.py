@@ -7,8 +7,12 @@ amortised time per tree, and yields each tree's diameter with it.  Graphs
 come from canonical augmentation: a child of a canonical parent is first
 accepted, when its new vertex sits in the orbit of its canonical last
 vertex, and then deduplicated per parent by canonical code, so every class
-is produced exactly once across all parents.  Both streams are
-deterministic.  The saturated-tree scan splits the free-tree stream of all
+is produced exactly once across all parents.  The parent prunes before any
+child is built (McKay, "Isomorph-free exhaustive generation", J.
+Algorithms 26, 1998): from its components and degrees it skips the
+neighbourhoods whose child the canonical pass rejects on sight, and with
+the automorphisms its own canonical pass met it tries one neighbourhood
+per orbit, the least.  Both streams are deterministic.  The saturated-tree scan splits the free-tree stream of all
 its orders into shards by index, one per worker process; it owns the
 package's one process pool.
 """
@@ -20,9 +24,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .canon import augmentation_code
+from .canon import _augmentation
 from .constructions import make_small_tree, make_t0k, make_t1k
-from .graphs import Graph, build_graph, graph6_encode
+from .graphs import Graph, build_graph, component_masks, graph6_encode, iter_bits
 from .patterns import subtree_contains
 from .saturation import ForbiddenFamily, check_saturated, parse_family
 
@@ -194,24 +198,98 @@ def _augmented(parent: Graph, neighborhood: int) -> Graph:
     return Graph(m + 1, (*rows, neighborhood))
 
 
-def _children(parent: Graph) -> list[Graph]:
-    """Canonical children of a canonical parent, one per child class."""
+def _viable(parent: Graph) -> Iterator[int]:
+    """The neighbourhoods S of a new vertex, ascending, whose child the
+    canonical pass does not reject before any search.  The child's
+    canonical last vertex lies in a component of the largest order, and is
+    a leaf if that component is a tree with an edge, else of the
+    component's largest degree.  So S is skipped when the new vertex's component is smaller
+    than another one; when that component is a tree and |S| > 1; and when
+    it is not a tree and some vertex u outdoes |S|, where u counts as
+    deg(u) + 1 if it lies in S."""
+    deg = [r.bit_count() for r in parent.rows]
+    comps = []  # (mask, order, is a tree, largest degree)
+    for c in component_masks(parent):
+        ds = [deg[v] for v in iter_bits(c)]
+        comps.append((c, len(ds), sum(ds) == 2 * len(ds) - 2, max(ds)))
+    big = max(size for _, size, _, _ in comps)
+    # outdo[k]: the vertices that outdo a new vertex of degree k if joined to it
+    outdo = [sum(1 << v for v in range(parent.n) if deg[v] >= k) for k in range(parent.n + 1)]
+    for s in range(1 << parent.n):
+        k = s.bit_count()
+        order, tree, top = 1, True, 0
+        for c, size, is_tree, most in comps:
+            hit = s & c
+            if hit:
+                order += size
+                tree = tree and is_tree and hit & (hit - 1) == 0
+                top = max(top, most)
+        if order < big:
+            continue
+        if tree:
+            if k > 1:
+                continue
+        elif k < top or s & outdo[k]:
+            continue
+        yield s
+
+
+def _orbit(s: int, moves: list[dict[int, int]]) -> set[int]:
+    """The images of the vertex set s under the group that moves span; each
+    move maps the bit of a vertex it moves to the bit of its image."""
+    orbit = {s}
+    todo = [s]
+    for s in todo:
+        for move in moves:
+            t, rest = 0, s
+            while rest:
+                low = rest & -rest
+                t |= move.get(low, low)
+                rest ^= low
+            if t not in orbit:
+                orbit.add(t)
+                todo.append(t)
+    return orbit
+
+
+Generators = list[tuple[Sequence[int], Sequence[int]]]  # (src, dst) pairs, as canon records them
+
+
+def _children(parent: Graph, gens: Generators) -> list[tuple[Graph, Generators]]:
+    """Canonical children of a canonical parent, one per child class, each
+    with the automorphisms its canonical pass met.  `gens` are the parent's.
+
+    The neighbourhoods are walked in ascending order.  Those the canonical
+    pass would reject on sight are skipped unbuilt, and so is every one
+    that an automorphism of the parent maps from a smaller one: its child
+    is isomorphic to that one's, with the same new vertex, so it is
+    accepted or rejected alike and adds no class.  Each remaining child
+    still runs the full canonical pass, and its code still goes through the
+    per-parent set of codes.
+    """
     seen: set[bytes] = set()
-    out: list[Graph] = []
+    out: list[tuple[Graph, Generators]] = []
     m = parent.n
-    for subset in range(1 << m):
+    moves = [{1 << u: 1 << v for u, v in zip(src, dst)} for src, dst in gens]
+    covered: set[int] = set()
+    for subset in _viable(parent):
+        if subset in covered:
+            continue
+        if moves:
+            covered |= _orbit(subset, moves)
         child = _augmented(parent, subset)
-        code = augmentation_code(child, m)
+        child_gens: Generators = []
+        code = _augmentation(child, m, child_gens)
         if code is not None and code not in seen:
             seen.add(code)
-            out.append(child)
+            out.append((child, child_gens))
     return out
 
 
-def _graph_level(n: int) -> list[Graph]:
-    level = [build_graph(1, [])]
+def _graph_level(n: int) -> list[tuple[Graph, Generators]]:
+    level = [(build_graph(1, []), [])]
     for _ in range(n - 1):
-        level = [child for parent in level for child in _children(parent)]
+        level = [child for parent in level for child in _children(*parent)]
     return level
 
 
@@ -223,7 +301,8 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
         yield build_graph(1, [])
         return
     for parent in _graph_level(n - 1):
-        yield from _children(parent)
+        for child, _ in _children(*parent):
+            yield child
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 import itertools
 import random
+import time
 
 from satforge.canon import (
+    _adjacency_code,
+    _code,
+    _labelling,
     canonical_form,
     canonical_last_vertex,
     same_orbit,
@@ -12,6 +16,7 @@ from satforge.graphs import (
     complete_graph,
     disjoint_union,
     graph6_decode,
+    is_tree,
     path_graph,
 )
 from satforge.search import enumerate_graphs
@@ -193,3 +198,50 @@ def test_tree_codes_separate_every_class():
             perm = list(range(n))
             rng.shuffle(perm)
             assert tree_code(permuted(t, perm).rows) == code
+
+
+def per_bit_int(rows, order):
+    """The relabelled upper triangle as the package once built it: one
+    shift of one growing int per matrix bit."""
+    code = 0
+    for j, v in enumerate(order):
+        for i in range(j):
+            code = code << 1 | (rows[v] >> order[i] & 1)
+    return code
+
+
+def per_bit_code(rows, order):
+    """graph6 bytes of the relabelled graph (order <= 62), cut from
+    per_bit_int as the package once cut them."""
+    n = len(order)
+    pad = -(n * (n - 1) // 2) % 6
+    code = per_bit_int(rows, order) << pad
+    return bytes([n + 63]) + bytes(
+        (code >> s & 63) + 63 for s in range(n * (n - 1) // 2 + pad - 6, -1, -6)
+    )
+
+
+def test_codes_match_per_bit_routine():
+    rng = random.Random(37)
+    for n in range(1, 61):
+        g = build_graph(
+            n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.3]
+        )
+        order = list(range(n))
+        rng.shuffle(order)
+        assert _adjacency_code(g.rows, order) == per_bit_int(g.rows, order)
+        assert _code(g.rows, order) == per_bit_code(g.rows, order)
+        p = path_graph(n)
+        assert canonical_form(p) == per_bit_code(p.rows, _labelling(p)[0])
+
+
+def test_long_path_canonical_form():
+    # the per-bit routine took about 40 s here
+    rng = random.Random(41)
+    perm = list(range(1500))
+    rng.shuffle(perm)
+    start = time.perf_counter()
+    code = canonical_form(permuted(path_graph(1500), perm))
+    assert time.perf_counter() - start < 10
+    g = graph6_decode(code)
+    assert is_tree(g) and max(g.degree_sequence()) == 2

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -19,6 +20,7 @@ from satforge.patterns import (
     _iter_paths_exact,
     contains_join_k1,
     contains_linear_forest,
+    find_path_of_order,
     has_clique,
     has_path_of_order,
     iter_cliques,
@@ -133,6 +135,24 @@ class TestHasPath:
             d = diameter(t)
             for k in (d, d + 1, d + 2):
                 assert (has_path_of_order(t, k) is not None) == (k <= d + 1)
+
+    def test_paths_match_recorded(self):
+        # sha256 of the paths found in 200 seeded graphs of order 6..11, with
+        # and without a random mask, recorded while every searched component
+        # still copied and masked all g.n rows; the sample reaches the tree,
+        # cycle-edge deletion and DFS branches
+        rng = random.Random(53)
+        out = []
+        for _ in range(200):
+            n = rng.randrange(6, 12)
+            p = rng.choice([0.12, 0.2, 0.3, 0.5])
+            g = random_graph(rng, n, p)
+            mask = rng.getrandbits(n) | rng.getrandbits(n)
+            for k in range(2, n + 1):
+                out.append(repr(find_path_of_order(g, k, mask)))
+                out.append(repr(find_path_of_order(g, k)))
+        digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
+        assert digest == "9d18efeb119bf509ff78d4e49aba034e287e16c23e78fc09917ed1653642aa4f"
 
     def test_witness_is_a_path(self):
         rng = random.Random(4)

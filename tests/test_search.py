@@ -5,6 +5,7 @@ import random
 import pytest
 
 from satforge.canon import (
+    _labelling,
     augmentation_code,
     canonical_form,
     canonical_last_vertex,
@@ -20,7 +21,14 @@ from satforge.search import (
     sat_bruteforce,
     scan_saturated_trees,
 )
-from satforge.search import _augmented, _iter_free_trees, _levels_to_graph
+from satforge.search import (
+    _augmented,
+    _children,
+    _graph_level,
+    _iter_free_trees,
+    _levels_to_graph,
+    _viable,
+)
 
 # OEIS A000055, free trees on n vertices
 TREE_COUNTS = {
@@ -49,6 +57,7 @@ GRAPH_STREAM_GOLDEN = {
     5: "6d0f21eb001a663444f72a1a636e7ba92c6514d66ac570406f398eefa986e29a",
     6: "b59a06620b82e6c75ef1cd62b8ec75ef87da2108d5a308e9895286643d9fdc1f",
     7: "9e0997e6f04eeabbfa7a2618bf4ac40afb0828236d3924534ec8815178de8553",
+    8: "997ce540e841023ad102cb70b47fa4941678418d3170f27c374b0f18e2da8059",
 }
 # order-8 classes the catalogue lost while it deduplicated a parent's
 # children before testing their acceptance
@@ -214,6 +223,97 @@ class TestAugmentation:
                         marked(child, k)
                     ) == canonical_form(marked(child, last))
                     assert (augmentation_code(child, k) is not None) == same
+
+
+def reference_children(parent):
+    """Canonical children as found without pruning: every neighbourhood,
+    each child through the full pass, deduplicated per parent by code."""
+    seen, out = set(), []
+    for subset in range(1 << parent.n):
+        child = _augmented(parent, subset)
+        code = augmentation_code(child, parent.n)
+        if code is not None and code not in seen:
+            seen.add(code)
+            out.append(child)
+    return out
+
+
+def as_permutation(n, gen):
+    """The image list of a recorded (src, dst) generator."""
+    perm = list(range(n))
+    for u, v in zip(*gen):
+        perm[u] = v
+    return perm
+
+
+def is_automorphism(g, perm):
+    return sorted(perm) == list(range(g.n)) and all(
+        g.has_edge(perm[u], perm[v]) for u, v in g.edges()
+    )
+
+
+def group_order(n, gens):
+    """Order of the permutation group that gens span, by closure."""
+    perms = [as_permutation(n, gen) for gen in gens]
+    group = {tuple(range(n))}
+    todo = list(group)
+    for p in todo:
+        for q in perms:
+            r = tuple(q[p[v]] for v in range(n))
+            if r not in group:
+                group.add(r)
+                todo.append(r)
+    return len(group)
+
+
+def recorded_generators(g):
+    sink = []
+    _labelling(g, sink=sink)
+    return sink
+
+
+class TestPruning:
+    """The walk of _children skips, unbuilt, the neighbourhoods that the
+    canonical pass would reject on sight and those an automorphism of the
+    parent maps from a smaller one, and yields what the full walk yields."""
+
+    def test_pruned_children_match_reference(self):
+        for k in range(1, 7):
+            for parent, gens in _graph_level(k):
+                got = [child for child, _ in _children(parent, gens)]
+                assert got == reference_children(parent), parent
+
+    def test_skipped_neighbourhoods_are_rejected(self):
+        skipped = 0
+        for k in range(1, 7):
+            for parent in enumerate_graphs(k):
+                viable = set(_viable(parent))
+                for subset in range(1 << k):
+                    if subset not in viable:
+                        skipped += 1
+                        assert augmentation_code(_augmented(parent, subset), k) is None
+        assert skipped > 0
+
+    def test_recorded_generators_are_automorphisms(self):
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                gens = recorded_generators(g)
+                assert all(is_automorphism(g, as_permutation(n, p)) for p in gens), g
+        for g, gens in _graph_level(7):  # as carried from the accepting pass
+            assert all(is_automorphism(g, as_permutation(7, p)) for p in gens), g
+
+    def test_generators_span_the_group(self):
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        for n in range(1, 7):
+            for g, carried in _graph_level(n):
+                h = nx.Graph()
+                h.add_nodes_from(range(n))
+                h.add_edges_from(g.edges())
+                want = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+                assert group_order(n, recorded_generators(g)) == want, g
+                assert group_order(n, carried) == want, g
 
 
 class TestSatBruteforce:
