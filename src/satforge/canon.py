@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graphs import Graph, _g6_size_bytes, component_masks, iter_bits
+from .graphs import Graph, bfs_layers, component_masks, graph6_of, iter_bits, longest_path_layers
 
 CanonicalCode = bytes
 
@@ -43,21 +43,6 @@ def _meet(orbit: list[int], sink: list | None, src: Sequence[int], dst: Sequence
 # ---------------------------------------------------------------------------
 
 
-def _layers(rows: Sequence[int], src: int, alive: int) -> list[int]:
-    """Breadth-first layers from src within alive, as masks."""
-    layers = [1 << src]
-    seen = layers[0]
-    while True:
-        nxt = 0
-        for v in iter_bits(layers[-1]):
-            nxt |= rows[v]
-        nxt &= alive & ~seen
-        if not nxt:
-            return layers
-        seen |= nxt
-        layers.append(nxt)
-
-
 def _centre_rooted(rows: Sequence[int], alive: int) -> tuple[Sequence[int], int]:
     """Rows of the tree on `alive` rooted at its centre, and the root.
 
@@ -66,10 +51,9 @@ def _centre_rooted(rows: Sequence[int], alive: int) -> tuple[Sequence[int], int]
     get their edge subdivided by a virtual vertex len(rows), which becomes
     the unique centre of an odd-diameter tree.
     """
-    far = _layers(rows, (alive & -alive).bit_length() - 1, alive)[-1]
-    from_a = _layers(rows, (far & -far).bit_length() - 1, alive)
+    from_a = longest_path_layers(rows, alive)
     far = from_a[-1]
-    from_b = _layers(rows, (far & -far).bit_length() - 1, alive)
+    from_b = bfs_layers(rows, far & -far, alive)
     d = len(from_a) - 1
     mid = from_a[d // 2] & from_b[d - d // 2]
     if d % 2 == 0:
@@ -179,7 +163,13 @@ def _cell_mask(cell: tuple[int, ...]) -> int:
 def _adjacency_code(rows: Sequence[int], order: list[int]) -> int:
     """Upper-triangle bits of the relabelled adjacency matrix, as one int,
     in graph6 bit order.  Each column's bits are gathered in a small int
-    first, so the long code is shifted once per column, not once per bit."""
+    first, so the long code is shifted once per column, not once per bit.
+
+    This int, not graph6_of's bytes of the same bits (which sort the same
+    way), is the search's comparison key: one comparison read
+    canonical_form over the order-7 catalogue about 20 % slower with the
+    bytes.  A later alternating A/B on a noisy 2-core host could not
+    resolve any difference at orders 7 and 8."""
     code = 0
     for j, v in enumerate(order):
         row = rows[v]
@@ -188,26 +178,6 @@ def _adjacency_code(rows: Sequence[int], order: list[int]) -> int:
             col = col << 1 | (row >> u & 1)
         code = code << j | col
     return code
-
-
-def _code(rows: Sequence[int], order: list[int]) -> CanonicalCode:
-    """graph6 bytes of the graph relabelled by order: the bits of
-    _adjacency_code, read column by column and written six to a byte, so
-    no long int is ever shifted."""
-    out = bytearray(_g6_size_bytes(len(order)))
-    bits = held = 0  # the last `held` bits read, not yet written
-    for j, v in enumerate(order):
-        row = rows[v]
-        for u in order[:j]:
-            bits = bits << 1 | (row >> u & 1)
-        held += j
-        while held >= 6:
-            held -= 6
-            out.append((bits >> held) + 63)
-            bits &= (1 << held) - 1
-    if held:
-        out.append((bits << 6 - held) + 63)
-    return bytes(out)
 
 
 def _are_twins(rows: tuple[int, ...], u: int, v: int) -> bool:
@@ -313,22 +283,20 @@ def _labelling(
 
 def canonical_form(g: Graph) -> CanonicalCode:
     """Byte string equal for two graphs iff they are isomorphic."""
-    return _code(g.rows, _labelling(g)[0])
+    return graph6_of(g.rows, _labelling(g)[0])
 
 
-def augmentation_code(g: Graph, v: int) -> CanonicalCode | None:
+def augmentation_code(g: Graph, v: int, sink: list | None = None) -> CanonicalCode | None:
     """The canonical code of g when v shares the orbit of the canonical last
-    vertex (g is then the canonical augmentation of g - v), else None."""
-    return _augmentation(g, v, None)
+    vertex (g is then the canonical augmentation of g - v), else None.
 
-
-def _augmentation(g: Graph, v: int, sink: list | None) -> CanonicalCode | None:
-    """augmentation_code, with the automorphisms of g that the pass meets
-    appended to sink; they generate the group whenever the code is not None."""
+    A `sink` list receives the automorphisms of g that the pass meets, as
+    (src, dst) pairs; they generate the group whenever the code is not None.
+    """
     found = _labelling(g, v, sink)
     if found is None or _find(found[1], v) != _find(found[1], found[0][-1]):
         return None
-    return _code(g.rows, found[0])
+    return graph6_of(g.rows, found[0])
 
 
 def same_orbit(g: Graph, u: int, v: int) -> bool:

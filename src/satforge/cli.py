@@ -109,48 +109,35 @@ def _write_graph(g: Graph, path: str | None, fmt: str) -> None:
 # construct
 # ---------------------------------------------------------------------------
 
-_CONSTRUCT_KINDS = (
-    "tk",
-    "t0k",
-    "t1k",
-    "t1",
-    "t2",
-    "t3",
-    "star",
-    "erdos",
-    "sattree",
-    "g0",
-    "h0",
-)
+# kind -> (builder, the options it needs, in the builder's argument order)
+_CONSTRUCT = {
+    "tk": (make_tk, ("k",)),
+    "t0k": (make_t0k, ("k",)),
+    "t1k": (make_t1k, ("k",)),
+    "t1": (lambda: make_small_tree("T1"), ()),
+    "t2": (lambda: make_small_tree("T2"), ()),
+    "t3": (lambda: make_small_tree("T3"), ()),
+    "star": (make_star, ("n",)),
+    "erdos": (make_erdos_kp, ("n", "p")),
+    "sattree": (saturated_tree_of_order, ("n", "k")),
+    "g0": (make_g0, ("n", "k")),
+    "h0": (make_h0, ("n", "k")),
+}
 
 
 def _need(args: argparse.Namespace, name: str) -> int:
+    """The value of option --name, which `construct KIND` or `formula NAME`
+    needs."""
     value = getattr(args, name)
     if value is None:
-        raise UsageError(f"construct {args.kind} needs --{name}")
+        what = args.kind if args.command == "construct" else args.name
+        raise UsageError(f"{args.command} {what} needs --{name}")
     return value
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    kind = args.kind
-    if kind == "tk":
-        g = make_tk(_need(args, "k"))
-    elif kind == "t0k":
-        g = make_t0k(_need(args, "k"))
-    elif kind == "t1k":
-        g = make_t1k(_need(args, "k"))
-    elif kind in ("t1", "t2", "t3"):
-        g = make_small_tree(kind.upper())
-    elif kind == "star":
-        g = make_star(_need(args, "n"))
-    elif kind == "erdos":
-        g = make_erdos_kp(_need(args, "n"), _need(args, "p"))
-    elif kind == "sattree":
-        g = saturated_tree_of_order(_need(args, "n"), _need(args, "k"))
-    elif kind == "g0":
-        g = make_g0(_need(args, "n"), _need(args, "k"))
-    else:
-        g = make_h0(_need(args, "n"), _need(args, "k"))
+    build, needs = _CONSTRUCT[args.kind]
+    g = build(*[_need(args, name) for name in needs])
     _write_graph(g, args.out, args.format)
     d = diameter(g)
     fields = {
@@ -324,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build an extremal graph")
-    p.add_argument("kind", choices=_CONSTRUCT_KINDS)
+    p.add_argument("kind", choices=tuple(_CONSTRUCT))
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--p", type=int)

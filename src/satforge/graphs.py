@@ -4,6 +4,12 @@ Every graph lives on vertices 0..n-1.  Adjacency is kept as one Python int
 per vertex (bit u of rows[v] set iff uv is an edge), which keeps the hot
 algorithms (BFS layers, neighbourhood intersections) down to a few big-int
 operations.
+
+This module owns the bit-row primitives the other modules share, one copy
+each: breadth-first layering (`bfs_layers`), the double sweep that finds a
+tree's longest path (`longest_path_layers`, behind tree diameters, the
+canonical centre and the path detector's tree branch) and graph6 packing
+(`graph6_of`, behind `graph6_encode` and every canonical code).
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 INFINITE = math.inf
 
@@ -138,7 +144,11 @@ def full_mask(n: int) -> int:
 
 
 def component_masks(g: Graph, mask: int | None = None) -> list[int]:
-    """Connected components (as bitmasks) within mask, ascending by least vertex."""
+    """Connected components (as bitmasks) within mask, ascending by least vertex.
+
+    Its own closure loop, not bfs_layers: it is the hot loop of graph
+    enumeration and of every saturation check, and needs no layer list.
+    """
     todo = full_mask(g.n) if mask is None else mask
     rows = g.rows
     out = []
@@ -162,21 +172,38 @@ def connected_components(g: Graph) -> list[list[int]]:
     return [list(iter_bits(m)) for m in component_masks(g)]
 
 
+def bfs_layers(rows: Sequence[int], src: int, alive: int) -> list[int]:
+    """Breadth-first layers, as masks, from the vertex set src within alive:
+    layer i holds the vertices of alive at distance i from src, and layer 0
+    is src itself ([] when src is empty)."""
+    layers = []
+    seen = layer = src
+    while layer:
+        layers.append(layer)
+        nxt = 0
+        for v in iter_bits(layer):
+            nxt |= rows[v]
+        layer = nxt & alive & ~seen
+        seen |= layer
+    return layers
+
+
+def longest_path_layers(rows: Sequence[int], alive: int) -> list[int]:
+    """The double sweep on the tree induced on alive: with a the least
+    vertex of the last layer from the least vertex of alive, the layers
+    from a.  a ends a longest path, so there are diameter + 1 layers, and
+    the other end b may be taken as the least vertex of the last one."""
+    far = bfs_layers(rows, alive & -alive, alive)[-1]
+    return bfs_layers(rows, far & -far, alive)
+
+
 def distances_from(g: Graph, src: int, mask: int | None = None) -> list[int]:
     """Distance from src to every vertex (-1 if unreachable or outside mask)."""
     m = full_mask(g.n) if mask is None else mask
-    rows = g.rows
     dist = [-1] * g.n
-    seen = frontier = 1 << src
-    d = 0
-    while frontier:
-        nxt = 0
-        for v in iter_bits(frontier):
+    for d, layer in enumerate(bfs_layers(g.rows, 1 << src, m)):
+        for v in iter_bits(layer):
             dist[v] = d
-            nxt |= rows[v]
-        frontier = nxt & m & ~seen
-        seen |= frontier
-        d += 1
     return dist
 
 
@@ -189,13 +216,17 @@ def distance_matrix(g: Graph, mask: int | None = None) -> list[list[int]]:
 
 
 def diameter(g: Graph) -> int | float:
-    """Largest pairwise distance; INFINITE when disconnected, 0 for order <= 1."""
+    """Largest pairwise distance; INFINITE when disconnected, 0 for order <= 1.
+
+    A tree takes the double sweep; any other graph one sweep per vertex."""
     if g.n <= 1:
         return 0
-    comps = component_masks(g)
-    if len(comps) > 1:
+    full = full_mask(g.n)
+    if len(component_masks(g)) > 1:
         return INFINITE
-    return max(max(distances_from(g, v)) for v in range(g.n))
+    if g.edge_count == g.n - 1:
+        return len(longest_path_layers(g.rows, full)) - 1
+    return max(len(bfs_layers(g.rows, 1 << v, full)) for v in range(g.n)) - 1
 
 
 def is_connected(g: Graph) -> bool:
@@ -219,23 +250,28 @@ def _g6_size_bytes(n: int) -> bytes:
     raise ValueError("graph6 supports at most 258047 vertices here")
 
 
+def graph6_of(rows: Sequence[int], order: Sequence[int]) -> bytes:
+    """Standard graph6 bytes of the graph relabelled by order (order[i]
+    becomes vertex i): the upper triangle read column by column, each bit
+    gathered from its row and every six written out as one byte."""
+    out = bytearray(_g6_size_bytes(len(order)))
+    bits = held = 0
+    for j, v in enumerate(order):
+        row = rows[v]
+        for u in order[:j]:
+            bits = bits << 1 | (row >> u & 1)
+            held += 1
+            if held == 6:
+                out.append(bits + 63)
+                bits = held = 0
+    if held:
+        out.append((bits << 6 - held) + 63)
+    return bytes(out)
+
+
 def graph6_encode(g: Graph) -> bytes:
     """Standard graph6 bytes for g (upper triangle in column order)."""
-    n = g.n
-    out = bytearray(_g6_size_bytes(n))
-    bits = 0
-    nbits = 0
-    for v in range(1, n):
-        col = g.rows[v]
-        for u in range(v):
-            bits = (bits << 1) | (col >> u & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(bits + 63)
-                bits = nbits = 0
-    if nbits:
-        out.append((bits << (6 - nbits)) + 63)
-    return bytes(out)
+    return graph6_of(g.rows, range(g.n))
 
 
 def graph6_decode(data: bytes | str) -> Graph:

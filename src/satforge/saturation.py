@@ -37,10 +37,9 @@ from itertools import islice
 from typing import Sequence
 
 from .canon import tree_code
-from .graphs import Graph, component_masks, full_mask, iter_bits
+from .graphs import Graph, component_masks, full_mask, iter_bits, longest_path_layers
 from .patterns import (
     Witness,
-    _farthest_from,
     contains_join_k1,
     contains_linear_forest,
     find_path_of_order,
@@ -227,10 +226,8 @@ def _path_hosts(g: Graph, free: int, k: int) -> int:
     for m in component_masks(g, free):
         if m.bit_count() < k:
             continue
-        if _is_tree(g, m):
-            a = _farthest_from(g.rows, (m & -m).bit_length() - 1, m)[0]
-            if _farthest_from(g.rows, a, m)[1] < k - 1:
-                continue
+        if _is_tree(g, m) and len(longest_path_layers(g.rows, m)) < k:
+            continue
         hosts |= m
     return hosts
 
@@ -481,6 +478,9 @@ class _Forest:
         return cls(g, comps)
 
     def row(self, v: int) -> list[int]:
+        """Distances from v, by position in its part.  A breadth-first
+        search of its own, not graphs.bfs_layers: the chord arithmetic
+        reads distances by position, which layer masks do not give."""
         r = self._rows[v]
         if r is None:
             adj = self.adj[self.comp_of[v]]

@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .canon import _augmentation
+from .canon import augmentation_code
 from .constructions import make_small_tree, make_t0k, make_t1k
 from .graphs import Graph, build_graph, component_masks, graph6_encode, iter_bits
 from .patterns import subtree_contains
@@ -45,23 +45,24 @@ class NoSaturatedGraphError(RuntimeError):
 def _env_budget(key: str) -> int:
     """The `trees` or `graphs` cap, overridable via SATFORGE_BUDGET.
 
-    Accepts either a bare integer (applied to both caps) or a comma list of
-    key=value entries with keys `trees` and `graphs`.
+    The value is a comma list of entries, each a bare integer (applied to
+    both caps) or `trees=N` / `graphs=N`; later entries win.  The whole
+    value is checked whichever cap is asked for, so any other entry raises
+    ValueError naming the variable and the entry.
     """
-    default = DEFAULT_TREE_BUDGET if key == "trees" else DEFAULT_GRAPH_BUDGET
-    raw = os.environ.get("SATFORGE_BUDGET")
-    if not raw:
-        return default
-    raw = raw.strip()
-    if raw.isdigit():
-        return int(raw)
-    for item in raw.split(","):
-        if "=" not in item:
-            raise ValueError(f"bad SATFORGE_BUDGET entry {item!r}")
-        name, _, value = item.partition("=")
-        if name.strip() == key:
-            return int(value)
-    return default
+    caps = {"trees": DEFAULT_TREE_BUDGET, "graphs": DEFAULT_GRAPH_BUDGET}
+    raw = os.environ.get("SATFORGE_BUDGET", "").strip()
+    for item in raw.split(",") if raw else ():
+        name, eq, value = (t.strip() for t in item.partition("="))
+        if not eq and name.isdecimal():
+            caps = dict.fromkeys(caps, int(name))
+        elif eq and name in caps and value.isdecimal():
+            caps[name] = int(value)
+        else:
+            raise ValueError(
+                f"bad SATFORGE_BUDGET entry {item!r}: expected N, trees=N or graphs=N"
+            )
+    return caps[key]
 
 
 def _check_budget(key: str, what: str, lo: int, hi: int) -> None:
@@ -279,7 +280,7 @@ def _children(parent: Graph, gens: Generators) -> list[tuple[Graph, Generators]]
             covered |= _orbit(subset, moves)
         child = _augmented(parent, subset)
         child_gens: Generators = []
-        code = _augmentation(child, m, child_gens)
+        code = augmentation_code(child, m, child_gens)
         if code is not None and code not in seen:
             seen.add(code)
             out.append((child, child_gens))

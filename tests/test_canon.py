@@ -4,7 +4,6 @@ import time
 
 from satforge.canon import (
     _adjacency_code,
-    _code,
     _labelling,
     canonical_form,
     canonical_last_vertex,
@@ -16,6 +15,7 @@ from satforge.graphs import (
     complete_graph,
     disjoint_union,
     graph6_decode,
+    graph6_of,
     is_tree,
     path_graph,
 )
@@ -230,7 +230,7 @@ def test_codes_match_per_bit_routine():
         order = list(range(n))
         rng.shuffle(order)
         assert _adjacency_code(g.rows, order) == per_bit_int(g.rows, order)
-        assert _code(g.rows, order) == per_bit_code(g.rows, order)
+        assert graph6_of(g.rows, order) == per_bit_code(g.rows, order)
         p = path_graph(n)
         assert canonical_form(p) == per_bit_code(p.rows, _labelling(p)[0])
 

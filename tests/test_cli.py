@@ -30,6 +30,18 @@ class TestConstruct:
         g = graph6_decode(out.read_bytes().strip())
         assert g.n == 20
 
+    def test_missing_option_named_in_order(self, capsys):
+        for argv, missing in (
+            (("erdos", "--p", "4"), "--n"),
+            (("erdos", "--n", "9"), "--p"),
+            (("sattree",), "--n"),
+            (("g0", "--n", "40"), "--k"),
+            (("tk",), "--k"),
+        ):
+            code, stdout, err = run(capsys, "construct", *argv)
+            assert code == 2 and stdout == ""
+            assert f"construct {argv[0]} needs {missing}" in err
+
     def test_g0_summary(self, tmp_path, capsys):
         out = tmp_path / "g0.g6"
         code, stdout, _ = run(
@@ -168,6 +180,15 @@ class TestBruteforce:
         code, _, err = run(capsys, "bruteforce", "--n", "5", "--family", "K3")
         assert code == 2 and "budget" in err
 
+    @pytest.mark.parametrize("value", ["graphs=9,junk", "trees=22,graphs", "graph=9", "graphs=x"])
+    def test_bad_budget_entry_exit_two(self, capsys, monkeypatch, value):
+        # the whole value is checked, whatever the order of its entries
+        monkeypatch.setenv("SATFORGE_BUDGET", value)
+        code, stdout, err = run(capsys, "bruteforce", "--n", "5", "--family", "K3")
+        bad = value.split(",")[-1]
+        assert code == 2 and stdout == ""
+        assert "SATFORGE_BUDGET" in err and repr(bad) in err
+
     def test_verify_over_budget_names_the_budget(self, capsys):
         code, stdout, err = run(capsys, "verify", "thm-1.4", "--n", "9")
         assert code == 2 and stdout == ""
@@ -190,6 +211,10 @@ class TestFormula:
         )
         data = json.loads(stdout)
         assert (data["lower"], data["upper"]) == (192, 196)
+
+    def test_missing_option_exit_two(self, capsys):
+        code, stdout, err = run(capsys, "formula", "a", "--n", "5")
+        assert code == 2 and stdout == "" and "formula a needs --k" in err
 
     def test_out_of_range_exit_two(self, capsys):
         code, _, _ = run(capsys, "formula", "sat-pk", "--n", "10", "--k", "5")

@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from satforge.constructions import make_tk
 from satforge.graphs import (
     INFINITE,
     build_graph,
@@ -10,6 +12,7 @@ from satforge.graphs import (
     cycle_graph,
     diameter,
     disjoint_union,
+    distances_from,
     empty_graph,
     graph6_decode,
     graph6_encode,
@@ -19,6 +22,7 @@ from satforge.graphs import (
     path_graph,
     write_edgelist,
 )
+from satforge.search import enumerate_graphs
 
 
 def random_graph(rng, n, p=0.4):
@@ -94,6 +98,47 @@ def test_diameter():
     assert diameter(complete_graph(4)) == 1
 
 
+def assert_distances_match_networkx(nx, g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    for v in range(g.n):
+        want = nx.single_source_shortest_path_length(h, v)
+        assert distances_from(g, v) == [want.get(u, -1) for u in range(g.n)]
+    assert diameter(g) == (nx.diameter(h) if nx.is_connected(h) else INFINITE)
+
+
+def test_distances_and_diameter_match_networkx_on_small_graphs():
+    nx = pytest.importorskip("networkx")
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            assert_distances_match_networkx(nx, g)
+
+
+def test_distances_and_diameter_match_networkx_on_random_trees():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(29)
+    for n in list(range(1, 40)) + [100, 199, 300]:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges = [(perm[rng.randrange(v)], perm[v]) for v in range(1, n)]
+        assert_distances_match_networkx(nx, build_graph(n, edges))
+
+
+def test_distances_within_a_mask():
+    g = path_graph(6)
+    assert distances_from(g, 1, 0b011111) == [1, 0, 1, 2, 3, -1]
+    assert distances_from(g, 2, 0b110111) == [2, 1, 0, -1, -1, -1]
+
+
+def test_diameter_of_a_large_layered_tree():
+    g = make_tk(24)
+    start = time.perf_counter()
+    assert diameter(g) == 22
+    # one sweep per vertex took about 22 s here
+    assert time.perf_counter() - start < 5
+
+
 def test_diameter_two_implies_common_neighbor():
     # checked per enumerated class elsewhere; random sanity here
     rng = random.Random(3)
@@ -125,6 +170,24 @@ def test_graph6_long_form():
     data = graph6_encode(g)
     assert data[0] == 126
     assert graph6_decode(data) == g
+
+
+def per_bit_graph6(g):
+    """graph6 bytes of g built bit by bit from the standard's definition."""
+    n = g.n
+    header = [n] if n <= 62 else [63, n >> 12 & 63, n >> 6 & 63, n & 63]
+    bits = [int(g.has_edge(u, v)) for v in range(1, n) for u in range(v)]
+    bits += [0] * (-len(bits) % 6)
+    body = [int("".join(map(str, bits[i : i + 6])), 2) for i in range(0, len(bits), 6)]
+    return bytes(x + 63 for x in header + body)
+
+
+def test_graph6_matches_per_bit_reference():
+    rng = random.Random(71)
+    for n in range(71):  # across the switch to the 4-byte header at 63
+        for p in (0.1, 0.5, 0.9):
+            g = random_graph(rng, n, p)
+            assert graph6_encode(g) == per_bit_graph6(g)
 
 
 def test_graph6_malformed():

@@ -14,6 +14,7 @@ from satforge.graphs import (
     induced_subgraph,
     join,
     empty_graph,
+    graph6_encode,
     path_graph,
 )
 from satforge.patterns import (
@@ -28,6 +29,7 @@ from satforge.patterns import (
     witness_ok,
 )
 from satforge.saturation import contains_member, member_witness_ok, parse_family
+from satforge.search import enumerate_trees
 
 
 def random_graph(rng, n, p=0.4):
@@ -58,6 +60,34 @@ def longest_path_dp(g):
             best += 1
         frontier = nxt
     return best
+
+
+def reference_tree_path(t):
+    """A longest path of the tree t as the detector once found it: the
+    least farthest vertex a from vertex 0, the least farthest b from a,
+    then the shortest path from min(a, b) to max(a, b)."""
+
+    def bfs(src):
+        dist, todo = {src: 0}, [src]
+        for v in todo:
+            for u in t.neighbors(v):
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    todo.append(u)
+        return dist
+
+    def farthest(src):
+        dist = bfs(src)
+        return min(v for v in dist if dist[v] == max(dist.values()))
+
+    a = farthest(0)
+    b = farthest(a)
+    a, b = min(a, b), max(a, b)
+    dist = bfs(a)
+    path = [b]
+    while path[-1] != a:
+        path.append(min(u for u in t.neighbors(path[-1]) if dist[u] == dist[path[-1]] - 1))
+    return path[::-1]
 
 
 class TestHasClique:
@@ -135,6 +165,18 @@ class TestHasPath:
             d = diameter(t)
             for k in (d, d + 1, d + 2):
                 assert (has_path_of_order(t, k) is not None) == (k <= d + 1)
+
+    def test_tree_paths_match_reference_double_sweep(self):
+        rng = random.Random(61)
+        for n in range(2, 13):
+            for t in enumerate_trees(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for g in (t, build_graph(n, [(perm[u], perm[v]) for u, v in t.edges()])):
+                    ref = reference_tree_path(g)
+                    for k in range(2, n + 1):
+                        want = ref if k <= len(ref) else None
+                        assert find_path_of_order(g, k) == want, (graph6_encode(g), k)
 
     def test_paths_match_recorded(self):
         # sha256 of the paths found in 200 seeded graphs of order 6..11, with

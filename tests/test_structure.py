@@ -50,3 +50,30 @@ def test_no_shards_parameter_but_the_scan_shard():
         if "shards" in _parameters(fn):
             owners.add(f"{module}.{fn.name}")
     assert owners <= {"search._scan_shard"}
+
+
+def test_no_private_imports_across_modules():
+    # each shared primitive has one public home, so no module reaches into
+    # another's underscore names, by `from .x import _y` or by `x._y`
+    found = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("satforge")):
+                for alias in node.names:
+                    if alias.name.startswith("_") and not alias.name.endswith("__"):
+                        found.add(f"{path.stem}: {alias.name}")
+                    modules.add(alias.asname or alias.name)
+            elif isinstance(node, ast.Import):
+                modules.update(a.asname or a.name for a in node.names if a.name.startswith("satforge"))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and node.attr.startswith("_")
+                and not node.attr.endswith("__")
+            ):
+                found.add(f"{path.stem}: {node.value.id}.{node.attr}")
+    assert found == set()
