@@ -10,13 +10,14 @@ Two structure-aware scans decide whole components at once instead of one
 non-edge at a time:
 
 * "forest": a forest against {Pk} or {K3, Pk} is member-free exactly when
-  every component has diameter below k-1.  A chord inside a tree reduces
-  to distance arithmetic on BFS rows kept per component and computed on
-  first use.  Isomorphic trees, found by their AHU codes, have their
-  chords decided once: when none of one copy's chords fails, no copy's
-  chord is tested.  A pair in two trees fails exactly when
-  ecc(u) + ecc(v) + 2 < k, so one mask of the vertices of eccentricity at
-  most t, per threshold t, gives all of u's failing partners at once.
+  every component has diameter below k-1.  One pass from a tree vertex u
+  gives the longest path through every chord from u, so a tree of order m
+  costs O(m^2), its rows kept per component and computed on first use.
+  Isomorphic trees, found by their AHU codes, have their chords decided
+  once: when none of one copy's chords fails, no copy's chord is tested.
+  A pair in two trees fails exactly when ecc(u) + ecc(v) + 2 < k, so one
+  mask of the vertices of eccentricity at most t, per threshold t, gives
+  all of u's failing partners at once.
 * "triangle_table": against the single member K3 u Pk, with few
   triangles, the same arithmetic decides every pair between trees that
   hold no Pk, again once per isomorphism class of such trees.  Only pairs
@@ -25,8 +26,10 @@ non-edge at a time:
   in the components, left by each triangle, that have order at least k
   and, for a tree, diameter at least k-1.
 
-Everything else goes through the "generic" scan, one lazy loop that runs
-the detectors on each non-edge in turn.
+Everything else goes through the "generic" scan, one lazy loop that asks,
+per non-edge in turn, whether a member uses it: a clique through the new
+edge is a smaller clique in the common neighbourhood of its ends, and the
+other members run their detectors on the graph with the edge added.
 """
 
 from __future__ import annotations
@@ -418,17 +421,18 @@ class _Forest:
     """Vertex-disjoint parts of a graph, each inducing a tree.
 
     A BFS row holds the distances from one vertex to the vertices of its
-    part, indexed by position in the part's ascending vertex list, and is
-    computed on first use.  So memory and time follow the part sizes and
-    the pairs a scan reaches, never the order of the whole graph squared.
-    In a tree every vertex is farthest from one end of a longest path, so
-    the rows of the two ends give the part's diameter and every
-    eccentricity.
+    part, indexed by position in the part's ascending vertex list, and a
+    reach row, from one pass over the part, the order of the longest path
+    through each chord from that vertex.  Both are computed on first use.
+    So memory and time follow the part sizes and the vertices a scan
+    reaches, never the order of the whole graph squared.  In a tree every
+    vertex is farthest from one end of a longest path, so the rows of the
+    two ends give the part's diameter and every eccentricity.
 
     Many parts are often copies of one tree.  skip_clean_copies tests the
     chords of one part per isomorphism class, and later() then lists
     nothing in the parts of a class where none fails, so those parts never
-    build the BFS rows of their inner vertices.
+    build the rows of their inner vertices.
     """
 
     def __init__(self, g: Graph, parts: list[int]):
@@ -455,6 +459,7 @@ class _Forest:
                 adj.append(nbrs)
             self.adj.append(adj)
         self._rows: list[list[int] | None] = [None] * g.n
+        self._reach: list[list[int] | None] = [None] * g.n
         self.ends = []
         self.diameters = []
         for vs in self.verts:
@@ -478,24 +483,31 @@ class _Forest:
         return cls(g, comps)
 
     def row(self, v: int) -> list[int]:
-        """Distances from v, by position in its part.  A breadth-first
-        search of its own, not graphs.bfs_layers: the chord arithmetic
-        reads distances by position, which layer masks do not give."""
+        """Distances from v, by position in its part."""
         r = self._rows[v]
         if r is None:
-            adj = self.adj[self.comp_of[v]]
-            r = [-1] * len(adj)
-            s = self.index[v]
-            r[s] = 0
-            queue = [s]
-            for x in queue:
-                dx = r[x] + 1
-                for y in adj[x]:
-                    if r[y] < 0:
-                        r[y] = dx
-                        queue.append(y)
-            self._rows[v] = r
+            r = self._rows[v] = self._bfs(v)[0]
         return r
+
+    def _bfs(self, v: int) -> tuple[list[int], list[int], list[int]]:
+        """Distances and parents from v by position in its part, and the
+        positions in visiting order.  A breadth-first search of its own, not
+        graphs.bfs_layers: the chord arithmetic reads distances by position,
+        which layer masks do not give."""
+        adj = self.adj[self.comp_of[v]]
+        dist = [-1] * len(adj)
+        parent = [-1] * len(adj)
+        s = self.index[v]
+        dist[s] = 0
+        order = [s]
+        for x in order:
+            dx = dist[x] + 1
+            for y in adj[x]:
+                if dist[y] < 0:
+                    dist[y] = dx
+                    parent[y] = x
+                    order.append(y)
+        return dist, parent, order
 
     def eccentricities(self) -> list[int]:
         """Per vertex, its eccentricity in its part (-1 outside the parts)."""
@@ -512,8 +524,9 @@ class _Forest:
         if self.clean[c]:
             return []
         vs = self.verts[c]
-        du = self.row(u)
-        return [vs[j] for j in range(self.index[u] + 1, len(vs)) if du[j] > 1]
+        s = self.index[u]
+        near = set(self.adj[c][s])
+        return [vs[j] for j in range(s + 1, len(vs)) if j not in near]
 
     def skip_clean_copies(self, fails, among) -> None:
         """Mark clean the parts, among the given ones, whose isomorphism
@@ -542,10 +555,68 @@ class _Forest:
                 for c in same:
                     self.clean[c] = True
 
+    def reach_row(self, u: int) -> list[int]:
+        """Per position in u's part, the order of the longest path through a
+        new chord from u to that vertex, computed on first use (entries for
+        u and its neighbours are not chords and mean nothing)."""
+        r = self._reach[u]
+        if r is None:
+            r = self._reach[u] = self._chord_reach(u)
+        return r
+
+    def _chord_reach(self, u: int) -> list[int]:
+        """Every chord from u in one pass over its part, which also stores
+        u's BFS row.
+
+        Rooted at u, take the tree path u = p0..pd = v, let h_j be the
+        height of what hangs at p_j off the path and H(v) the height of v's
+        subtree.  A path through uv leaves u along the tree path to some p_j
+        and ends h_j below it; it leaves v either down v's subtree or back
+        along the path to a later p_j', ending h_j' below that.  So with
+        P = max_{j<d}(j + h_j) and W = max_{1<=j<d}(max_{i<j}(i + h_i) + h_j - j)
+        the longest one has order 2 + max(d + W, P + H(v)).  A BFS gives the
+        parents, a reverse pass the heights with the top two child heights
+        per vertex, and a forward pass carries P and W down the tree.
+        """
+        dist, parent, order = self._bfs(u)
+        if self._rows[u] is None:
+            self._rows[u] = dist
+        m = len(dist)
+        top = [0] * m      # height of x's subtree: its highest child plus one
+        second = [0] * m   # the same over the children other than that one
+        via = [-1] * m     # the child that gives top
+        for x in reversed(order):
+            p = parent[x]
+            if p >= 0:
+                h = top[x] + 1
+                if h > top[p]:
+                    second[p] = top[p]
+                    top[p] = h
+                    via[p] = x
+                elif h > second[p]:
+                    second[p] = h
+        pre = [0] * m      # P for the path from u to x
+        wide = [0] * m     # W for that path, -m while it is empty
+        reach = [0] * m
+        for x in order[1:]:
+            p = parent[x]
+            hang = second[p] if via[p] == x else top[p]
+            dp = dist[p]
+            if dp:
+                a, b = pre[p], dp + hang
+                pre[x] = a if a > b else b
+                a, b = wide[p], pre[p] + hang - dp
+                wide[x] = a if a > b else b
+            else:
+                pre[x] = hang
+                wide[x] = -m
+            a, b = dist[x] + wide[x], pre[x] + top[x]
+            reach[x] = (a if a > b else b) + 2
+        return reach
+
     def reach(self, u: int, v: int) -> int:
         """Order of the longest path through a new chord uv of one part."""
-        du = self.row(u)
-        return _through_edge_reach(du, self.row(v), du[self.index[v]])
+        return self.reach_row(u)[self.index[v]]
 
     def chord_fails(self, k: int, closes_two: bool, by_path: bool):
         """fails(u, v) for a chord inside one part: it succeeds at distance
@@ -553,43 +624,13 @@ class _Forest:
         through it has order >= k."""
 
         def fails(u: int, v: int) -> bool:
-            du = self.row(u)
-            d = du[self.index[v]]
-            if closes_two and d == 2:
-                return False
-            return not by_path or _through_edge_reach(du, self.row(v), d) < k
+            j = self.index[v]
+            if not by_path:
+                return not (closes_two and self.row(u)[j] == 2)
+            reach = self.reach_row(u)  # stores u's BFS row too
+            return not (closes_two and self._rows[u][j] == 2) and reach[j] < k
 
         return fails
-
-
-def _through_edge_reach(du: list[int], dv: list[int], d: int) -> int:
-    """Order of the longest path through a new chord uv of a tree, from the
-    rows of u and v over the tree's vertices and their distance d.
-
-    Every path through uv splits at some edge of the tree u..v path, so the
-    optimum is a prefix/suffix maximum over the split position of
-    (far side of u) + (far side of v) + 2.
-    """
-    pref = [-1] * (d + 1)    # by position on the u..v path: farthest from u
-    suf = [-1] * (d + 1)     # and farthest from v among the vertices hanging there
-    for a, b in zip(du, dv):
-        i = (a + d - b) >> 1
-        if a > pref[i]:
-            pref[i] = a
-        if b > suf[i]:
-            suf[i] = b
-    run = -1
-    for i in range(d):
-        if pref[i] > run:
-            run = pref[i]
-        pref[i] = run
-    best = run = -1
-    for i in range(d, 0, -1):   # split the path between positions i-1 and i
-        if suf[i] > run:
-            run = suf[i]
-        if pref[i - 1] + run > best:
-            best = pref[i - 1] + run
-    return best + 2
 
 
 def _ascending_failures(n: int, partners, collect_all: bool) -> list[tuple[int, int]]:
@@ -767,12 +808,22 @@ def _scan_k3_cup_pk(
 
 
 def _scan_generic(g: Graph, fam: ForbiddenFamily, collect_all: bool) -> list[tuple[int, int]]:
-    """Detectors on every non-edge in ascending order, stopping at the first
-    failure unless collect_all."""
+    """Members through each non-edge in ascending order, stopping at the
+    first failure unless collect_all."""
     failures = []
     for u, v in g.non_edges():
-        if contains_member(g.add_edge(u, v), fam) is None:
+        if not any(_creates(g, member, u, v) for member in fam.members):
             failures.append((u, v))
             if not collect_all:
                 break
     return failures
+
+
+def _creates(g: Graph, member: Member, u: int, v: int) -> bool:
+    """Whether g + uv holds the member, for a member-free g, so that any
+    copy uses the edge uv.  A Kp through uv is a K(p-2) in N(u) & N(v);
+    other members are searched in the whole of g + uv."""
+    if isinstance(member, Clique):
+        common = g.rows[u] & g.rows[v]
+        return member.p == 2 or next(iter_cliques(g, member.p - 2, mask=common), None) is not None
+    return find_member(g.add_edge(u, v), member) is not None

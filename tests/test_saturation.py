@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from satforge import saturation
-from satforge.constructions import make_g0, make_h0, make_star, make_t1k
+from satforge.constructions import make_erdos_kp, make_g0, make_h0, make_star, make_t1k, make_tk
 from satforge.graphs import (
     build_graph,
     complete_graph,
@@ -169,16 +169,16 @@ class TestCheckSaturated:
         assert v.is_saturated and v.strategy == "forest"
 
     def test_copies_cost_no_more_chord_arithmetic(self, monkeypatch):
-        # ten times the copies of T1_10 make no more through-chord path
-        # computations: one copy per class has its chords decided
+        # ten times the copies of T1_10 make no more reach rows: one copy
+        # per class has its chords decided
         calls = []
-        reach = saturation._through_edge_reach
+        chord_reach = saturation._Forest._chord_reach
 
-        def counted(*args):
-            calls.append(1)
-            return reach(*args)
+        def counted(forest, u):
+            calls.append(u)
+            return chord_reach(forest, u)
 
-        monkeypatch.setattr(saturation, "_through_edge_reach", counted)
+        monkeypatch.setattr(saturation._Forest, "_chord_reach", counted)
 
         def count(g, text):
             calls.clear()
@@ -434,6 +434,134 @@ class TestScanEquivalence:
                 assert counts == [clean, clean]
                 if k == 5:
                     assert check_saturated(g, parse_family("K3+P5")).status == MISSING_EDGE
+
+
+class TestChordReach:
+    """_Forest.reach_row, one pass per vertex, against the longest path
+    through each chord found another way."""
+
+    @staticmethod
+    def _per_chord_reach(du, dv, d):
+        """The per-chord formula that reach rows replaced: every path through
+        uv splits at some edge of the tree u..v path, so the optimum is a
+        prefix/suffix maximum over the split of the far sides of u and v."""
+        pref = [-1] * (d + 1)
+        suf = [-1] * (d + 1)
+        for a, b in zip(du, dv):
+            i = (a + d - b) >> 1
+            pref[i] = max(pref[i], a)
+            suf[i] = max(suf[i], b)
+        for i in range(1, d):
+            pref[i] = max(pref[i], pref[i - 1])
+        best = run = -1
+        for i in range(d, 0, -1):
+            run = max(run, suf[i])
+            best = max(best, pref[i - 1] + run)
+        return best + 2
+
+    def _assert_rows_match_per_chord(self, tree, sources):
+        from satforge.graphs import distances_from
+
+        forest = saturation._Forest.of(tree)
+        dist = [distances_from(tree, v) for v in range(tree.n)]
+        for u in sources:
+            row = forest.reach_row(u)
+            for v in range(tree.n):
+                if dist[u][v] >= 2:
+                    want = self._per_chord_reach(dist[u], dist[v], dist[u][v])
+                    assert row[forest.index[v]] == want, (graph6_encode(tree), u, v)
+
+    def test_every_tree_to_order_11_matches_per_chord_formula(self):
+        from satforge.search import enumerate_trees
+
+        for n in range(3, 12):
+            for tree in enumerate_trees(n):
+                self._assert_rows_match_per_chord(tree, range(n))
+
+    def test_random_trees_to_order_300_match_per_chord_formula(self):
+        # random recursive trees (bushy) and trees grown near the last
+        # vertices (long); every u up to order 100, eight u above it
+        rng = random.Random(79)
+        for n in (12, 25, 40, 60, 100, 170, 300):
+            for spread in (None, 3):
+                edges = [
+                    (rng.randrange(v) if spread is None else rng.randrange(max(0, v - spread), v), v)
+                    for v in range(1, n)
+                ]
+                perm = list(range(n))
+                rng.shuffle(perm)
+                tree = build_graph(n, [(perm[a], perm[b]) for a, b in edges])
+                sources = range(n) if n <= 100 else rng.sample(range(n), 8)
+                self._assert_rows_match_per_chord(tree, sources)
+
+    def test_every_tree_to_order_9_matches_networkx_longest_path(self):
+        # a path through uv is a tree path from u and a disjoint one from v
+        nx = pytest.importorskip("networkx")
+        from satforge.search import enumerate_trees
+
+        for n in range(3, 10):
+            for tree in enumerate_trees(n):
+                t = nx.Graph(list(tree.edges()))
+                paths = dict(nx.all_pairs_shortest_path(t))
+                forest = saturation._Forest.of(tree)
+                for u in range(n):
+                    row = forest.reach_row(u)
+                    for v in range(n):
+                        if len(paths[u][v]) < 3:
+                            continue
+                        best = max(
+                            len(paths[u][a]) + len(paths[v][b])
+                            for a in range(n)
+                            for b in range(n)
+                            if not set(paths[u][a]) & set(paths[v][b])
+                        )
+                        assert row[forest.index[v]] == best, (graph6_encode(tree), u, v)
+
+    def test_one_reach_row_per_vertex(self):
+        # a saturated tree of order 382 has its 72390 chords decided from at
+        # most one reach row per vertex: a count, so no timing is needed
+        calls = []
+        chord_reach = saturation._Forest._chord_reach
+
+        def counted(forest, u):
+            calls.append(u)
+            return chord_reach(forest, u)
+
+        g = make_tk(16)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(saturation._Forest, "_chord_reach", counted)
+            v = check_saturated(g, parse_family("P16"))
+        assert v.is_saturated and v.strategy == "forest"
+        assert 0 < len(calls) == len(set(calls)) <= g.n
+
+    def test_layered_trees_at_k_16_and_18(self):
+        from satforge.claims import run_claim
+
+        cases = run_claim("lem-2.4", ks=[16, 18])
+        assert len(cases) == 4 and all(c["pass"] for c in cases)
+
+
+class TestGenericScan:
+    def test_rooted_clique_matches_whole_graph_detector(self):
+        # on every Kp-free graph of order <= 7, a Kp through the non-edge uv
+        # is a K(p-2) in N(u) & N(v)
+        from satforge.patterns import has_clique
+        from satforge.search import enumerate_graphs
+
+        for n in range(2, 8):
+            for g in enumerate_graphs(n):
+                for p in range(2, 6):
+                    if has_clique(g, p) is not None:
+                        continue
+                    for u, v in g.non_edges():
+                        want = has_clique(g.add_edge(u, v), p) is not None
+                        assert saturation._creates(g, Clique(p), u, v) == want, (
+                            graph6_encode(g), p, u, v,
+                        )
+
+    def test_erdos_kp_order_400(self):
+        v = check_saturated(make_erdos_kp(400, 4), parse_family("K4"))
+        assert v.is_saturated and v.strategy == "generic"
 
 
 class TestJoinDuality:
