@@ -160,26 +160,6 @@ def _cell_mask(cell: tuple[int, ...]) -> int:
     return m
 
 
-def _adjacency_code(rows: Sequence[int], order: list[int]) -> int:
-    """Upper-triangle bits of the relabelled adjacency matrix, as one int,
-    in graph6 bit order.  Each column's bits are gathered in a small int
-    first, so the long code is shifted once per column, not once per bit.
-
-    This int, not graph6_of's bytes of the same bits (which sort the same
-    way), is the search's comparison key: one comparison read
-    canonical_form over the order-7 catalogue about 20 % slower with the
-    bytes.  A later alternating A/B on a noisy 2-core host could not
-    resolve any difference at orders 7 and 8."""
-    code = 0
-    for j, v in enumerate(order):
-        row = rows[v]
-        col = 0
-        for u in order[:j]:
-            col = col << 1 | (row >> u & 1)
-        code = code << j | col
-    return code
-
-
 def _are_twins(rows: tuple[int, ...], u: int, v: int) -> bool:
     """True when swapping u and v is an automorphism."""
     return rows[u] & ~(1 << v) == rows[v] & ~(1 << u)
@@ -193,8 +173,10 @@ def _search_order(
     mark: int,
     sink: list | None,
 ) -> list[int] | None:
-    """Order of the minimum adjacency code over all discrete refinements of
-    the degree partition of a connected graph.
+    """Order of the least graph6 code over all discrete refinements of the
+    degree partition of a connected graph.  At one order the codes have
+    one length and pack the same bits six to a byte, padded at the end, so
+    they sort as the upper-triangle bit strings do.
 
     Twin candidates inside a branching cell are skipped (a twin swap is
     always an automorphism), which keeps graphs with many interchangeable
@@ -220,7 +202,7 @@ def _search_order(
         split = next((i for i, c in enumerate(cells) if len(c) > 1), -1)
         if split < 0:
             order = [c[0] for c in cells]
-            code = _adjacency_code(rows, order)
+            code = graph6_of(rows, order)
             if best[0] is None or code < best[0]:
                 best[0], best[1] = code, order
             elif code == best[0]:
@@ -273,7 +255,7 @@ def _labelling(
             order = _tree_order(rows, comp, orbit, sink)
         elif (order := _search_order(rows, verts, degs, orbit, m, sink)) is None:
             return None
-        parts.append((len(order), _adjacency_code(rows, order) if len(comps) > 1 else 0, order))
+        parts.append((len(order), graph6_of(rows, order) if len(comps) > 1 else b"", order))
     parts.sort(key=lambda p: p[:2])  # stable: equal components keep their order
     for (na, ka, a), (nb, kb, b) in zip(parts, parts[1:]):
         if (na, ka) == (nb, kb):  # isomorphic components swap

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
 from . import __version__
 from .claims import CLAIMS, UsageError, run_claim
@@ -28,6 +29,7 @@ from .constructions import (
     saturated_tree_of_order,
 )
 from .formulas import (
+    SatBounds,
     linear_forest_sat_bounds,
     order_constant,
     sat_join_k1,
@@ -125,13 +127,13 @@ _CONSTRUCT = {
 }
 
 
-def _need(args: argparse.Namespace, name: str) -> int:
-    """The value of option --name, which `construct KIND` or `formula NAME`
-    needs."""
+def _need(args: argparse.Namespace, name: str) -> int | str:
+    """The value of the option that `construct KIND` or `formula NAME` needs
+    and that argparse stores as name (--sat-f is stored as sat_f)."""
     value = getattr(args, name)
     if value is None:
         what = args.kind if args.command == "construct" else args.name
-        raise UsageError(f"{args.command} {what} needs --{name}")
+        raise UsageError(f"{args.command} {what} needs --{name.replace('_', '-')}")
     return value
 
 
@@ -193,60 +195,36 @@ def cmd_bruteforce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_FORMULAS = (
-    "a",
-    "a0",
-    "a1",
-    "sat-pk",
-    "sat-k3-pk",
-    "sat-kp",
-    "sat-k3-cup-pk",
-    "sat-join-k1",
-    "linear-forest",
-)
+# name -> (the options it needs, in the function's argument order, the
+# function, its validity range)
+_FORMULAS = {
+    "a": (("k",), partial(order_constant, "A"), "k >= 6"),
+    "a0": (("k",), partial(order_constant, "A0"), "k >= 6"),
+    "a1": (("k",), partial(order_constant, "A1"), "k >= 8"),
+    "sat-pk": (("n", "k"), sat_pk, "k >= 6 and n >= A(k)"),
+    "sat-k3-pk": (("n", "k"), sat_k3_pk, "k >= 10 and n >= A1(k)"),
+    "sat-kp": (("n", "p"), sat_kp, "n >= p >= 3"),
+    "sat-k3-cup-pk": (("n", "k"), sat_k3_cup_pk_bounds, "k >= 10 and n >= 6*A1(k)"),
+    "sat-join-k1": (("n", "sat_f"), sat_join_k1, "n >= 2"),
+    "linear-forest": (
+        ("n", "orders"),
+        linear_forest_sat_bounds,
+        "orders descending, smallest in {4} or >= 6",
+    ),
+}
 
 
 def cmd_formula(args: argparse.Namespace) -> int:
-    name = args.name
-    out: dict = {"formula": name}
-    if name in ("a", "a0", "a1"):
-        k = _need(args, "k")
-        out["k"] = k
-        out["value"] = order_constant(name.upper(), k)
-        out["validity"] = "k >= 8" if name == "a1" else "k >= 6"
-    elif name == "sat-pk":
-        n, k = _need(args, "n"), _need(args, "k")
-        out.update(n=n, k=k, value=sat_pk(n, k), validity="k >= 6 and n >= A(k)")
-    elif name == "sat-k3-pk":
-        n, k = _need(args, "n"), _need(args, "k")
-        out.update(n=n, k=k, value=sat_k3_pk(n, k), validity="k >= 10 and n >= A1(k)")
-    elif name == "sat-kp":
-        n, p = _need(args, "n"), _need(args, "p")
-        out.update(n=n, p=p, value=sat_kp(n, p), validity="n >= p >= 3")
-    elif name == "sat-k3-cup-pk":
-        n, k = _need(args, "n"), _need(args, "k")
-        b = sat_k3_cup_pk_bounds(n, k)
-        out.update(
-            n=n, k=k, lower=b.lower, upper=b.upper,
-            validity="k >= 10 and n >= 6*A1(k)",
-        )
-    elif name == "sat-join-k1":
-        n = _need(args, "n")
-        if args.sat_f is None:
-            raise UsageError("sat-join-k1 needs --sat-f")
-        out.update(
-            n=n, sat_f=args.sat_f, value=sat_join_k1(n, args.sat_f), validity="n >= 2"
-        )
+    needs, formula, validity = _FORMULAS[args.name]
+    values = {name: _need(args, name) for name in needs}
+    if "orders" in values:
+        values["orders"] = _parse_int_list(values["orders"])
+    result = formula(*values.values())
+    out = {"formula": args.name, **values, "validity": validity}
+    if isinstance(result, SatBounds):
+        out.update(lower=result.lower, upper=result.upper)
     else:
-        n = _need(args, "n")
-        if not args.orders:
-            raise UsageError("linear-forest needs --orders")
-        orders = _parse_int_list(args.orders)
-        b = linear_forest_sat_bounds(n, orders)
-        out.update(
-            n=n, orders=orders, lower=b.lower, upper=b.upper,
-            validity="orders descending, smallest in {4} or >= 6",
-        )
+        out["value"] = result
     print(json.dumps(out, sort_keys=True))
     return EXIT_OK
 

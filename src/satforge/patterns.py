@@ -4,17 +4,14 @@ All detectors explore vertices in ascending id order, so returned witnesses
 are deterministic and usable as golden test fixtures.  Path existence is
 decided exactly: tree components by diameter, components with few independent
 cycles by branching over cycle-edge deletions (every simple path misses at
-least one edge of any fixed cycle), and dense leftovers by depth-first
-backtracking with reachability pruning.
+least one edge of any fixed cycle), and dense leftovers by the one path
+enumerator, `_iter_paths_exact`, with its reachability prune.
 
-Two path searches remain, each for a measured reason.  `_lp_dfs` returns
-exactly the first path that `_iter_paths_exact` yields (checked on 3041
-pairs of component and k, components of order 8..17 and cycle rank above
-12), but prunes every step by the count of what is still reachable:
-without that prune one order-13 case took 22 ms instead of 0.2 ms, while
-the same prune in `_iter_paths_exact` made the hub witness check,
-`check_saturated` of K1 joined to T_11 against K1*[11], 2.5 times slower
-(0.52 -> 1.3 s).
+The prune is a keyword because each caller pays for the wrong choice (2-core
+VM, Python 3.11): leaving it off took 450 path queries on 150 components of
+order 11..16 and cycle rank above 12 from 0.32 to 0.83 s, and turning it on
+made the hub witness check, `check_saturated` of K1 joined to T_11 against
+K1*[11], 4 times slower (0.10 -> 0.45 s).
 """
 
 from __future__ import annotations
@@ -202,32 +199,8 @@ def _lp_component(
         raise PathSearchBudgetError(
             f"path search budget exceeded: dense component of order {size}"
         )
-    return _lp_dfs(rows, comp, k)
-
-
-def _lp_dfs(rows: Sequence[int], comp: int, k: int) -> list[int] | None:
-    """First path with exactly k vertices, ascending exploration: the first
-    one _iter_paths_exact yields, found with a reachability prune (see the
-    module docstring)."""
-    path: list[int] = []
-
-    def extend(v: int, used: int) -> bool:
-        path.append(v)
-        if len(path) == k:
-            return True
-        free = comp & ~used
-        reach = sum(map(int.bit_count, bfs_layers(rows, rows[v] & free, free)))
-        if len(path) + reach >= k:
-            for u in iter_bits(rows[v] & free):
-                if extend(u, used | (1 << u)):
-                    return True
-        path.pop()
-        return False
-
-    for s in iter_bits(comp):
-        if extend(s, 1 << s):
-            return path
-    return None
+    path = next(_iter_paths_exact(rows, k, comp, prune=True), None)
+    return None if path is None else list(path)
 
 
 def find_path_of_order(g: Graph, k: int, mask: int | None = None) -> list[int] | None:
@@ -256,9 +229,17 @@ def has_path_of_order(g: Graph, k: int) -> Witness | None:
 # ---------------------------------------------------------------------------
 
 
-def _iter_paths_exact(g: Graph, order: int, mask: int) -> Iterator[tuple[int, ...]]:
-    """Paths with exactly `order` vertices within mask (each once, ascending)."""
-    rows = g.rows
+def _iter_paths_exact(
+    rows: Sequence[int] | dict[int, int], order: int, mask: int, prune: bool = False
+) -> Iterator[tuple[int, ...]]:
+    """Paths with exactly `order` vertices within mask, each once (from its
+    smaller end), depth first in ascending vertex order.
+
+    With `prune`, a step to u is taken back when fewer vertices than are
+    still missing can be reached from u's free neighbours.  That cuts only
+    branches that cannot finish a path, so the paths and their order stay
+    the same.
+    """
     if order == 1:
         for v in iter_bits(mask):
             yield (v,)
@@ -283,7 +264,14 @@ def _iter_paths_exact(g: Graph, order: int, mask: int) -> Iterator[tuple[int, ..
                 continue
             seq.append(u)
             used |= low
-            stack.append(rows[u] & mask & ~used)
+            nxt = rows[u] & mask & ~used
+            if prune:
+                reach = sum(map(int.bit_count, bfs_layers(rows, nxt, mask & ~used)))
+                if len(seq) + reach < order:
+                    seq.pop()
+                    used ^= low
+                    continue
+            stack.append(nxt)
 
 
 def contains_linear_forest(g: Graph, orders: Sequence[int], mask: int | None = None) -> Witness | None:
@@ -299,7 +287,7 @@ def contains_linear_forest(g: Graph, orders: Sequence[int], mask: int | None = N
         if i == len(idx):
             return True
         want = orders[idx[i]]
-        for seq in _iter_paths_exact(g, want, free):
+        for seq in _iter_paths_exact(g.rows, want, free):
             used = 0
             for v in seq:
                 used |= 1 << v

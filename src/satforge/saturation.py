@@ -268,20 +268,17 @@ def member_witness_ok(g: Graph, member: Member, w: Witness) -> bool:
             and len(w.parts) == len(member.orders) + 1
             and all(len(seq) == o for seq, o in zip(w.parts[1:], member.orders))
         )
-    if w.kind != "disjoint_union" or len(w.parts) != len(member.parts):
-        return False
-    for part, shape in zip(w.parts, member.parts):
-        if isinstance(shape, Clique):
-            if len(part) != shape.p or not all(
-                g.has_edge(a, b) for i, a in enumerate(part) for b in part[i + 1 :]
-            ):
-                return False
-        else:
-            if len(part) != shape.k or not all(
-                g.has_edge(part[i], part[i + 1]) for i in range(len(part) - 1)
-            ):
-                return False
-    return True
+    # witness_ok has checked that the parts share no vertex
+    return (
+        w.kind == "disjoint_union"
+        and len(w.parts) == len(member.parts)
+        and all(
+            member_witness_ok(
+                g, shape, Witness("clique" if isinstance(shape, Clique) else "path", (part,))
+            )
+            for part, shape in zip(w.parts, member.parts)
+        )
+    )
 
 
 # ---------------------------------------------------------------------------

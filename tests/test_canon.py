@@ -3,7 +3,6 @@ import random
 import time
 
 from satforge.canon import (
-    _adjacency_code,
     _labelling,
     canonical_form,
     canonical_last_vertex,
@@ -229,10 +228,27 @@ def test_codes_match_per_bit_routine():
         )
         order = list(range(n))
         rng.shuffle(order)
-        assert _adjacency_code(g.rows, order) == per_bit_int(g.rows, order)
         assert graph6_of(g.rows, order) == per_bit_code(g.rows, order)
         p = path_graph(n)
         assert canonical_form(p) == per_bit_code(p.rows, _labelling(p)[0])
+
+
+def test_graph6_bytes_sort_as_the_bits():
+    # the canonical search compares graph6_of bytes where it once compared
+    # the per_bit_int of the same order
+    rng = random.Random(43)
+    for n in range(1, 13):
+        for _ in range(20):
+            p = rng.random()
+            g = build_graph(
+                n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+            )
+            a, b = list(range(n)), list(range(n))
+            rng.shuffle(a)
+            rng.shuffle(b)
+            ka, kb = per_bit_int(g.rows, a), per_bit_int(g.rows, b)
+            ga, gb = graph6_of(g.rows, a), graph6_of(g.rows, b)
+            assert (ga < gb) == (ka < kb) and (ga == gb) == (ka == kb)
 
 
 def test_long_path_canonical_form():

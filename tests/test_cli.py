@@ -212,9 +212,55 @@ class TestFormula:
         data = json.loads(stdout)
         assert (data["lower"], data["upper"]) == (192, 196)
 
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (("a", "--k", "10"), {"k": 10, "validity": "k >= 6", "value": 46}),
+            (("a0", "--k", "11"), {"k": 11, "validity": "k >= 6", "value": 34}),
+            (("a1", "--k", "10"), {"k": 10, "validity": "k >= 8", "value": 20}),
+            (
+                ("sat-pk", "--n", "30", "--k", "7"),
+                {"k": 7, "n": 30, "validity": "k >= 6 and n >= A(k)", "value": 28},
+            ),
+            (
+                ("sat-k3-pk", "--n", "40", "--k", "10"),
+                {"k": 10, "n": 40, "validity": "k >= 10 and n >= A1(k)", "value": 38},
+            ),
+            (
+                ("sat-kp", "--n", "9", "--p", "4"),
+                {"n": 9, "p": 4, "validity": "n >= p >= 3", "value": 15},
+            ),
+            (
+                ("sat-k3-cup-pk", "--n", "200", "--k", "10"),
+                {
+                    "k": 10, "lower": 192, "n": 200, "upper": 196,
+                    "validity": "k >= 10 and n >= 6*A1(k)",
+                },
+            ),
+            (
+                ("sat-join-k1", "--n", "9", "--sat-f", "5"),
+                {"n": 9, "sat_f": 5, "validity": "n >= 2", "value": 13},
+            ),
+            (
+                ("linear-forest", "--n", "20", "--orders", "6,4"),
+                {
+                    "lower": 10, "n": 20, "orders": [6, 4], "upper": 42,
+                    "validity": "orders descending, smallest in {4} or >= 6",
+                },
+            ),
+        ],
+        ids=lambda v: v[0] if isinstance(v, tuple) else "",
+    )
+    def test_every_formula_pinned(self, capsys, argv, want):
+        code, stdout, _ = run(capsys, "formula", *argv)
+        assert code == 0
+        assert stdout == json.dumps({"formula": argv[0], **want}, sort_keys=True) + "\n"
+
     def test_missing_option_exit_two(self, capsys):
         code, stdout, err = run(capsys, "formula", "a", "--n", "5")
         assert code == 2 and stdout == "" and "formula a needs --k" in err
+        code, stdout, err = run(capsys, "formula", "sat-join-k1", "--n", "9")
+        assert code == 2 and stdout == "" and "formula sat-join-k1 needs --sat-f" in err
 
     def test_out_of_range_exit_two(self, capsys):
         code, _, _ = run(capsys, "formula", "sat-pk", "--n", "10", "--k", "5")

@@ -8,6 +8,7 @@ from satforge.constructions import make_h0, make_star, make_t0k, make_t1k, make_
 from satforge.graphs import (
     build_graph,
     complete_graph,
+    component_masks,
     cycle_graph,
     diameter,
     disjoint_union,
@@ -18,6 +19,7 @@ from satforge.graphs import (
     path_graph,
 )
 from satforge.patterns import (
+    MAX_CYCLE_RANK_FOR_DELETION,
     _iter_paths_exact,
     contains_join_k1,
     contains_linear_forest,
@@ -196,6 +198,27 @@ class TestHasPath:
         digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
         assert digest == "9d18efeb119bf509ff78d4e49aba034e287e16c23e78fc09917ed1653642aa4f"
 
+    def test_dense_components_take_the_first_path(self):
+        # components above the deletion tier get the first pruned path,
+        # which is the first path the unpruned enumerator yields
+        rng = random.Random(15)
+        dense = 0
+        for _ in range(400):
+            n = rng.randint(2, 14)
+            g = random_graph(rng, n, rng.uniform(0.2, 1.0))
+            mask = rng.getrandbits(n) | rng.getrandbits(n) | rng.getrandbits(n)
+            for comp in component_masks(g, mask):
+                size = comp.bit_count()
+                inner = [(g.rows[v] & comp).bit_count() for v in range(n) if comp >> v & 1]
+                if sum(inner) // 2 - size + 1 <= MAX_CYCLE_RANK_FOR_DELETION:
+                    continue
+                dense += 1
+                for k in range(2, size + 1):
+                    first = next(_iter_paths_exact(g.rows, k, comp), None)
+                    want = None if first is None else list(first)
+                    assert find_path_of_order(g, k, comp) == want, (graph6_encode(g), k)
+        assert dense > 100
+
     def test_witness_is_a_path(self):
         rng = random.Random(4)
         for _ in range(20):
@@ -254,7 +277,19 @@ class TestLinearForest:
                     and (order == 1 or seq[0] < seq[-1])
                     and all(g.has_edge(a, b) for a, b in zip(seq, seq[1:]))
                 ]
-                assert list(_iter_paths_exact(g, order, mask)) == want
+                assert list(_iter_paths_exact(g.rows, order, mask)) == want
+
+    def test_prune_keeps_every_path(self):
+        rng = random.Random(14)
+        for n in range(2, 15):
+            for _ in range(8):
+                g = random_graph(rng, n, rng.random())
+                mask = rng.getrandbits(n) | rng.getrandbits(n)
+                for order in range(1, 7):
+                    pruned = _iter_paths_exact(g.rows, order, mask, prune=True)
+                    assert list(pruned) == list(_iter_paths_exact(g.rows, order, mask)), (
+                        graph6_encode(g), mask, order
+                    )
 
     def test_path_deeper_than_the_recursion_limit(self):
         g = disjoint_union(path_graph(1600), complete_graph(3))
