@@ -13,8 +13,12 @@ non-edge at a time:
   every component has diameter below k-1.  One pass from a tree vertex u
   gives the longest path through every chord from u, so a tree of order m
   costs O(m^2), its rows kept per component and computed on first use.
-  Isomorphic trees, found by their AHU codes, have their chords decided
-  once: when none of one copy's chords fails, no copy's chord is tested.
+  The tree scan passes each of its trees in as adjacency lists with the
+  diameter its generator yields (tree_is_saturated); bit rows are read, and
+  diameters found by a double sweep, only for graphs that arrive as a
+  Graph.  Isomorphic trees, found by their AHU codes, have their chords
+  decided once: when none of one copy's chords fails, no copy's chord is
+  tested.
   A pair in two trees fails exactly when ecc(u) + ecc(v) + 2 < k, so one
   mask of the vertices of eccentricity at most t, per threshold t, gives
   all of u's failing partners at once.
@@ -341,6 +345,21 @@ def saturation_gap(g: Graph, fam: ForbiddenFamily) -> list[tuple[int, int]]:
     return failures
 
 
+def tree_is_saturated(adj: list[list[int]], diameter: int, k: int) -> bool:
+    """Whether a tree is {K3, Pk}-saturated, as check_saturated decides it
+    for the tree's graph, from the tree's adjacency lists (vertex ids 0..n-1,
+    each list ascending) and its diameter.
+
+    A tree of diameter k-1 or more holds Pk; any other goes to the forest
+    scan as its one part, so no bit row is read.
+    """
+    if diameter >= k - 1:
+        return False
+    n = len(adj)
+    forest = _Forest(n, [(1 << n) - 1], [list(range(n))], [adj], [diameter])
+    return not _scan_forest(forest, k, True, collect_all=False)
+
+
 def _decide(
     g: Graph, fam: ForbiddenFamily, collect_all: bool
 ) -> tuple[str, Witness | None, list[tuple[int, int]]]:
@@ -415,7 +434,14 @@ def _at_most(values: list[int], vertices: list[int], top: int, n: int) -> list[i
 
 
 class _Forest:
-    """Vertex-disjoint parts of a graph, each inducing a tree.
+    """Vertex-disjoint parts of an order-n graph, each inducing a tree.
+
+    Each part comes as its ascending vertex list and, per position, the
+    ascending positions of its neighbours, with its diameter when the
+    caller knows it.  The tree scan passes each free tree in this form, as
+    one part with the diameter its generator yields (tree_is_saturated);
+    only a graph that arrives as a Graph has its parts' adjacency read from
+    bit rows (of_parts), and then a double sweep finds each diameter.
 
     A BFS row holds the distances from one vertex to the vertices of its
     part, indexed by position in the part's ascending vertex list, and a
@@ -432,20 +458,45 @@ class _Forest:
     build the rows of their inner vertices.
     """
 
-    def __init__(self, g: Graph, parts: list[int]):
-        self.n = g.n
+    def __init__(
+        self,
+        n: int,
+        parts: list[int],
+        verts: list[list[int]],
+        adj: list[list[list[int]]],
+        diameters: list[int] | None = None,
+    ):
+        self.n = n
         self.parts = parts
-        self.verts = [list(iter_bits(m)) for m in parts]
-        self.comp_of = comp_of = [-1] * g.n
-        self.index = index = [0] * g.n
-        for ci, vs in enumerate(self.verts):
+        self.verts = verts
+        self.adj = adj
+        self.comp_of = comp_of = [-1] * n
+        self.index = index = [0] * n
+        for ci, vs in enumerate(verts):
             for i, v in enumerate(vs):
                 comp_of[v] = ci
                 index[v] = i
+        self._rows: list[list[int] | None] = [None] * n
+        self._reach: list[list[int] | None] = [None] * n
+        if diameters is None:
+            diameters = [max(self.row(self._far(vs[0]))) for vs in verts]
+        self.diameters = diameters
+        self.diameter = max(diameters, default=0)
+        self.clean = [False] * len(parts)
+
+    @classmethod
+    def of_parts(cls, g: Graph, parts: list[int]) -> "_Forest":
+        """The given parts of g, each inducing a tree, with adjacency read
+        from g's bit rows."""
+        verts = [list(iter_bits(m)) for m in parts]
+        index = [0] * g.n
+        for vs in verts:
+            for i, v in enumerate(vs):
+                index[v] = i
         rows = g.rows
-        self.adj = []  # by position; the bit loop is inline for speed
-        for m, vs in zip(parts, self.verts):
-            adj = []
+        adj = []  # the bit loop is inline for speed
+        for m, vs in zip(parts, verts):
+            part = []
             for v in vs:
                 nbrs = []
                 x = rows[v] & m
@@ -453,21 +504,9 @@ class _Forest:
                     low = x & -x
                     nbrs.append(index[low.bit_length() - 1])
                     x ^= low
-                adj.append(nbrs)
-            self.adj.append(adj)
-        self._rows: list[list[int] | None] = [None] * g.n
-        self._reach: list[list[int] | None] = [None] * g.n
-        self.ends = []
-        self.diameters = []
-        for vs in self.verts:
-            r = self.row(vs[0])
-            a = vs[r.index(max(r))]
-            r = self.row(a)
-            d = max(r)
-            self.ends.append((a, vs[r.index(d)]))
-            self.diameters.append(d)
-        self.diameter = max(self.diameters, default=0)
-        self.clean = [False] * len(parts)
+                part.append(nbrs)
+            adj.append(part)
+        return cls(g.n, parts, verts, adj)
 
     @classmethod
     def of(cls, g: Graph) -> "_Forest | None":
@@ -477,7 +516,7 @@ class _Forest:
         comps = component_masks(g)
         if g.edge_count != g.n - len(comps):
             return None
-        return cls(g, comps)
+        return cls.of_parts(g, comps)
 
     def row(self, v: int) -> list[int]:
         """Distances from v, by position in its part."""
@@ -506,10 +545,17 @@ class _Forest:
                     order.append(y)
         return dist, parent, order
 
+    def _far(self, v: int) -> int:
+        """The least vertex of v's part farthest from v."""
+        r = self.row(v)
+        return self.verts[self.comp_of[v]][r.index(max(r))]
+
     def eccentricities(self) -> list[int]:
         """Per vertex, its eccentricity in its part (-1 outside the parts)."""
         ecc = [-1] * self.n
-        for vs, (a, b) in zip(self.verts, self.ends):
+        for vs in self.verts:
+            a = self._far(vs[0])
+            b = self._far(a)
             for w, x, y in zip(vs, self.row(a), self.row(b)):
                 ecc[w] = x if x > y else y
         return ecc
@@ -713,7 +759,7 @@ def _scan_k3_cup_pk(
     n, rows = g.n, g.rows
     comps = component_masks(g)
     trees = [m for m in comps if _is_tree(g, m)]
-    forest = _Forest(g, trees)
+    forest = _Forest.of_parts(g, trees)
     ecc = forest.eccentricities()
     plain = [ci for ci, d in enumerate(forest.diameters) if d < k - 1]
     plain_vs = [v for ci in plain for v in forest.verts[ci]]
@@ -728,7 +774,7 @@ def _scan_k3_cup_pk(
         tmask = (1 << cl[0]) | (1 << cl[1]) | (1 << cl[2])
         parts = component_masks(g, rest & ~tmask)
         is_tree = [_is_tree(g, m) for m in parts]
-        tf = _Forest(g, [m for m, t in zip(parts, is_tree) if t])
+        tf = _Forest.of_parts(g, [m for m, t in zip(parts, is_tree) if t])
         others = [m for m, t in zip(parts, is_tree) if not t]
         tables.append((tmask, tf, tf.eccentricities(), others))
 

@@ -12,9 +12,13 @@ child is built (McKay, "Isomorph-free exhaustive generation", J.
 Algorithms 26, 1998): from its components and degrees it skips the
 neighbourhoods whose child the canonical pass rejects on sight, and with
 the automorphisms its own canonical pass met it tries one neighbourhood
-per orbit, the least.  Both streams are deterministic.  The saturated-tree scan splits the free-tree stream of all
-its orders into shards by index, one per worker process; it owns the
-package's one process pool.
+per orbit, the least.  Both streams are deterministic.
+
+The saturated-tree scan splits the free-tree stream of all its orders into
+shards by index, one per worker process; it owns the package's one process
+pool.  It decides each tree from its level sequence: the preorder ids give
+the adjacency lists, and the generator's diameter comes with them, so a
+Graph is built only for the saturated trees it reports.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .canon import augmentation_code
 from .constructions import make_small_tree, make_t0k, make_t1k
 from .graphs import Graph, build_graph, component_masks, graph6_encode, iter_bits
 from .patterns import subtree_contains
-from .saturation import ForbiddenFamily, check_saturated, parse_family
+from .saturation import ForbiddenFamily, check_saturated, tree_is_saturated
 
 DEFAULT_TREE_BUDGET = 22
 DEFAULT_GRAPH_BUDGET = 8
@@ -166,18 +170,31 @@ def _halves(levels: list[int], m: int) -> tuple[list[int], list[int]]:
     return [x - 1 for x in levels[1:m]], [1] + levels[m:]
 
 
-def _levels_to_graph(levels: Sequence[int]) -> Graph:
-    """Preorder level sequence to a tree; vertex ids follow preorder."""
+def _tree_adjacency(levels: Sequence[int]) -> list[list[int]]:
+    """Preorder level sequence to the tree's adjacency lists.  Vertex ids
+    follow preorder, so each list is ascending: the parent, then the
+    children."""
     n = len(levels)
-    rows = [0] * n
-    chain = [0] * (max(levels) + 1)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    chain = [0] * (n + 1)  # chain[l]: the last vertex seen at level l
     for i in range(1, n):
         lvl = levels[i]
         parent = chain[lvl - 1]
-        rows[parent] |= 1 << i
-        rows[i] = 1 << parent
+        adj[parent].append(i)
+        adj[i].append(parent)
         chain[lvl] = i
-    return Graph(n, tuple(rows))
+    return adj
+
+
+def _levels_to_graph(levels: Sequence[int]) -> Graph:
+    """Preorder level sequence to a tree; vertex ids follow preorder."""
+    rows = []
+    for nbrs in _tree_adjacency(levels):
+        row = 0
+        for j in nbrs:
+            row |= 1 << j
+        rows.append(row)
+    return Graph(len(rows), tuple(rows))
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
@@ -389,9 +406,12 @@ def claimed_patterns(k: int) -> list[tuple[str, Graph]]:
 
 def _scan_shard(job: tuple) -> tuple[int, int, int, list[TreeWitness]]:
     """(scanned, checked, saturated, witnesses) over the trees whose index in
-    the stream of all the orders is `shard` modulo `shards`."""
+    the stream of all the orders is `shard` modulo `shards`.
+
+    Each checked tree goes to tree_is_saturated as the adjacency lists of
+    its level sequence with the generator's diameter; only a saturated tree
+    is built as a Graph, for its graph6 and containment flags."""
     orders, k, prefilter, shards, shard = job
-    fam = parse_family(f"K3,P{k}")
     patterns = claimed_patterns(k)
     scanned = checked = saturated = 0
     witnesses: list[TreeWitness] = []
@@ -406,11 +426,11 @@ def _scan_shard(job: tuple) -> tuple[int, int, int, list[TreeWitness]]:
             # stars (diameter <= 2) are saturated and never reported
             if diam <= 2 or prefilter and diam not in (k - 3, k - 2):
                 continue
-            tree = _levels_to_graph(levels)
             checked += 1
-            if not check_saturated(tree, fam).is_saturated:
+            if not tree_is_saturated(_tree_adjacency(levels), diam, k):
                 continue
             saturated += 1
+            tree = _levels_to_graph(levels)
             flags = tuple(
                 (name, subtree_contains(tree, pat) is not None)
                 for name, pat in patterns

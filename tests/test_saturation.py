@@ -33,6 +33,7 @@ from satforge.saturation import (
     member_witness_ok,
     parse_family,
     saturation_gap,
+    tree_is_saturated,
 )
 
 
@@ -253,7 +254,8 @@ class TestScanEquivalence:
 
     def _assert_agrees(self, g, fam, strategy=None):
         """Gap and verdict against the detectors run first and then the
-        generic scan; witness and missing edge must match too."""
+        generic scan; witness and missing edge must match too.  Returns the
+        verdict."""
         w = contains_member(g, fam)
         if w is not None:
             v = check_saturated(g, fam)
@@ -261,7 +263,7 @@ class TestScanEquivalence:
             assert v.strategy == "detector"
             with pytest.raises(ValueError):
                 saturation_gap(g, fam)
-            return
+            return v
         failures = self._generic_failures(g, fam)
         assert saturation_gap(g, fam) == failures
         want = (
@@ -273,16 +275,23 @@ class TestScanEquivalence:
         assert v == want
         if strategy is not None:
             assert v.strategy == strategy
+        return v
 
     def test_forest_fast_path_exhaustive_on_trees(self):
-        # every tree of order <= 11 against {K3, Pk} and {Pk}, k in 2..12
-        from satforge.search import enumerate_trees
+        # every tree of order <= 11 against {K3, Pk} and {Pk}, k in 2..12;
+        # the scan's entry, given the generator's adjacency lists and
+        # diameter, agrees with the {K3, Pk} verdict, stars and trees that
+        # hold Pk included
+        from satforge.search import _iter_free_trees, _levels_to_graph, _tree_adjacency
 
         for n in range(1, 12):
-            for tree in enumerate_trees(n):
+            for levels, diam in _iter_free_trees(n):
+                tree = _levels_to_graph(levels)
+                adj = _tree_adjacency(levels)
                 for k in range(2, 13):
-                    for text in (f"K3,P{k}", f"P{k}"):
-                        self._assert_agrees(tree, parse_family(text), "forest")
+                    verdict = self._assert_agrees(tree, parse_family(f"K3,P{k}"), "forest")
+                    assert tree_is_saturated(adj, diam, k) == verdict.is_saturated, (levels, k)
+                    self._assert_agrees(tree, parse_family(f"P{k}"), "forest")
 
     def test_forest_fast_path_exhaustive_on_two_trees(self):
         # every forest of two trees of total order <= 9, plus an isolated

@@ -36,6 +36,14 @@ TREE_COUNTS = {
     12: 551, 13: 1301, 14: 3159,
 }
 SLOW_TREE_COUNTS = {15: 7741, 16: 19320, 17: 48629, 18: 123867}
+# (trees_scanned, trees_checked, saturated_count) of
+# scan_saturated_trees(orders, k, prefilter), keyed (k, prefilter), recorded
+# when every checked tree still went through check_saturated
+SCAN_COUNTS = {
+    (5, True): (92, 12, 11), (5, False): (92, 86, 11),
+    (6, True): (92, 42, 27), (6, False): (92, 86, 27),
+    (8, True): (428, 232, 3), (8, False): (428, 422, 3),
+}
 # witnesses of scan_saturated_trees(range(6, 14), k), recorded with the
 # free-tree generator that WROM replaced: count, and sha256 of the graph6
 # strings joined by spaces
@@ -381,7 +389,35 @@ class TestScans:
             assert [w.graph6 for w in fast.witnesses] == [
                 w.graph6 for w in audit.witnesses
             ]
-            assert audit.trees_checked >= fast.trees_checked
+            for rep in (fast, audit):
+                counts = (rep.trees_scanned, rep.trees_checked, rep.saturated_count)
+                assert counts == SCAN_COUNTS[k, rep.prefilter]
+
+    def test_graphs_built_only_for_witnesses(self, monkeypatch):
+        # each checked tree is decided from its level sequence: a Graph is
+        # built only for the saturated ones, and check_saturated never runs
+        from satforge import saturation, search
+
+        calls = {"graph": 0, "check": 0}
+        build, check = search._levels_to_graph, saturation.check_saturated
+
+        def counted_build(levels):
+            calls["graph"] += 1
+            return build(levels)
+
+        def counted_check(g, fam):
+            calls["check"] += 1
+            return check(g, fam)
+
+        monkeypatch.setattr(search, "_levels_to_graph", counted_build)
+        monkeypatch.setattr(search, "check_saturated", counted_check)
+        monkeypatch.setattr(saturation, "check_saturated", counted_check)
+        # 6304 trees checked and none saturated at k = 9; 3 witnesses at k = 8
+        for orders, k, saturated in [(range(6, 16), 9, 0), (range(6, 12), 8, 3)]:
+            calls.update(graph=0, check=0)
+            rep = scan_saturated_trees(orders, k)
+            assert rep.saturated_count == saturated
+            assert calls == {"graph": saturated, "check": 0}
 
     def test_shards_merge_to_single_run(self):
         single = scan_saturated_trees(range(4, 11), 5)
