@@ -12,6 +12,12 @@ VM, Python 3.11): leaving it off took 450 path queries on 150 components of
 order 11..16 and cycle rank above 12 from 0.32 to 0.83 s, and turning it on
 made the hub witness check, `check_saturated` of K1 joined to T_11 against
 K1*[11], 4 times slower (0.10 -> 0.45 s).
+
+Containment flags, the tree scan's record of which claimed minimum trees a
+saturated tree holds, come from the one subtree matcher, `TreePattern`.  It
+roots and checks a pattern tree once and then tests host trees given as
+adjacency lists, with the host's diameter when the caller knows it;
+`subtree_contains` is that matcher for one pair of Graphs.
 """
 
 from __future__ import annotations
@@ -318,72 +324,119 @@ def contains_join_k1(g: Graph, orders: Sequence[int]) -> Witness | None:
 # ---------------------------------------------------------------------------
 
 
-def subtree_contains(host: Graph, pattern: Graph) -> Witness | None:
-    """Embedding of the pattern tree into the host tree as a subgraph.
+class TreePattern:
+    """A pattern tree prepared once for containment tests in host trees.
 
-    Polynomial matching-based search: pattern vertex p (entered from its
-    parent) maps onto host vertex h iff the pattern children of p can be
-    matched into distinct host children of h, each match feasible
-    recursively.
+    The pattern is rooted at vertex 0, with each vertex's children listed
+    ascending; its order and diameter are read once.  Pattern vertex p maps
+    onto host vertex h, its parent onto hp, iff the children of p can be
+    matched into distinct neighbours of h other than hp, each match feasible
+    in turn.  One search memoises that answer on (p, h, hp), as the images
+    of p's children or None, so a host that holds the pattern gives its
+    embedding from the same memo.
     """
-    for name, t in (("host", host), ("pattern", pattern)):
-        if not is_tree(t):
-            raise ValueError(f"{name} is not a tree")
-    if pattern.n > host.n:
+
+    __slots__ = ("n", "diameter", "children", "need")
+
+    def __init__(self, pattern: Graph) -> None:
+        if not is_tree(pattern):
+            raise ValueError("pattern is not a tree")
+        n = self.n = pattern.n
+        self.diameter = len(longest_path_layers(pattern.rows, full_mask(n))) - 1
+        parent = [-1] * n
+        children: list[tuple[int, ...]] = [()] * n
+        order = [0]
+        for v in order:
+            kids = tuple(u for u in pattern.neighbors(v) if u != parent[v])
+            for u in kids:
+                parent[u] = v
+            children[v] = kids
+            order.extend(kids)
+        self.children = children
+        # the degree a host vertex needs to take p below the root: p's
+        # children and its parent
+        self.need = [len(kids) + 1 for kids in children]
+
+    def embedding(
+        self, adj: Sequence[Sequence[int]], diameter: int | None = None
+    ) -> list[int] | None:
+        """The image of each pattern vertex under an embedding into the host
+        tree with adjacency lists adj, or None.  The least host vertex that
+        can take the root is tried first.  diameter, when the caller knows
+        it, is the host's: a pattern wider, or larger, than the host is
+        rejected before any search."""
+        if self.n > len(adj) or diameter is not None and self.diameter > diameter:
+            return None
+        memo: dict[tuple[int, int, int], tuple[int, ...] | None] = {}
+        least = len(self.children[0])
+        for h, nbrs in enumerate(adj):
+            if len(nbrs) >= least and self._fits(0, h, -1, adj, memo) is not None:
+                mapping = [-1] * self.n
+                mapping[0] = h
+                stack = [(0, h, -1)]
+                while stack:
+                    p, h, hp = stack.pop()
+                    for q, c in zip(self.children[p], memo[p, h, hp]):
+                        mapping[q] = c
+                        stack.append((q, c, h))
+                return mapping
         return None
-    if pattern.n == 1:
-        return Witness("subtree", ((0,),))
 
-    memo: dict[tuple[int, int, int, int], bool] = {}
-
-    def kids(g: Graph, v: int, parent: int) -> list[int]:
-        return [u for u in g.neighbors(v) if u != parent]
-
-    def emb(p: int, pp: int, h: int, hp: int) -> bool:
-        key = (p, pp, h, hp)
+    def _fits(
+        self, p: int, h: int, hp: int, adj: Sequence[Sequence[int]], memo: dict
+    ) -> tuple[int, ...] | None:
+        """The images of p's children when p maps onto h and its parent onto
+        hp, or None: a bipartite matching by augmenting paths, the host
+        neighbours tried in ascending order."""
+        key = (p, h, hp)
         if key in memo:
             return memo[key]
-        memo[key] = False  # cut (p,h) reentry; trees cannot actually recurse here
-        pk = kids(pattern, p, pp)
-        hk = kids(host, h, hp)
-        ok = len(pk) <= len(hk) and _match(pk, hk, p, h) is not None
-        memo[key] = ok
-        return ok
+        kids = self.children[p]
+        spare = [c for c in adj[h] if c != hp]
+        taken: dict[int, int] = {}  # host neighbour -> index of its pattern child
+        images = None
+        if all(self._augment(i, kids, h, spare, taken, set(), adj, memo) for i in range(len(kids))):
+            images = [0] * len(kids)
+            for c, i in taken.items():
+                images[i] = c
+            images = tuple(images)
+        memo[key] = images
+        return images
 
-    def _match(pk: list[int], hk: list[int], p: int, h: int) -> dict[int, int] | None:
-        assign: dict[int, int] = {}
-        taken: dict[int, int] = {}
+    def _augment(
+        self,
+        i: int,
+        kids: tuple[int, ...],
+        h: int,
+        spare: list[int],
+        taken: dict[int, int],
+        visited: set[int],
+        adj: Sequence[Sequence[int]],
+        memo: dict,
+    ) -> bool:
+        """Place pattern child kids[i] on a free neighbour of h, or free one
+        by moving the child already there."""
+        q = kids[i]
+        need = self.need[q]
+        for c in spare:
+            if c in visited or len(adj[c]) < need or self._fits(q, c, h, adj, memo) is None:
+                continue
+            visited.add(c)
+            if c not in taken or self._augment(taken[c], kids, h, spare, taken, visited, adj, memo):
+                taken[c] = i
+                return True
+        return False
 
-        def augment(i: int, visited: set[int]) -> bool:
-            for cand in hk:
-                if cand in visited or not emb(pk[i], p, cand, h):
-                    continue
-                visited.add(cand)
-                if cand not in taken or augment(taken[cand], visited):
-                    taken[cand] = i
-                    assign[pk[i]] = cand
-                    return True
-            return False
 
-        for i in range(len(pk)):
-            if not augment(i, set()):
-                return None
-        for cand, i in taken.items():
-            assign[pk[i]] = cand
-        return assign
+def subtree_contains(host: Graph, pattern: Graph) -> Witness | None:
+    """Embedding of the pattern tree into the host tree as a subgraph: the
+    full mapping, pattern vertex i onto host vertex parts[0][i].
 
-    mapping = [-1] * pattern.n
-
-    def extract(p: int, pp: int, h: int, hp: int) -> None:
-        mapping[p] = h
-        pk = kids(pattern, p, pp)
-        hk = [c for c in kids(host, h, hp)]
-        assign = _match(pk, hk, p, h)
-        for child in pk:
-            extract(child, p, assign[child], h)
-
-    for h in range(host.n):
-        if emb(0, -1, h, -1):
-            extract(0, -1, h, -1)
-            return Witness("subtree", (tuple(mapping),))
-    return None
+    The host's adjacency lists are read once and searched by TreePattern;
+    a caller that tests many hosts against one pattern, as the tree scan
+    does, prepares the TreePattern itself.
+    """
+    if not is_tree(host):
+        raise ValueError("host is not a tree")
+    mapping = TreePattern(pattern).embedding([list(host.neighbors(v)) for v in range(host.n)])
+    return None if mapping is None else Witness("subtree", (tuple(mapping),))

@@ -17,8 +17,10 @@ per orbit, the least.  Both streams are deterministic.
 The saturated-tree scan splits the free-tree stream of all its orders into
 shards by index, one per worker process; it owns the package's one process
 pool.  It decides each tree from its level sequence: the preorder ids give
-the adjacency lists, and the generator's diameter comes with them, so a
-Graph is built only for the saturated trees it reports.
+the adjacency lists, and the generator's diameter comes with them.  The same
+lists and diameter give a saturated tree's containment flags, against the
+claimed patterns prepared once per shard, so a Graph is built only for the
+graph6 of the saturated trees it reports.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Iterator, Sequence
 from .canon import augmentation_code
 from .constructions import make_small_tree, make_t0k, make_t1k
 from .graphs import Graph, build_graph, component_masks, graph6_encode, iter_bits
-from .patterns import subtree_contains
+from .patterns import TreePattern
 from .saturation import ForbiddenFamily, check_saturated, tree_is_saturated
 
 DEFAULT_TREE_BUDGET = 22
@@ -409,10 +411,12 @@ def _scan_shard(job: tuple) -> tuple[int, int, int, list[TreeWitness]]:
     the stream of all the orders is `shard` modulo `shards`.
 
     Each checked tree goes to tree_is_saturated as the adjacency lists of
-    its level sequence with the generator's diameter; only a saturated tree
-    is built as a Graph, for its graph6 and containment flags."""
+    its level sequence with the generator's diameter.  A saturated tree's
+    containment flags come from the same lists and diameter, against the
+    claimed patterns prepared once per shard; only its graph6 needs it
+    built as a Graph."""
     orders, k, prefilter, shards, shard = job
-    patterns = claimed_patterns(k)
+    patterns = [(name, TreePattern(pat)) for name, pat in claimed_patterns(k)]
     scanned = checked = saturated = 0
     witnesses: list[TreeWitness] = []
     flag_sets: dict = {}
@@ -427,18 +431,17 @@ def _scan_shard(job: tuple) -> tuple[int, int, int, list[TreeWitness]]:
             if diam <= 2 or prefilter and diam not in (k - 3, k - 2):
                 continue
             checked += 1
-            if not tree_is_saturated(_tree_adjacency(levels), diam, k):
+            adj = _tree_adjacency(levels)
+            if not tree_is_saturated(adj, diam, k):
                 continue
             saturated += 1
-            tree = _levels_to_graph(levels)
             flags = tuple(
-                (name, subtree_contains(tree, pat) is not None)
-                for name, pat in patterns
+                (name, pat.embedding(adj, diam) is not None) for name, pat in patterns
             )
             # witnesses share one tuple per distinct flag set, in memory
             # and through pickling
             flags = flag_sets.setdefault(flags, flags)
-            witnesses.append(TreeWitness(graph6_encode(tree), n, flags))
+            witnesses.append(TreeWitness(graph6_encode(_levels_to_graph(levels)), n, flags))
     return scanned, checked, saturated, witnesses
 
 

@@ -15,11 +15,13 @@ from satforge.graphs import (
     induced_subgraph,
     join,
     empty_graph,
+    graph6_decode,
     graph6_encode,
     path_graph,
 )
 from satforge.patterns import (
     MAX_CYCLE_RANK_FOR_DELETION,
+    TreePattern,
     _iter_paths_exact,
     contains_join_k1,
     contains_linear_forest,
@@ -31,7 +33,7 @@ from satforge.patterns import (
     witness_ok,
 )
 from satforge.saturation import contains_member, member_witness_ok, parse_family
-from satforge.search import enumerate_trees
+from satforge.search import claimed_patterns, enumerate_trees, scan_saturated_trees
 
 
 def random_graph(rng, n, p=0.4):
@@ -324,6 +326,10 @@ class TestJoinK1:
             assert (direct is not None) == by_hand
 
 
+def adjacency_lists(g):
+    return [list(g.neighbors(v)) for v in range(g.n)]
+
+
 def subgraph_iso_oracle(host, pattern):
     """Generic backtracking subgraph isomorphism (not induced)."""
     hp = [set(host.neighbors(v)) for v in range(host.n)]
@@ -366,6 +372,10 @@ class TestSubtreeContains:
     def test_rejects_non_trees(self):
         with pytest.raises(ValueError):
             subtree_contains(cycle_graph(4), path_graph(2))
+        with pytest.raises(ValueError, match="pattern"):
+            subtree_contains(path_graph(4), cycle_graph(3))
+        with pytest.raises(ValueError, match="pattern"):
+            TreePattern(cycle_graph(4))
 
     def test_embedding_preserves_edges(self):
         host, pat = make_tk(8), make_t0k(8)
@@ -388,3 +398,63 @@ class TestSubtreeContains:
                 assert len(set(mapping)) == pattern.n
                 for u, v in pattern.edges():
                     assert host.has_edge(mapping[u], mapping[v])
+
+    def test_every_small_pair_against_generic_oracle(self):
+        # every free tree of order <= 9 hosts every one of order <= 6, or
+        # not, as the brute force says; with the host's diameter given, the
+        # prepared pattern answers the same
+        hosts = [t for n in range(1, 10) for t in enumerate_trees(n)]
+        patterns = [t for n in range(1, 7) for t in enumerate_trees(n)]
+        found = 0
+        for pattern in patterns:
+            prepared = TreePattern(pattern)
+            for host in hosts:
+                got = subtree_contains(host, pattern)
+                assert (got is not None) == subgraph_iso_oracle(host, pattern), (host, pattern)
+                mapping = prepared.embedding(adjacency_lists(host), diameter(host))
+                assert mapping == (None if got is None else list(got.parts[0]))
+                if got is not None:
+                    found += 1
+                    mapping = got.parts[0]
+                    assert len(mapping) == pattern.n
+                    assert len(set(mapping)) == pattern.n
+                    for u, v in pattern.edges():
+                        assert host.has_edge(mapping[u], mapping[v])
+        assert 0 < found < len(hosts) * len(patterns)
+
+    def test_scan_flags_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        def to_nx(g):
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            return h
+
+        seen = set()
+        for k in range(5, 10):
+            targets = {name: to_nx(pat) for name, pat in claimed_patterns(k)}
+            for w in scan_saturated_trees(range(4, 13), k).witnesses:
+                host = to_nx(graph6_decode(w.graph6))
+                for name, flag in w.contains:
+                    assert flag == GraphMatcher(host, targets[name]).subgraph_is_monomorphic(), (k, w)
+                    seen.add(flag)
+        assert seen == {False, True}
+
+    def test_early_rejections_come_before_any_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(TreePattern, "_fits", no_search)
+        # wider: T1_10 (order 20, diameter 8) in T0_10 (order 22, diameter 7)
+        host = adjacency_lists(make_t0k(10))
+        wide = TreePattern(make_t1k(10))
+        assert wide.embedding(host, 7) is None
+        with pytest.raises(AssertionError, match="searched"):
+            wide.embedding(host)
+        # larger: a path one vertex longer than the host's order
+        small = make_t0k(8)
+        assert subtree_contains(small, path_graph(small.n + 1)) is None
+        with pytest.raises(AssertionError, match="searched"):
+            subtree_contains(small, path_graph(small.n))

@@ -1,4 +1,5 @@
-"""Source-level checks that each parallel or shard mechanism exists once."""
+"""Source-level checks that each parallel or shard mechanism, and the
+subtree matcher, exists once."""
 
 import ast
 from pathlib import Path
@@ -77,3 +78,85 @@ def test_no_private_imports_across_modules():
             ):
                 found.add(f"{path.stem}: {node.value.id}.{node.attr}")
     assert found == set()
+
+
+def _module(name: str) -> ast.Module:
+    path = Path(satforge.__file__).with_name(f"{name}.py")
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _calling_themselves(module: ast.Module) -> set[str]:
+    """The functions of a module that can call themselves, directly or
+    through one another.  A call by plain name goes to the function of that
+    name, `self.m(...)` inside a class to the method Class.m."""
+    defs: dict[str, tuple[ast.AST, str | None]] = {}
+
+    def collect(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                collect(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs[f"{cls}.{child.name}" if cls else child.name] = (child, cls)
+                collect(child, None)
+            else:
+                collect(child, cls)
+
+    collect(module, None)
+    calls = {}
+    for name, (fn, cls) in defs.items():
+        out = set()
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name):
+                out.add(f.id)
+            elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "self":
+                out.add(f"{cls}.{f.attr}")
+        calls[name] = out & defs.keys()
+
+    def reaches_itself(start):
+        seen, todo = set(), list(calls[start])
+        while todo:
+            name = todo.pop()
+            if name == start:
+                return True
+            if name not in seen:
+                seen.add(name)
+                todo.extend(calls[name])
+        return False
+
+    return {name for name in defs if reaches_itself(name)}
+
+
+def test_search_imports_no_subtree_contains():
+    # the scan flags its witnesses through patterns prepared once per shard
+    tree = _module("search")
+    names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "subtree_contains" not in names | attrs
+    assert "TreePattern" in names
+
+
+def test_one_subtree_matcher():
+    # subtree containment is TreePattern's one memoised child matching:
+    # subtree_contains only wraps it, and the only other recursion in
+    # patterns is the path search's
+    tree = _module("patterns")
+    assert _calling_themselves(tree) == {
+        "_lp_component",
+        "place",
+        "TreePattern._fits",
+        "TreePattern._augment",
+    }
+    (wrapper,) = (
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "subtree_contains"
+    )
+    nested = [
+        node for node in ast.walk(wrapper)
+        if node is not wrapper and isinstance(node, (ast.FunctionDef, ast.Lambda, ast.ClassDef))
+    ]
+    assert nested == []
+    called = {node.func.id for node in ast.walk(wrapper) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "TreePattern" in called
