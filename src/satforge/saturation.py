@@ -433,6 +433,57 @@ def _at_most(values: list[int], vertices: list[int], top: int, n: int) -> list[i
     return [_mask((v for v in vertices if values[v] <= t), n) for t in range(top + 1)]
 
 
+def chord_reach(dist: list[int], parent: list[int], order: Sequence[int]) -> list[int]:
+    """Per vertex v of a tree rooted at u, the order of the longest path
+    through a new chord uv (entries for u and its children are not chords
+    and mean nothing), from each vertex's distance from u and parent (-1 at
+    u), and the vertices in an order that starts at u and puts each parent
+    before its children.
+
+    Take the tree path u = p0..pd = v, let h_j be the height of what hangs
+    at p_j off the path and H(v) the height of v's subtree.  A path through
+    uv leaves u along the tree path to some p_j and ends h_j below it; it
+    leaves v either down v's subtree or back along the path to a later p_j',
+    ending h_j' below that.  So with P = max_{j<d}(j + h_j) and
+    W = max_{1<=j<d}(max_{i<j}(i + h_i) + h_j - j) the longest one has order
+    2 + max(d + W, P + H(v)).  A reverse pass gives the heights with the top
+    two child heights per vertex, and a forward pass carries P and W down
+    the tree.
+    """
+    m = len(dist)
+    below = order[1:]  # every vertex but u
+    top = [0] * m      # height of x's subtree: its highest child plus one
+    second = [0] * m   # the same over the children but one that gives top
+    for x in reversed(below):
+        p = parent[x]
+        h = top[x] + 1
+        if h > top[p]:
+            second[p] = top[p]
+            top[p] = h
+        elif h > second[p]:
+            second[p] = h
+    pre = [0] * m      # P for the path from u to x
+    wide = [0] * m     # W for that path, -m while it is empty
+    reach = [0] * m
+    for x in below:
+        p = parent[x]
+        t = top[x]
+        # what hangs at p off the path to x: a highest child other than x
+        hang = second[p] if t + 1 == top[p] else top[p]
+        dp = dist[p]
+        if dp:
+            a, b = pre[p], dp + hang
+            pre[x] = a if a > b else b
+            a, b = wide[p], pre[p] + hang - dp
+            wide[x] = a if a > b else b
+        else:
+            pre[x] = hang
+            wide[x] = -m
+        a, b = dist[x] + wide[x], pre[x] + t
+        reach[x] = (a if a > b else b) + 2
+    return reach
+
+
 class _Forest:
     """Vertex-disjoint parts of an order-n graph, each inducing a tree.
 
@@ -608,54 +659,12 @@ class _Forest:
         return r
 
     def _chord_reach(self, u: int) -> list[int]:
-        """Every chord from u in one pass over its part, which also stores
-        u's BFS row.
-
-        Rooted at u, take the tree path u = p0..pd = v, let h_j be the
-        height of what hangs at p_j off the path and H(v) the height of v's
-        subtree.  A path through uv leaves u along the tree path to some p_j
-        and ends h_j below it; it leaves v either down v's subtree or back
-        along the path to a later p_j', ending h_j' below that.  So with
-        P = max_{j<d}(j + h_j) and W = max_{1<=j<d}(max_{i<j}(i + h_i) + h_j - j)
-        the longest one has order 2 + max(d + W, P + H(v)).  A BFS gives the
-        parents, a reverse pass the heights with the top two child heights
-        per vertex, and a forward pass carries P and W down the tree.
-        """
+        """Every chord from u in one pass over its part (chord_reach), which
+        also stores u's BFS row."""
         dist, parent, order = self._bfs(u)
         if self._rows[u] is None:
             self._rows[u] = dist
-        m = len(dist)
-        top = [0] * m      # height of x's subtree: its highest child plus one
-        second = [0] * m   # the same over the children other than that one
-        via = [-1] * m     # the child that gives top
-        for x in reversed(order):
-            p = parent[x]
-            if p >= 0:
-                h = top[x] + 1
-                if h > top[p]:
-                    second[p] = top[p]
-                    top[p] = h
-                    via[p] = x
-                elif h > second[p]:
-                    second[p] = h
-        pre = [0] * m      # P for the path from u to x
-        wide = [0] * m     # W for that path, -m while it is empty
-        reach = [0] * m
-        for x in order[1:]:
-            p = parent[x]
-            hang = second[p] if via[p] == x else top[p]
-            dp = dist[p]
-            if dp:
-                a, b = pre[p], dp + hang
-                pre[x] = a if a > b else b
-                a, b = wide[p], pre[p] + hang - dp
-                wide[x] = a if a > b else b
-            else:
-                pre[x] = hang
-                wide[x] = -m
-            a, b = dist[x] + wide[x], pre[x] + top[x]
-            reach[x] = (a if a > b else b) + 2
-        return reach
+        return chord_reach(dist, parent, order)
 
     def reach(self, u: int, v: int) -> int:
         """Order of the longest path through a new chord uv of one part."""

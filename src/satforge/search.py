@@ -14,13 +14,21 @@ neighbourhoods whose child the canonical pass rejects on sight, and with
 the automorphisms its own canonical pass met it tries one neighbourhood
 per orbit, the least.  Both streams are deterministic.
 
-The saturated-tree scan splits the free-tree stream of all its orders into
-shards by index, one per worker process; it owns the package's one process
-pool.  It decides each tree from its level sequence: the preorder ids give
-the adjacency lists, and the generator's diameter comes with them.  The same
-lists and diameter give a saturated tree's containment flags, against the
-claimed patterns prepared once per shard, so a Graph is built only for the
-graph6 of the saturated trees it reports.
+The saturated-tree scan walks only the centre-rooted heights that hold the
+diameters it checks, and counts every other free tree exactly from the
+numbers of free trees by order and diameter (Riordan, "The enumeration of
+trees by height and diameter", IBM J. Res. Dev. 4, 1960), so its
+trees_scanned, the trees walked plus the trees counted, is every free tree
+of its orders.  It splits the walked stream of all its orders into shards by
+index, one per worker process; it owns the package's one process pool.  It
+decides each tree from its level sequence: first at the root, whose
+distances are the levels minus one and whose BFS parents are the last
+vertex one level up, so the reach of every chord from the root comes with
+no adjacency list; then, for the trees no root chord rejects, from the
+adjacency lists the preorder ids give, with the generator's diameter.  The
+same lists and diameter give a saturated tree's containment flags, against
+the claimed patterns prepared once per shard, so a Graph is built only for
+the graph6 of the saturated trees it reports.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from .canon import augmentation_code
 from .constructions import make_small_tree, make_t0k, make_t1k
 from .graphs import Graph, build_graph, component_masks, graph6_encode, iter_bits
 from .patterns import TreePattern
-from .saturation import ForbiddenFamily, check_saturated, tree_is_saturated
+from .saturation import ForbiddenFamily, check_saturated, chord_reach, tree_is_saturated
 
 DEFAULT_TREE_BUDGET = 22
 DEFAULT_GRAPH_BUDGET = 8
@@ -98,8 +106,10 @@ def _next_rooted(levels: list[int], p: int) -> list[int]:
     return levels[:p] + (block * (tail // len(block) + 1))[:tail]
 
 
-def _iter_free_trees(n: int) -> Iterator[tuple[list[int], int]]:
-    """(level sequence, diameter) per free tree on n vertices.
+def _iter_free_trees(n: int, heights: range | None = None) -> Iterator[tuple[list[int], int]]:
+    """(level sequence, diameter) per free tree on n vertices, or, given
+    heights, per free tree whose centre-rooted height (its largest level) is
+    in that range.
 
     Wright, Richmond, Odlyzko and McKay, "Constant time generation of free
     trees" (SIAM J. Comput. 15, 1986).  It walks the canonical rooted level
@@ -112,24 +122,38 @@ def _iter_free_trees(n: int) -> Iterator[tuple[list[int], int]]:
     other sequence the walk jumps past every sequence that shares its first
     subtree.
 
+    The height never rises along the walk.  So a bounded walk starts at the
+    lex-largest rooted sequence of the top height, [1..h] and then h
+    repeated, from which the same jump step skips the rootings that are not
+    at a centre, and stops once the height falls below the range.  A tree of
+    height h has diameter 2h - 2 when central and 2h - 3 when bicentral.
+
     A bicentral tree is yielded rooted at the end of its central edge whose
     own half is no less, in lex order, than the other half, which may be
     the other end.  That rooting fixes the vertex labels, and so the graph6
     strings, of scan witnesses.
     """
-    if n < 1:
+    low, top = (1, n) if heights is None else (heights.start, heights.stop - 1)
+    peak = n // 2 + 1  # the height of the path, the tallest tree
+    top = min(top, peak)
+    if n < 1 or top < low or n > 1 and top < 2:
         return
     if n == 1:
         yield [1], 0
         return
-    # the path rooted at its centre
-    levels = list(range(1, n // 2 + 2)) + list(range(2, (n + 1) // 2 + 1))
+    if top == peak:
+        # the path rooted at its centre
+        levels = list(range(1, peak + 1)) + list(range(2, (n + 1) // 2 + 1))
+    else:
+        levels = list(range(1, top + 1)) + [top] * (n - top)
     while True:
         try:
             m = levels.index(2, 2)
         except ValueError:
             m = n
         h = max(levels)
+        if h < low:
+            return
         rest = max(levels[m:], default=1)
         bicentral = rest == h - 1
         if bicentral:
@@ -172,31 +196,98 @@ def _halves(levels: list[int], m: int) -> tuple[list[int], list[int]]:
     return [x - 1 for x in levels[1:m]], [1] + levels[m:]
 
 
+def _height_of(diameter: int) -> int:
+    """The centre-rooted height, as the largest level, of a tree of the
+    given diameter."""
+    return (diameter + 3) // 2
+
+
+def _series_product(a: list[int], b: list[int]) -> list[int]:
+    """Product of two power series given as coefficient lists of one
+    length, truncated to that length."""
+    return [sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(len(a))]
+
+
+def _euler(f: list[int]) -> list[int]:
+    """The Euler transform prod_i (1 - x^i)^(-f_i) of a power series with
+    no constant term: the multisets of what f counts."""
+    size = len(f)
+    c = [0] * size  # c_j = sum over d dividing j of d f_d
+    for d in range(1, size):
+        for j in range(d, size, d):
+            c[j] += d * f[d]
+    b = [1] + [0] * (size - 1)
+    for i in range(1, size):
+        b[i] = sum(c[j] * b[i - j] for j in range(1, i + 1)) // i
+    return b
+
+
+def _trees_by_diameter(top: int) -> list[list[int]]:
+    """counts[n][d]: the free trees of order n <= top and diameter d.
+
+    Riordan, "The enumeration of trees by height and diameter" (IBM J. Res.
+    Dev. 4, 1960).  As power series in the order, the rooted trees of height
+    at most r are R_r = x Euler(R_{r-1}), with R_{-1} = 0, and E_r = R_r -
+    R_{r-1} counts those of height exactly r.  A tree of diameter 2r is
+    rooted at its centre, with height r and at least two children of height
+    r - 1: E_r - E_{r-1} R_{r-1}.  One of diameter 2r + 1 is an unordered
+    pair of trees of height exactly r joined at their roots: (E_r^2 +
+    E_r(x^2)) / 2.
+    """
+    size = top + 1
+    counts = [[0] * n for n in range(size)]
+    rooted = exact = [0] * size  # R_{r-1} and E_{r-1}
+    for r in range((top + 1) // 2):
+        nxt = [0] + _euler(rooted)[:top]
+        e = [a - b for a, b in zip(nxt, rooted)]
+        below = _series_product(exact, rooted)
+        pairs = _series_product(e, e)
+        for n in range(2 * r + 1, size):
+            counts[n][2 * r] = e[n] - below[n]
+            if 2 * r + 1 < n:
+                counts[n][2 * r + 1] = (pairs[n] + (0 if n % 2 else e[n // 2])) // 2
+        rooted, exact = nxt, e
+    return counts
+
+
+def _parents(levels: Sequence[int]) -> list[int]:
+    """Per vertex of a preorder level sequence, its parent (-1 at the root):
+    the last vertex seen one level up.  Vertex ids follow preorder."""
+    n = len(levels)
+    parent = [-1] * n
+    chain = [0] * (n + 1)  # chain[l]: the last vertex seen at level l
+    for i in range(1, n):
+        lvl = levels[i]
+        parent[i] = chain[lvl - 1]
+        chain[lvl] = i
+    return parent
+
+
 def _tree_adjacency(levels: Sequence[int]) -> list[list[int]]:
     """Preorder level sequence to the tree's adjacency lists.  Vertex ids
     follow preorder, so each list is ascending: the parent, then the
     children."""
-    n = len(levels)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    chain = [0] * (n + 1)  # chain[l]: the last vertex seen at level l
-    for i in range(1, n):
-        lvl = levels[i]
-        parent = chain[lvl - 1]
-        adj[parent].append(i)
-        adj[i].append(parent)
-        chain[lvl] = i
+    parent = _parents(levels)
+    adj: list[list[int]] = [[] for _ in parent]
+    for i in range(1, len(parent)):
+        adj[parent[i]].append(i)
+        adj[i].append(parent[i])
     return adj
 
 
 def _levels_to_graph(levels: Sequence[int]) -> Graph:
-    """Preorder level sequence to a tree; vertex ids follow preorder."""
-    rows = []
-    for nbrs in _tree_adjacency(levels):
-        row = 0
-        for j in nbrs:
-            row |= 1 << j
-        rows.append(row)
-    return Graph(len(rows), tuple(rows))
+    """Preorder level sequence to a tree; vertex ids follow preorder.  Each
+    bit row is ORed straight from the level chain, as in _parents."""
+    n = len(levels)
+    rows = [0] * n
+    chain = [0] * (n + 1)
+    for i in range(1, n):
+        lvl = levels[i]
+        p = chain[lvl - 1]
+        rows[p] |= 1 << i
+        rows[i] = 1 << p
+        chain[lvl] = i
+    return Graph(n, tuple(rows))
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
@@ -406,31 +497,58 @@ def claimed_patterns(k: int) -> list[tuple[str, Graph]]:
     return patterns
 
 
-def _scan_shard(job: tuple) -> tuple[int, int, int, list[TreeWitness]]:
-    """(scanned, checked, saturated, witnesses) over the trees whose index in
-    the stream of all the orders is `shard` modulo `shards`.
+def _window_heights(k: int) -> range:
+    """The centre-rooted heights of the non-star trees of diameter k-3 or
+    k-2: one when k is even, two when it is odd, except that at k = 5 the
+    stars leave only diameter 3."""
+    return range(_height_of(max(k - 3, 3)), _height_of(k - 2) + 1)
 
-    Each checked tree goes to tree_is_saturated as the adjacency lists of
-    its level sequence with the generator's diameter.  A saturated tree's
-    containment flags come from the same lists and diameter, against the
-    claimed patterns prepared once per shard; only its graph6 needs it
+
+def _fails_at_root(levels: Sequence[int], k: int) -> bool:
+    """Whether a chord from the root of a preorder level sequence fails
+    against {K3, Pk}: it reaches depth 3 or more (a chord to depth 2 closes
+    a triangle) and the longest path through it has fewer than k vertices.
+
+    Each vertex's depth is its level minus one and its parent the last
+    vertex seen one level up, and preorder puts each parent before its
+    children, so chord_reach runs with no adjacency list or BFS.
+    """
+    dist = [x - 1 for x in levels]
+    reach = chord_reach(dist, _parents(levels), range(len(dist)))
+    return any(d > 2 and r < k for d, r in zip(dist, reach))
+
+
+def _scan_shard(job: tuple) -> tuple[int, int, int, list[TreeWitness]]:
+    """(walked, checked, saturated, witnesses) over the walked trees whose
+    index in the stream of all the orders is `shard` modulo `shards`.  With
+    the prefilter only the heights of the diameter window are walked.
+
+    Each checked tree is first decided at its root from the level sequence
+    alone (_fails_at_root); a tree that survives goes to tree_is_saturated
+    as its adjacency lists with the generator's diameter.  A saturated
+    tree's containment flags come from the same lists and diameter, against
+    the claimed patterns prepared once per shard; only its graph6 needs it
     built as a Graph."""
     orders, k, prefilter, shards, shard = job
+    heights = _window_heights(k) if prefilter else None
     patterns = [(name, TreePattern(pat)) for name, pat in claimed_patterns(k)]
-    scanned = checked = saturated = 0
+    walked = checked = saturated = 0
     witnesses: list[TreeWitness] = []
     flag_sets: dict = {}
     index = 0
     for n in orders:
-        for levels, diam in _iter_free_trees(n):
+        for levels, diam in _iter_free_trees(n, heights):
             index += 1
             if (index - 1) % shards != shard:
                 continue
-            scanned += 1
+            walked += 1
             # stars (diameter <= 2) are saturated and never reported
             if diam <= 2 or prefilter and diam not in (k - 3, k - 2):
                 continue
             checked += 1
+            # a tree holding Pk fails in tree_is_saturated without a pass
+            if diam < k - 1 and _fails_at_root(levels, k):
+                continue
             adj = _tree_adjacency(levels)
             if not tree_is_saturated(adj, diam, k):
                 continue
@@ -442,7 +560,7 @@ def _scan_shard(job: tuple) -> tuple[int, int, int, list[TreeWitness]]:
             # and through pickling
             flags = flag_sets.setdefault(flags, flags)
             witnesses.append(TreeWitness(graph6_encode(_levels_to_graph(levels)), n, flags))
-    return scanned, checked, saturated, witnesses
+    return walked, checked, saturated, witnesses
 
 
 def scan_saturated_trees(
@@ -452,12 +570,17 @@ def scan_saturated_trees(
     {triangle, k-path}; saturated trees are reported with containment flags
     against the claimed minimum trees, ordered by (order, graph6).
 
-    The prefilter checks only diameters k-3 and k-2; an audit run with
-    prefilter=False checks every non-star tree.  With threads > 1 the trees
-    are dealt round-robin, over the stream of all the orders, into one shard
-    per thread, each run on a fresh pool of that many worker processes; with
-    threads == 1 the one shard runs inline.  The report is the same for
-    every thread count.
+    The prefilter checks only diameters k-3 and k-2, and walks only the
+    centre-rooted heights that hold them; the trees of the other heights are
+    counted exactly from their numbers by order and diameter, so
+    trees_scanned, the trees walked plus the trees counted, is every free
+    tree of the orders.  An audit run with prefilter=False walks and checks
+    every non-star tree.  A checked tree is decided at its root from its
+    level sequence when a chord from the root fails, and by the forest scan
+    otherwise.  With threads > 1 the walked trees are dealt round-robin,
+    over the stream of all the orders, into one shard per thread, each run
+    on a fresh pool of that many worker processes; with threads == 1 the
+    one shard runs inline.  The report is the same for every thread count.
     """
     if k < 5:
         raise ValueError("scan needs k >= 5")
@@ -466,6 +589,13 @@ def scan_saturated_trees(
         raise ValueError("scan needs at least one order")
     lo, hi = orders[0], orders[-1]
     _check_budget("trees", f"tree orders {lo}..{hi}", lo, hi)
+    counted = 0
+    if prefilter:
+        window = _window_heights(k)
+        counts = _trees_by_diameter(hi)
+        counted = sum(
+            c for n in orders for d, c in enumerate(counts[n]) if _height_of(d) not in window
+        )
     shards = max(1, threads)
     jobs = [(orders, k, prefilter, shards, s) for s in range(shards)]
     if shards == 1:
@@ -477,7 +607,7 @@ def scan_saturated_trees(
         orders=orders,
         k=k,
         prefilter=prefilter,
-        trees_scanned=sum(p[0] for p in parts),
+        trees_scanned=counted + sum(p[0] for p in parts),
         trees_checked=sum(p[1] for p in parts),
         saturated_count=sum(p[2] for p in parts),
         witnesses=tuple(

@@ -13,7 +13,14 @@ from satforge.canon import (
 )
 from satforge.constructions import make_t0k, make_t1k
 from satforge.graphs import build_graph, diameter, graph6_decode, graph6_encode, is_tree
-from satforge.saturation import check_saturated, parse_family
+from satforge.saturation import (
+    _Forest,
+    check_saturated,
+    chord_reach,
+    contains_member,
+    parse_family,
+    tree_is_saturated,
+)
 from satforge.search import (
     BudgetExceededError,
     enumerate_graphs,
@@ -24,10 +31,16 @@ from satforge.search import (
 from satforge.search import (
     _augmented,
     _children,
+    _fails_at_root,
     _graph_level,
+    _height_of,
     _iter_free_trees,
     _levels_to_graph,
+    _parents,
+    _tree_adjacency,
+    _trees_by_diameter,
     _viable,
+    _window_heights,
 )
 
 # OEIS A000055, free trees on n vertices
@@ -447,6 +460,162 @@ class TestScans:
         for w in rep.witnesses[:5]:
             g = graph6_decode(w.graph6)
             assert check_saturated(g, fam).is_saturated
+
+
+def window_trees(n, k, walk=None):
+    """The (levels, diameter) of the trees a scan checks, the non-stars of
+    diameter k-3 or k-2, from the given walk or else the full walk of order n."""
+    if walk is None:
+        walk = _iter_free_trees(n)
+    return [(lv, d) for lv, d in walk if d > 2 and d in (k - 3, k - 2)]
+
+
+class TestWindowedWalk:
+    def test_window_heights(self):
+        for k in range(5, 23):
+            heights = _window_heights(k)
+            # one height when k is even, two when it is odd, but at k = 5
+            # diameter 2 holds only stars
+            assert len(heights) == (2 if k % 2 and k > 5 else 1)
+            # every diameter the scan checks, and no height without one
+            checked = {d for d in (k - 3, k - 2) if d > 2}
+            assert {_height_of(d) for d in checked} == set(heights)
+        for d in range(1, 30):
+            assert _height_of(d) == d // 2 + 1 + d % 2  # 2h - 2 or 2h - 3
+
+    def test_windowed_walk_matches_filtered_full_walk(self):
+        # the same stream, in the same order: after the scan's diameter
+        # filter, and before it restricted to the window's heights
+        for n in range(1, 17):
+            full = list(_iter_free_trees(n))
+            for k in range(5, 14):
+                heights = _window_heights(k)
+                walked = list(_iter_free_trees(n, heights))
+                assert walked == [(lv, d) for lv, d in full if _height_of(d) in heights], (n, k)
+                assert window_trees(n, k, walked) == window_trees(n, k, full), (n, k)
+
+    def test_walk_bounds(self):
+        # an empty range, one above the path and one below every tree
+        assert list(_iter_free_trees(6, range(3, 3))) == []
+        assert list(_iter_free_trees(6, range(5, 9))) == []
+        assert list(_iter_free_trees(6, range(0, 2))) == []
+        assert list(_iter_free_trees(1, range(1, 2))) == [([1], 0)]
+        assert list(_iter_free_trees(7, range(1, 30))) == list(_iter_free_trees(7))
+
+    def test_counts_match_walk(self):
+        counts = _trees_by_diameter(16)
+        for n in range(1, 17):
+            walked = [0] * n
+            for _, d in _iter_free_trees(n):
+                walked[d] += 1
+            assert counts[n] == walked, n
+
+    def test_counts_sum_to_known_totals(self):
+        counts = _trees_by_diameter(20)
+        for n, want in {**TREE_COUNTS, **SLOW_TREE_COUNTS}.items():
+            assert sum(counts[n]) == want, n
+        assert sum(counts[20]) == 823065
+        # the window of the order-20 scan at k = 10, as the walk counts it
+        assert counts[20][7] + counts[20][8] == 264143
+
+    def test_walked_trees_are_the_window_heights(self, monkeypatch):
+        from satforge import search
+
+        walked = {}
+        walk = search._iter_free_trees
+
+        def counted(n, heights=None):
+            for tree in walk(n, heights):
+                walked[heights] = walked.get(heights, 0) + 1
+                yield tree
+
+        monkeypatch.setattr(search, "_iter_free_trees", counted)
+        counts = _trees_by_diameter(15)
+        for prefilter in (True, False):
+            walked.clear()
+            rep = scan_saturated_trees(range(6, 16), 9, prefilter)
+            assert rep.trees_scanned == sum(sum(counts[n]) for n in range(6, 16))
+            heights = _window_heights(9) if prefilter else None
+            want = sum(
+                c for n in range(6, 16) for d, c in enumerate(counts[n])
+                if heights is None or _height_of(d) in heights
+            )
+            assert walked == {heights: want}
+        assert want == rep.trees_scanned  # the audit walks every tree
+
+    def test_small_orders_and_a_window_above_every_tree(self):
+        # orders 1..3 hold one star each; at k = 12 the window (diameters 9
+        # and 10) is taller than every tree of orders 4..8, so all are counted
+        for orders, k, total in [(range(1, 4), 5, 3), (range(4, 9), 12, 45)]:
+            assert total == sum(TREE_COUNTS[n] for n in orders)
+            for prefilter in (True, False):
+                rep = scan_saturated_trees(orders, k, prefilter)
+                assert rep.trees_scanned == total
+                assert rep.witnesses == ()
+            assert scan_saturated_trees(orders, k).trees_checked == 0
+
+    def test_reports_equal_at_one_two_and_three_threads(self):
+        for orders, k in [(range(4, 13), 7), (range(6, 14), 8)]:
+            reports = [scan_saturated_trees(orders, k, threads=t) for t in (1, 2, 3)]
+            assert reports[0].witnesses
+            assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+ROOT_PASS_CASES = [(n, k) for n in range(4, 13) for k in (5, 6, 7)] + [(14, 8), (16, 9)]
+
+
+class TestRootPass:
+    def test_reach_row_matches_the_forest_bfs(self):
+        # the root's reach row from the level sequence equals the one the
+        # forest scan computes from the adjacency lists and a BFS
+        for n, k in [(9, 6), (12, 7), (14, 8)]:
+            for levels, d in window_trees(n, k):
+                adj = _tree_adjacency(levels)
+                forest = _Forest(n, [(1 << n) - 1], [list(range(n))], [adj], [d])
+                dist = [x - 1 for x in levels]
+                assert chord_reach(dist, _parents(levels), range(n)) == forest.reach_row(0)
+                assert forest.row(0) == dist
+
+    def test_never_rejects_a_saturated_tree(self):
+        decided = total = 0
+        for n, k in ROOT_PASS_CASES:
+            for levels, d in window_trees(n, k):
+                total += 1
+                saturated = tree_is_saturated(_tree_adjacency(levels), d, k)
+                rejected = _fails_at_root(levels, k)
+                assert not (rejected and saturated), (levels, k)
+                # the scan's verdict: the root pass, then the full check
+                assert (not rejected and saturated) == saturated
+                decided += rejected
+        assert 0 < decided < total
+
+    def test_rejects_exactly_the_failing_root_chords(self):
+        # against the member detector on each chord from the root in turn
+        for k in (6, 7):
+            fam = parse_family(f"K3,P{k}")
+            for n in range(5, 12):
+                for levels, _ in window_trees(n, k):
+                    g = _levels_to_graph(levels)
+                    failing = [
+                        v for v in range(1, n)
+                        if not g.has_edge(0, v) and contains_member(g.add_edge(0, v), fam) is None
+                    ]
+                    assert _fails_at_root(levels, k) == bool(failing), levels
+
+    def test_root_pass_decides_most_window_trees(self, monkeypatch):
+        from satforge import search
+
+        calls = []
+        full_check = search.tree_is_saturated
+
+        def counted(adj, diameter, k):
+            calls.append(len(adj))
+            return full_check(adj, diameter, k)
+
+        monkeypatch.setattr(search, "tree_is_saturated", counted)
+        rep = scan_saturated_trees(range(6, 16), 9)
+        assert rep.saturated_count == 0
+        assert 0 < len(calls) < rep.trees_checked / 2
 
 
 class TestK8Counterexample:
