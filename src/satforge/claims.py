@@ -270,6 +270,8 @@ def _order_20(points, threads, prefilter) -> list[dict]:
               "every saturated non-star tree contains a minimum variant", [], bad),
         _case("order-20/sparse-witness",
               "the sparse layered tree itself appears", True, found),
+        # trees_scanned is the trees walked plus the trees counted exactly
+        # from their numbers by diameter; the case text is in pinned reports
         _case("order-20/scan-count", "scan looked at every tree",
               True, rep.trees_scanned == 823065),
     ]

@@ -13,12 +13,14 @@ non-edge at a time:
   every component has diameter below k-1.  One pass from a tree vertex u
   gives the longest path through every chord from u, so a tree of order m
   costs O(m^2), its rows kept per component and computed on first use.
-  The tree scan passes each of its trees in as adjacency lists with the
-  diameter its generator yields (tree_is_saturated); bit rows are read, and
-  diameters found by a double sweep, only for graphs that arrive as a
-  Graph.  Isomorphic trees, found by their AHU codes, have their chords
-  decided once: when none of one copy's chords fails, no copy's chord is
-  tested.
+  The pass itself, chord_reach, reads only distances, parents and an
+  order, so the tree scan runs it from a tree's root straight off the level
+  sequence and rejects most trees there; it passes the rest in as adjacency
+  lists with the diameter its generator yields (tree_is_saturated).  Bit
+  rows are read, and diameters found by a double sweep, only for graphs
+  that arrive as a Graph.  Isomorphic trees, found by their AHU codes,
+  have their chords decided once: when none of one copy's chords fails,
+  no copy's chord is tested.
   A pair in two trees fails exactly when ecc(u) + ecc(v) + 2 < k, so one
   mask of the vertices of eccentricity at most t, per threshold t, gives
   all of u's failing partners at once.

@@ -136,7 +136,7 @@ def _iter_free_trees(n: int, heights: range | None = None) -> Iterator[tuple[lis
     low, top = (1, n) if heights is None else (heights.start, heights.stop - 1)
     peak = n // 2 + 1  # the height of the path, the tallest tree
     top = min(top, peak)
-    if n < 1 or top < low or n > 1 and top < 2:
+    if n < 1 or top < low:
         return
     if n == 1:
         yield [1], 0
