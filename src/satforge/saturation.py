@@ -13,14 +13,12 @@ non-edge at a time:
   every component has diameter below k-1.  One pass from a tree vertex u
   gives the longest path through every chord from u, so a tree of order m
   costs O(m^2), its rows kept per component and computed on first use.
-  The pass itself, chord_reach, reads only distances, parents and an
-  order, so the tree scan runs it from a tree's root straight off the level
-  sequence and rejects most trees there; it passes the rest in as adjacency
-  lists with the diameter its generator yields (tree_is_saturated).  Bit
-  rows are read, and diameters found by a double sweep, only for graphs
-  that arrive as a Graph.  Isomorphic trees, found by their AHU codes,
-  have their chords decided once: when none of one copy's chords fails,
-  no copy's chord is tested.
+  Isomorphic trees, found by their AHU codes, have their chords decided
+  once: when none of one copy's chords fails, no copy's chord is tested.
+  The tree scan's one verdict, tree_is_saturated, takes a free tree as its
+  preorder parent array with its diameter and runs the same pass, chord_reach,
+  from the root first, straight off the parents, where most trees fail;
+  only a tree that passes there gets adjacency lists and a BFS per vertex.
   A pair in two trees fails exactly when ecc(u) + ecc(v) + 2 < k, so one
   mask of the vertices of eccentricity at most t, per threshold t, gives
   all of u's failing partners at once.
@@ -347,19 +345,38 @@ def saturation_gap(g: Graph, fam: ForbiddenFamily) -> list[tuple[int, int]]:
     return failures
 
 
-def tree_is_saturated(adj: list[list[int]], diameter: int, k: int) -> bool:
+def tree_is_saturated(parent: list[int], diameter: int, k: int) -> bool:
     """Whether a tree is {K3, Pk}-saturated, as check_saturated decides it
-    for the tree's graph, from the tree's adjacency lists (vertex ids 0..n-1,
-    each list ascending) and its diameter.
+    for the tree's graph, from its preorder parent array (parent[0] == -1,
+    parent[i] < i) and its diameter.
 
-    A tree of diameter k-1 or more holds Pk; any other goes to the forest
-    scan as its one part, so no bit row is read.
+    A tree of diameter k-1 or more holds Pk.  Any other fails exactly at a
+    non-edge uv at distance more than 2 whose longest path through uv has
+    fewer than k vertices.  The root's chords are tried first, straight from
+    the parents: a depth is its parent's plus one, and preorder puts each
+    parent before its children, so chord_reach needs no BFS.  Only a tree
+    that passes there gets adjacency lists, and each later vertex u one BFS
+    and one chord_reach pass for its chords to the vertices above u.
     """
     if diameter >= k - 1:
         return False
-    n = len(adj)
-    forest = _Forest(n, [(1 << n) - 1], [list(range(n))], [adj], [diameter])
-    return not _scan_forest(forest, k, True, collect_all=False)
+    n = len(parent)
+    dist = [0] * n
+    for i in range(1, n):
+        dist[i] = dist[parent[i]] + 1
+    reach = chord_reach(dist, parent, range(n))
+    if any(d > 2 and r < k for d, r in zip(dist, reach)):
+        return False
+    adj: list[list[int]] = [[] for _ in parent]
+    for i in range(1, n):
+        adj[parent[i]].append(i)
+        adj[i].append(parent[i])
+    for u in range(1, n - 1):  # the last vertex has no chord above it
+        dist, up, order = _bfs(adj, u)
+        reach = chord_reach(dist, up, order)
+        if any(d > 2 and r < k for d, r in zip(dist[u + 1 :], reach[u + 1 :])):
+            return False
+    return True
 
 
 def _decide(
@@ -435,6 +452,25 @@ def _at_most(values: list[int], vertices: list[int], top: int, n: int) -> list[i
     return [_mask((v for v in vertices if values[v] <= t), n) for t in range(top + 1)]
 
 
+def _bfs(adj: list[list[int]], s: int) -> tuple[list[int], list[int], list[int]]:
+    """Distances and parents (-1 at s) from s over adjacency lists, and the
+    vertices in visiting order.  A breadth-first search of its own, not
+    graphs.bfs_layers: the chord arithmetic reads distances by vertex, which
+    layer masks do not give."""
+    dist = [-1] * len(adj)
+    parent = [-1] * len(adj)
+    dist[s] = 0
+    order = [s]
+    for x in order:
+        dx = dist[x] + 1
+        for y in adj[x]:
+            if dist[y] < 0:
+                dist[y] = dx
+                parent[y] = x
+                order.append(y)
+    return dist, parent, order
+
+
 def chord_reach(dist: list[int], parent: list[int], order: Sequence[int]) -> list[int]:
     """Per vertex v of a tree rooted at u, the order of the longest path
     through a new chord uv (entries for u and its children are not chords
@@ -487,14 +523,11 @@ def chord_reach(dist: list[int], parent: list[int], order: Sequence[int]) -> lis
 
 
 class _Forest:
-    """Vertex-disjoint parts of an order-n graph, each inducing a tree.
+    """Vertex-disjoint parts of a graph g, each inducing a tree.
 
-    Each part comes as its ascending vertex list and, per position, the
-    ascending positions of its neighbours, with its diameter when the
-    caller knows it.  The tree scan passes each free tree in this form, as
-    one part with the diameter its generator yields (tree_is_saturated);
-    only a graph that arrives as a Graph has its parts' adjacency read from
-    bit rows (of_parts), and then a double sweep finds each diameter.
+    Each part is kept as its ascending vertex list and, per position, the
+    ascending positions of its neighbours, read from g's bit rows; a double
+    sweep finds each part's diameter.
 
     A BFS row holds the distances from one vertex to the vertices of its
     part, indexed by position in the part's ascending vertex list, and a
@@ -511,43 +544,19 @@ class _Forest:
     build the rows of their inner vertices.
     """
 
-    def __init__(
-        self,
-        n: int,
-        parts: list[int],
-        verts: list[list[int]],
-        adj: list[list[list[int]]],
-        diameters: list[int] | None = None,
-    ):
+    def __init__(self, g: Graph, parts: list[int]):
+        n = g.n
         self.n = n
         self.parts = parts
-        self.verts = verts
-        self.adj = adj
+        self.verts = verts = [list(iter_bits(m)) for m in parts]
         self.comp_of = comp_of = [-1] * n
         self.index = index = [0] * n
         for ci, vs in enumerate(verts):
             for i, v in enumerate(vs):
                 comp_of[v] = ci
                 index[v] = i
-        self._rows: list[list[int] | None] = [None] * n
-        self._reach: list[list[int] | None] = [None] * n
-        if diameters is None:
-            diameters = [max(self.row(self._far(vs[0]))) for vs in verts]
-        self.diameters = diameters
-        self.diameter = max(diameters, default=0)
-        self.clean = [False] * len(parts)
-
-    @classmethod
-    def of_parts(cls, g: Graph, parts: list[int]) -> "_Forest":
-        """The given parts of g, each inducing a tree, with adjacency read
-        from g's bit rows."""
-        verts = [list(iter_bits(m)) for m in parts]
-        index = [0] * g.n
-        for vs in verts:
-            for i, v in enumerate(vs):
-                index[v] = i
         rows = g.rows
-        adj = []  # the bit loop is inline for speed
+        self.adj = adj = []  # the bit loop is inline for speed
         for m, vs in zip(parts, verts):
             part = []
             for v in vs:
@@ -559,7 +568,11 @@ class _Forest:
                     x ^= low
                 part.append(nbrs)
             adj.append(part)
-        return cls(g.n, parts, verts, adj)
+        self._rows: list[list[int] | None] = [None] * n
+        self._reach: list[list[int] | None] = [None] * n
+        self.diameters = [max(self.row(self._far(vs[0]))) for vs in verts]
+        self.diameter = max(self.diameters, default=0)
+        self.clean = [False] * len(parts)
 
     @classmethod
     def of(cls, g: Graph) -> "_Forest | None":
@@ -569,7 +582,7 @@ class _Forest:
         comps = component_masks(g)
         if g.edge_count != g.n - len(comps):
             return None
-        return cls.of_parts(g, comps)
+        return cls(g, comps)
 
     def row(self, v: int) -> list[int]:
         """Distances from v, by position in its part."""
@@ -579,24 +592,8 @@ class _Forest:
         return r
 
     def _bfs(self, v: int) -> tuple[list[int], list[int], list[int]]:
-        """Distances and parents from v by position in its part, and the
-        positions in visiting order.  A breadth-first search of its own, not
-        graphs.bfs_layers: the chord arithmetic reads distances by position,
-        which layer masks do not give."""
-        adj = self.adj[self.comp_of[v]]
-        dist = [-1] * len(adj)
-        parent = [-1] * len(adj)
-        s = self.index[v]
-        dist[s] = 0
-        order = [s]
-        for x in order:
-            dx = dist[x] + 1
-            for y in adj[x]:
-                if dist[y] < 0:
-                    dist[y] = dx
-                    parent[y] = x
-                    order.append(y)
-        return dist, parent, order
+        """_bfs from v over its part, by position in the part."""
+        return _bfs(self.adj[self.comp_of[v]], self.index[v])
 
     def _far(self, v: int) -> int:
         """The least vertex of v's part farthest from v."""
@@ -770,7 +767,7 @@ def _scan_k3_cup_pk(
     n, rows = g.n, g.rows
     comps = component_masks(g)
     trees = [m for m in comps if _is_tree(g, m)]
-    forest = _Forest.of_parts(g, trees)
+    forest = _Forest(g, trees)
     ecc = forest.eccentricities()
     plain = [ci for ci, d in enumerate(forest.diameters) if d < k - 1]
     plain_vs = [v for ci in plain for v in forest.verts[ci]]
@@ -785,7 +782,7 @@ def _scan_k3_cup_pk(
         tmask = (1 << cl[0]) | (1 << cl[1]) | (1 << cl[2])
         parts = component_masks(g, rest & ~tmask)
         is_tree = [_is_tree(g, m) for m in parts]
-        tf = _Forest.of_parts(g, [m for m, t in zip(parts, is_tree) if t])
+        tf = _Forest(g, [m for m, t in zip(parts, is_tree) if t])
         others = [m for m, t in zip(parts, is_tree) if not t]
         tables.append((tmask, tf, tf.eccentricities(), others))
 

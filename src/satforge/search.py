@@ -20,15 +20,13 @@ numbers of free trees by order and diameter (Riordan, "The enumeration of
 trees by height and diameter", IBM J. Res. Dev. 4, 1960), so its
 trees_scanned, the trees walked plus the trees counted, is every free tree
 of its orders.  It splits the walked stream of all its orders into shards by
-index, one per worker process; it owns the package's one process pool.  It
-decides each tree from its level sequence: first at the root, whose
-distances are the levels minus one and whose BFS parents are the last
-vertex one level up, so the reach of every chord from the root comes with
-no adjacency list; then, for the trees no root chord rejects, from the
-adjacency lists the preorder ids give, with the generator's diameter.  The
-same lists and diameter give a saturated tree's containment flags, against
-the claimed patterns prepared once per shard, so a Graph is built only for
-the graph6 of the saturated trees it reports.
+index, one per worker process; it owns the package's one process pool.
+Each tree's parent array, the last vertex one level up in preorder, goes
+with the generator's diameter to saturation.tree_is_saturated, the one
+verdict, which decides the root's chords first.  A saturated tree's
+containment flags come from its adjacency lists and diameter, against the
+claimed patterns prepared once per shard, so a Graph is built only for the
+graph6 of the saturated trees it reports.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from .canon import augmentation_code
 from .constructions import make_small_tree, make_t0k, make_t1k
 from .graphs import Graph, build_graph, component_masks, graph6_encode, iter_bits
 from .patterns import TreePattern
-from .saturation import ForbiddenFamily, check_saturated, chord_reach, tree_is_saturated
+from .saturation import ForbiddenFamily, check_saturated, tree_is_saturated
 
 DEFAULT_TREE_BUDGET = 22
 DEFAULT_GRAPH_BUDGET = 8
@@ -80,9 +78,12 @@ def _env_budget(key: str) -> int:
 
 
 def _check_budget(key: str, what: str, lo: int, hi: int) -> None:
-    """Raise BudgetExceededError unless lo..hi sits inside the `key` cap."""
+    """Raise BudgetExceededError unless lo..hi sits inside the `key` cap, or
+    ValueError for an order below 1, which no budget admits."""
+    if lo < 1:
+        raise ValueError(f"{what}: orders start at 1")
     cap = _env_budget(key)
-    if not 1 <= lo <= hi <= cap:
+    if not lo <= hi <= cap:
         raise BudgetExceededError(
             f"{what} outside the {key} budget 1..{cap}; "
             f"set SATFORGE_BUDGET={key}=N to raise it"
@@ -263,11 +264,10 @@ def _parents(levels: Sequence[int]) -> list[int]:
     return parent
 
 
-def _tree_adjacency(levels: Sequence[int]) -> list[list[int]]:
-    """Preorder level sequence to the tree's adjacency lists.  Vertex ids
+def _tree_adjacency(parent: list[int]) -> list[list[int]]:
+    """A preorder parent array to the tree's adjacency lists.  Vertex ids
     follow preorder, so each list is ascending: the parent, then the
     children."""
-    parent = _parents(levels)
     adj: list[list[int]] = [[] for _ in parent]
     for i in range(1, len(parent)):
         adj[parent[i]].append(i)
@@ -504,31 +504,16 @@ def _window_heights(k: int) -> range:
     return range(_height_of(max(k - 3, 3)), _height_of(k - 2) + 1)
 
 
-def _fails_at_root(levels: Sequence[int], k: int) -> bool:
-    """Whether a chord from the root of a preorder level sequence fails
-    against {K3, Pk}: it reaches depth 3 or more (a chord to depth 2 closes
-    a triangle) and the longest path through it has fewer than k vertices.
-
-    Each vertex's depth is its level minus one and its parent the last
-    vertex seen one level up, and preorder puts each parent before its
-    children, so chord_reach runs with no adjacency list or BFS.
-    """
-    dist = [x - 1 for x in levels]
-    reach = chord_reach(dist, _parents(levels), range(len(dist)))
-    return any(d > 2 and r < k for d, r in zip(dist, reach))
-
-
 def _scan_shard(job: tuple) -> tuple[int, int, int, list[TreeWitness]]:
     """(walked, checked, saturated, witnesses) over the walked trees whose
     index in the stream of all the orders is `shard` modulo `shards`.  With
     the prefilter only the heights of the diameter window are walked.
 
-    Each checked tree is first decided at its root from the level sequence
-    alone (_fails_at_root); a tree that survives goes to tree_is_saturated
-    as its adjacency lists with the generator's diameter.  A saturated
-    tree's containment flags come from the same lists and diameter, against
-    the claimed patterns prepared once per shard; only its graph6 needs it
-    built as a Graph."""
+    Each checked tree goes to tree_is_saturated, the one verdict, as its
+    parent array with the generator's diameter; most fail at the root.  A
+    saturated tree's containment flags come from its adjacency lists and
+    diameter, against the claimed patterns prepared once per shard; only
+    its graph6 needs it built as a Graph."""
     orders, k, prefilter, shards, shard = job
     heights = _window_heights(k) if prefilter else None
     patterns = [(name, TreePattern(pat)) for name, pat in claimed_patterns(k)]
@@ -546,13 +531,11 @@ def _scan_shard(job: tuple) -> tuple[int, int, int, list[TreeWitness]]:
             if diam <= 2 or prefilter and diam not in (k - 3, k - 2):
                 continue
             checked += 1
-            # a tree holding Pk fails in tree_is_saturated without a pass
-            if diam < k - 1 and _fails_at_root(levels, k):
-                continue
-            adj = _tree_adjacency(levels)
-            if not tree_is_saturated(adj, diam, k):
+            parent = _parents(levels)
+            if not tree_is_saturated(parent, diam, k):
                 continue
             saturated += 1
+            adj = _tree_adjacency(parent)
             flags = tuple(
                 (name, pat.embedding(adj, diam) is not None) for name, pat in patterns
             )
@@ -575,12 +558,13 @@ def scan_saturated_trees(
     counted exactly from their numbers by order and diameter, so
     trees_scanned, the trees walked plus the trees counted, is every free
     tree of the orders.  An audit run with prefilter=False walks and checks
-    every non-star tree.  A checked tree is decided at its root from its
-    level sequence when a chord from the root fails, and by the forest scan
-    otherwise.  With threads > 1 the walked trees are dealt round-robin,
-    over the stream of all the orders, into one shard per thread, each run
-    on a fresh pool of that many worker processes; with threads == 1 the
-    one shard runs inline.  The report is the same for every thread count.
+    every non-star tree.  Each checked tree gets one verdict,
+    tree_is_saturated, from its parent array: the root's chords first, and
+    the other vertices' only if those pass.  With threads > 1 the walked
+    trees are dealt round-robin, over the stream of all the orders, into one
+    shard per thread, each run on a fresh pool of that many worker
+    processes; with threads == 1 the one shard runs inline.  The report is
+    the same for every thread count.
     """
     if k < 5:
         raise ValueError("scan needs k >= 5")

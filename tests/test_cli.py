@@ -194,6 +194,17 @@ class TestBruteforce:
         assert code == 2 and stdout == ""
         assert "graphs budget 1..8" in err and "SATFORGE_BUDGET" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("bruteforce", "--n", "0", "--family", "K3"), ("verify", "thm-1.4", "--n", "1")],
+    )
+    def test_order_below_one_names_no_budget(self, capsys, argv):
+        # no budget admits order 0, so raising SATFORGE_BUDGET cannot help
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == ""
+        assert "graph order 0: orders start at 1" in err
+        assert "budget" not in err and "SATFORGE_BUDGET" not in err
+
 
 class TestFormula:
     def test_order_constant(self, capsys):

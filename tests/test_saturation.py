@@ -279,18 +279,18 @@ class TestScanEquivalence:
 
     def test_forest_fast_path_exhaustive_on_trees(self):
         # every tree of order <= 11 against {K3, Pk} and {Pk}, k in 2..12;
-        # the scan's entry, given the generator's adjacency lists and
+        # the scan's verdict, given the generator's parent array and
         # diameter, agrees with the {K3, Pk} verdict, stars and trees that
         # hold Pk included
-        from satforge.search import _iter_free_trees, _levels_to_graph, _tree_adjacency
+        from satforge.search import _iter_free_trees, _levels_to_graph, _parents
 
         for n in range(1, 12):
             for levels, diam in _iter_free_trees(n):
                 tree = _levels_to_graph(levels)
-                adj = _tree_adjacency(levels)
+                parent = _parents(levels)
                 for k in range(2, 13):
                     verdict = self._assert_agrees(tree, parse_family(f"K3,P{k}"), "forest")
-                    assert tree_is_saturated(adj, diam, k) == verdict.is_saturated, (levels, k)
+                    assert tree_is_saturated(parent, diam, k) == verdict.is_saturated, (levels, k)
                     self._assert_agrees(tree, parse_family(f"P{k}"), "forest")
 
     def test_forest_fast_path_exhaustive_on_two_trees(self):

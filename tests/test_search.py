@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from satforge import saturation
 from satforge.canon import (
     _labelling,
     augmentation_code,
@@ -31,13 +32,11 @@ from satforge.search import (
 from satforge.search import (
     _augmented,
     _children,
-    _fails_at_root,
     _graph_level,
     _height_of,
     _iter_free_trees,
     _levels_to_graph,
     _parents,
-    _tree_adjacency,
     _trees_by_diameter,
     _viable,
     _window_heights,
@@ -565,56 +564,67 @@ ROOT_PASS_CASES = [(n, k) for n in range(4, 13) for k in (5, 6, 7)] + [(14, 8), 
 
 class TestRootPass:
     def test_reach_row_matches_the_forest_bfs(self):
-        # the root's reach row from the level sequence equals the one the
-        # forest scan computes from the adjacency lists and a BFS
+        # the root's reach row from the depths equals the one the forest
+        # scan computes from the bit rows and a BFS
         for n, k in [(9, 6), (12, 7), (14, 8)]:
-            for levels, d in window_trees(n, k):
-                adj = _tree_adjacency(levels)
-                forest = _Forest(n, [(1 << n) - 1], [list(range(n))], [adj], [d])
+            for levels, _ in window_trees(n, k):
+                forest = _Forest(_levels_to_graph(levels), [(1 << n) - 1])
                 dist = [x - 1 for x in levels]
                 assert chord_reach(dist, _parents(levels), range(n)) == forest.reach_row(0)
                 assert forest.row(0) == dist
 
-    def test_never_rejects_a_saturated_tree(self):
-        decided = total = 0
+    def test_verdict_matches_check_saturated(self):
+        saturated = total = 0
         for n, k in ROOT_PASS_CASES:
+            fam = parse_family(f"K3,P{k}")
             for levels, d in window_trees(n, k):
                 total += 1
-                saturated = tree_is_saturated(_tree_adjacency(levels), d, k)
-                rejected = _fails_at_root(levels, k)
-                assert not (rejected and saturated), (levels, k)
-                # the scan's verdict: the root pass, then the full check
-                assert (not rejected and saturated) == saturated
-                decided += rejected
-        assert 0 < decided < total
+                verdict = check_saturated(_levels_to_graph(levels), fam).is_saturated
+                assert tree_is_saturated(_parents(levels), d, k) == verdict, (levels, k)
+                saturated += verdict
+        assert 0 < saturated < total
 
-    def test_rejects_exactly_the_failing_root_chords(self):
-        # against the member detector on each chord from the root in turn
+    def test_rejects_exactly_the_failing_root_chords(self, monkeypatch):
+        # a tree is decided by its first chord_reach pass, the root's,
+        # exactly when the member detector finds a failing chord from the root
+        calls = _count_chord_reach(monkeypatch)
         for k in (6, 7):
             fam = parse_family(f"K3,P{k}")
             for n in range(5, 12):
-                for levels, _ in window_trees(n, k):
+                for levels, d in window_trees(n, k):
                     g = _levels_to_graph(levels)
                     failing = [
                         v for v in range(1, n)
                         if not g.has_edge(0, v) and contains_member(g.add_edge(0, v), fam) is None
                     ]
-                    assert _fails_at_root(levels, k) == bool(failing), levels
+                    calls.clear()
+                    verdict = tree_is_saturated(_parents(levels), d, k)
+                    assert (not verdict and calls == [0]) == bool(failing), levels
 
     def test_root_pass_decides_most_window_trees(self, monkeypatch):
-        from satforge import search
-
-        calls = []
-        full_check = search.tree_is_saturated
-
-        def counted(adj, diameter, k):
-            calls.append(len(adj))
-            return full_check(adj, diameter, k)
-
-        monkeypatch.setattr(search, "tree_is_saturated", counted)
+        # each checked tree's verdict opens with the root's pass; most cost
+        # that one chord_reach call and no other
+        calls = _count_chord_reach(monkeypatch)
         rep = scan_saturated_trees(range(6, 16), 9)
         assert rep.saturated_count == 0
-        assert 0 < len(calls) < rep.trees_checked / 2
+        starts = [i for i, root in enumerate(calls) if root == 0] + [len(calls)]
+        assert starts[0] == 0 and len(starts) - 1 == rep.trees_checked
+        at_root = sum(1 for a, b in zip(starts, starts[1:]) if b - a == 1)
+        assert rep.trees_checked / 2 < at_root < rep.trees_checked
+
+
+def _count_chord_reach(monkeypatch) -> list[int]:
+    """Patch saturation.chord_reach to record the root of each pass, the
+    first vertex of its order."""
+    calls: list[int] = []
+    real = saturation.chord_reach
+
+    def counted(dist, parent, order):
+        calls.append(order[0])
+        return real(dist, parent, order)
+
+    monkeypatch.setattr(saturation, "chord_reach", counted)
+    return calls
 
 
 class TestK8Counterexample:

@@ -1,5 +1,6 @@
-"""Source-level checks that each parallel or shard mechanism, and the
-subtree matcher, exists once."""
+"""Source-level checks that each parallel or shard mechanism, the subtree
+matcher, the tree verdict and the breadth-first search over adjacency lists
+exist once, and that no module keeps an import it never uses."""
 
 import ast
 from pathlib import Path
@@ -160,3 +161,65 @@ def test_one_subtree_matcher():
     assert nested == []
     called = {node.func.id for node in ast.walk(wrapper) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert "TreePattern" in called
+
+
+def test_search_takes_one_tree_verdict_from_saturation():
+    # the scan's verdict on a tree is tree_is_saturated alone: search reads
+    # no chord arithmetic or forest helper of its own
+    tree = _module("search")
+    names = {
+        a.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "saturation"
+        for a in node.names
+    }
+    assert names == {"ForbiddenFamily", "check_saturated", "tree_is_saturated"}
+
+
+def _walks_a_growing_list(fn) -> bool:
+    """Whether fn holds `for x in todo:` with `todo.append(...)` inside the
+    loop, the shape of a breadth-first search."""
+    for node in ast.walk(fn):
+        if isinstance(node, ast.For) and isinstance(node.iter, ast.Name):
+            for inner in ast.walk(node):
+                if (
+                    isinstance(inner, ast.Call)
+                    and isinstance(inner.func, ast.Attribute)
+                    and inner.func.attr == "append"
+                    and isinstance(inner.func.value, ast.Name)
+                    and inner.func.value.id == node.iter.id
+                ):
+                    return True
+    return False
+
+
+def test_one_breadth_first_search_in_saturation():
+    # the tree verdict and _Forest's rows share one BFS over adjacency lists
+    tree = _module("saturation")
+    fns = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            fns[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    fns[f"{node.name}.{item.name}"] = item
+    assert {name for name, fn in fns.items() if _walks_a_growing_list(fn)} == {"_bfs"}
+
+
+def test_no_unused_imports():
+    # every name a module imports is read somewhere in it; __init__
+    # imports only to re-export
+    found = set()
+    for path in SOURCES:
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found.update(f"{path.stem}: {name}" for name in imported - used)
+    assert found == set()
