@@ -31,11 +31,15 @@ def _find(orbit: list[int], v: int) -> int:
 def _meet(orbit: list[int], sink: list | None, src: Sequence[int], dst: Sequence[int]) -> None:
     """Record the automorphism that maps src[i] to dst[i] and fixes every
     other vertex: union its pairs into the orbit forest and, when a sink is
-    given, append (src, dst) to it."""
+    given, append it to the sink as a permutation, one byte per vertex
+    holding its image (so a sink needs at most 256 vertices)."""
     for u, v in zip(src, dst):
         orbit[_find(orbit, u)] = _find(orbit, v)
     if sink is not None:
-        sink.append((src, dst))
+        perm = bytearray(range(len(orbit)))
+        for u, v in zip(src, dst):
+            perm[u] = v
+        sink.append(bytes(perm))
 
 
 # ---------------------------------------------------------------------------
@@ -165,37 +169,40 @@ def _are_twins(rows: tuple[int, ...], u: int, v: int) -> bool:
     return rows[u] & ~(1 << v) == rows[v] & ~(1 << u)
 
 
-def _search_order(
-    rows: tuple[int, ...],
-    verts: list[int],
-    degs: list[int],
-    orbit: list[int],
-    mark: int,
-    sink: list | None,
-) -> list[int] | None:
-    """Order of the least graph6 code over all discrete refinements of the
-    degree partition of a connected graph.  At one order the codes have
-    one length and pack the same bits six to a byte, padded at the end, so
-    they sort as the upper-triangle bit strings do.
-
-    Twin candidates inside a branching cell are skipped (a twin swap is
-    always an automorphism), which keeps graphs with many interchangeable
-    vertices from exploding factorially.  The last vertex lies in the last
-    cell of the refined degree partition, so a `mark` outside that cell
-    cannot share its orbit and the search is skipped (None).
-
-    Each leaf whose code equals the best one found so far, mapped from the
-    best leaf, and each skipped twin swap are automorphisms; together they
-    generate the group of the component.
-    """
+def _degree_cells(
+    rows: tuple[int, ...], verts: list[int], degs: list[int], mark: int = -1
+) -> list[tuple[int, ...]] | None:
+    """The refined degree partition of a connected component, cells
+    ascending by degree.  The canonical last vertex lies in its last cell,
+    so a `mark` outside that cell cannot share its orbit: then None, and
+    before any refinement when mark lacks the component's largest degree."""
     if mark >= 0 and rows[mark].bit_count() != max(degs):
         return None
     degrees: dict[int, list[int]] = {}
     for v, d in zip(verts, degs):
         degrees.setdefault(d, []).append(v)
     cells = _refine(rows, [tuple(degrees[d]) for d in sorted(degrees)])
-    if mark >= 0 and mark not in cells[-1]:
-        return None
+    return None if mark >= 0 and mark not in cells[-1] else cells
+
+
+def _search_order(
+    rows: tuple[int, ...], cells: list[tuple[int, ...]], orbit: list[int], sink: list | None
+) -> list[int]:
+    """Order of the least graph6 code over all discrete refinements of the
+    refined degree partition of a connected graph.  At one order the codes
+    have one length and pack the same bits six to a byte, padded at the
+    end, so they sort as the upper-triangle bit strings do.
+
+    Twin candidates inside a branching cell are skipped (a twin swap is
+    always an automorphism), which keeps graphs with many interchangeable
+    vertices from exploding factorially.  Refinement and individualization
+    split cells in place, so the last cell of the partition holds the last
+    vertex of every leaf.
+
+    Each leaf whose code equals the best one found so far, mapped from the
+    best leaf, and each skipped twin swap are automorphisms; together they
+    generate the group of the component.
+    """
     best: list = [None, None]  # code, order
 
     def walk(cells: list[tuple[int, ...]]) -> None:
@@ -237,8 +244,8 @@ def _labelling(
     With `mark` >= 0 the pass stops early with None once mark provably lies
     outside the orbit of the canonical last vertex, which sits in a
     component of the largest order.  A `sink` list receives the
-    automorphisms the pass meets, as (src, dst) pairs (see _meet); when the
-    pass completes they generate the automorphism group of g.
+    automorphisms the pass meets, as bytes permutations (see _meet); when
+    the pass completes they generate the automorphism group of g.
     """
     rows = g.rows
     orbit = list(range(g.n))
@@ -253,14 +260,22 @@ def _labelling(
         degs = [rows[v].bit_count() for v in verts]
         if sum(degs) == 2 * len(verts) - 2:
             order = _tree_order(rows, comp, orbit, sink)
-        elif (order := _search_order(rows, verts, degs, orbit, m, sink)) is None:
+        elif (cells := _degree_cells(rows, verts, degs, m)) is None:
             return None
+        else:
+            order = _search_order(rows, cells, orbit, sink)
         parts.append((len(order), graph6_of(rows, order) if len(comps) > 1 else b"", order))
     parts.sort(key=lambda p: p[:2])  # stable: equal components keep their order
     for (na, ka, a), (nb, kb, b) in zip(parts, parts[1:]):
         if (na, ka) == (nb, kb):  # isomorphic components swap
             _meet(orbit, sink, a + b, b + a)
     return [v for p in parts for v in p[2]], orbit
+
+
+def _ends_in_orbit(found: tuple[list[int], list[int]] | None, v: int) -> bool:
+    """Whether a marked pass completed with v in the orbit of its last
+    vertex."""
+    return found is not None and _find(found[1], v) == _find(found[1], found[0][-1])
 
 
 def canonical_form(g: Graph) -> CanonicalCode:
@@ -273,12 +288,48 @@ def augmentation_code(g: Graph, v: int, sink: list | None = None) -> CanonicalCo
     vertex (g is then the canonical augmentation of g - v), else None.
 
     A `sink` list receives the automorphisms of g that the pass meets, as
-    (src, dst) pairs; they generate the group whenever the code is not None.
+    bytes permutations; they generate the group whenever the code is not
+    None.
     """
     found = _labelling(g, v, sink)
-    if found is None or _find(found[1], v) != _find(found[1], found[0][-1]):
-        return None
-    return graph6_of(g.rows, found[0])
+    return graph6_of(g.rows, found[0]) if _ends_in_orbit(found, v) else None
+
+
+def accepts(g: Graph, v: int) -> bool:
+    """Whether v shares the orbit of the canonical last vertex, that is
+    augmentation_code(g, v) is not None, with no code and no generators.
+
+    When v's component is the unique largest one and not a tree, the
+    canonical last vertex is that component's, and no automorphism moves
+    the component, so the other components are never looked at.  Then v
+    is accepted when it alone has the component's largest degree; rejected
+    outside the last cell of the refined degree partition; accepted when
+    that cell is (v,), since every leaf of the search ends with it; and
+    otherwise decided by the search over those cells.  A tree component, or
+    one that ties for the largest order, takes the whole canonical pass.
+    """
+    rows = g.rows
+    comps = component_masks(g)
+    mine = next(c for c in comps if c >> v & 1)
+    size = mine.bit_count()
+    sizes = [c.bit_count() for c in comps]
+    if size < max(sizes):
+        return False
+    verts = list(iter_bits(mine))
+    degs = [rows[u].bit_count() for u in verts]
+    if sum(degs) == 2 * size - 2 or sizes.count(size) > 1:
+        return _ends_in_orbit(_labelling(g, v), v)
+    top = max(degs)
+    if rows[v].bit_count() == top and degs.count(top) == 1:
+        return True
+    cells = _degree_cells(rows, verts, degs, v)
+    if cells is None:
+        return False
+    if cells[-1] == (v,):
+        return True
+    orbit = list(range(g.n))
+    last = _search_order(rows, cells, orbit, None)[-1]
+    return _find(orbit, v) == _find(orbit, last)
 
 
 def same_orbit(g: Graph, u: int, v: int) -> bool:

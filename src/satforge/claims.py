@@ -293,6 +293,14 @@ def _pairs(default: tuple, a1_multiple: int, ks, ns) -> tuple:
     return tuple((n, k) for n in ns or [a1_multiple * order_constant("A1", k)])
 
 
+def _hub_join_ns(ks, ns) -> tuple:
+    # the base order n - 1 must be a graph order, so n starts at 2
+    for n in ns or ():
+        if n < 2:
+            raise UsageError(f"thm-1.4 needs --n of at least 2, not {n}")
+    return tuple(ns or HUB_JOIN_NS)
+
+
 def _prop_5_2_ks(ks, ns) -> tuple:
     for k in ks or ():
         if k not in PROP_5_2:
@@ -327,7 +335,7 @@ CLAIMS = {
     ),
     "thm-1.4": Claim(
         "sat(n,K1 v F) = (n-1) + sat(n-1,F), for F = P2+P2",
-        _hub_join, lambda ks, ns: tuple(ns or HUB_JOIN_NS), ("n",),
+        _hub_join, _hub_join_ns, ("n",),
     ),
     "lem-2.4": Claim(
         "the layered trees T0_k and T1_k are {K3,Pk}-saturated",

@@ -4,15 +4,18 @@ saturation numbers, and exhaustive tree scans.
 Free trees come from the Wright-Richmond-Odlyzko-McKay generator, which
 visits only canonical level sequences rooted at a centre, in constant
 amortised time per tree, and yields each tree's diameter with it.  Graphs
-come from canonical augmentation: a child of a canonical parent is first
-accepted, when its new vertex sits in the orbit of its canonical last
-vertex, and then deduplicated per parent by canonical code, so every class
-is produced exactly once across all parents.  The parent prunes before any
-child is built (McKay, "Isomorph-free exhaustive generation", J.
-Algorithms 26, 1998): from its components and degrees it skips the
-neighbourhoods whose child the canonical pass rejects on sight, and with
-the automorphisms its own canonical pass met it tries one neighbourhood
-per orbit, the least.  Both streams are deterministic.
+come from canonical augmentation (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998): a child of a canonical parent is
+accepted when its new vertex sits in the orbit of its canonical last
+vertex.  The parent prunes before any child is built: from its components
+and degrees it skips the neighbourhoods whose child the canonical pass
+rejects on sight, and with the automorphisms its own canonical pass met it
+tries one neighbourhood per orbit, the least.  Two children left are never
+both accepted and isomorphic, so every class is produced exactly once
+across all parents with no code compared.  A level that becomes parents
+carries each child's automorphisms, packed as bytes permutations; the last
+level asks canon.accepts, which builds neither, and settles most children
+from degrees alone.  Both streams are deterministic.
 
 The saturated-tree scan walks only the centre-rooted heights that hold the
 diameters it checks, and counts every other free tree exactly from the
@@ -36,7 +39,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .canon import augmentation_code
+from .canon import accepts, augmentation_code
 from .constructions import make_small_tree, make_t0k, make_t1k
 from .graphs import Graph, build_graph, component_masks, graph6_encode, iter_bits
 from .patterns import TreePattern
@@ -345,9 +348,9 @@ def _viable(parent: Graph) -> Iterator[int]:
         yield s
 
 
-def _orbit(s: int, moves: list[dict[int, int]]) -> set[int]:
+def _orbit(s: int, moves: list[list[int]]) -> set[int]:
     """The images of the vertex set s under the group that moves span; each
-    move maps the bit of a vertex it moves to the bit of its image."""
+    move lists, per vertex, the bit of its image."""
     orbit = {s}
     todo = [s]
     for s in todo:
@@ -355,7 +358,7 @@ def _orbit(s: int, moves: list[dict[int, int]]) -> set[int]:
             t, rest = 0, s
             while rest:
                 low = rest & -rest
-                t |= move.get(low, low)
+                t |= move[low.bit_length() - 1]
                 rest ^= low
             if t not in orbit:
                 orbit.add(t)
@@ -363,41 +366,41 @@ def _orbit(s: int, moves: list[dict[int, int]]) -> set[int]:
     return orbit
 
 
-Generators = list[tuple[Sequence[int], Sequence[int]]]  # (src, dst) pairs, as canon records them
-
-
-def _children(parent: Graph, gens: Generators) -> list[tuple[Graph, Generators]]:
-    """Canonical children of a canonical parent, one per child class, each
-    with the automorphisms its canonical pass met.  `gens` are the parent's.
+def _candidates(parent: Graph, gens: list[bytes]) -> Iterator[Graph]:
+    """The children of a canonical parent that can be canonical, at most
+    one per child class.  `gens` are permutations that span Aut(parent).
 
     The neighbourhoods are walked in ascending order.  Those the canonical
     pass would reject on sight are skipped unbuilt, and so is every one
     that an automorphism of the parent maps from a smaller one: its child
     is isomorphic to that one's, with the same new vertex, so it is
-    accepted or rejected alike and adds no class.  Each remaining child
-    still runs the full canonical pass, and its code still goes through the
-    per-parent set of codes.
+    accepted or rejected alike and adds no class.  Two children left are
+    never isomorphic with both accepted (McKay, 1998): the accepted ones
+    need no per-parent deduplication.
     """
-    seen: set[bytes] = set()
-    out: list[tuple[Graph, Generators]] = []
-    m = parent.n
-    moves = [{1 << u: 1 << v for u, v in zip(src, dst)} for src, dst in gens]
+    moves = [[1 << v for v in perm] for perm in gens]
     covered: set[int] = set()
     for subset in _viable(parent):
         if subset in covered:
             continue
         if moves:
             covered |= _orbit(subset, moves)
-        child = _augmented(parent, subset)
-        child_gens: Generators = []
-        code = augmentation_code(child, m, child_gens)
-        if code is not None and code not in seen:
-            seen.add(code)
+        yield _augmented(parent, subset)
+
+
+def _children(parent: Graph, gens: list[bytes]) -> list[tuple[Graph, list[bytes]]]:
+    """Canonical children of a canonical parent, one per child class, each
+    with the automorphisms its canonical pass met, as bytes permutations.
+    `gens` are the parent's."""
+    out = []
+    for child in _candidates(parent, gens):
+        child_gens: list[bytes] = []
+        if augmentation_code(child, parent.n, child_gens) is not None:
             out.append((child, child_gens))
     return out
 
 
-def _graph_level(n: int) -> list[tuple[Graph, Generators]]:
+def _graph_level(n: int) -> list[tuple[Graph, list[bytes]]]:
     level = [(build_graph(1, []), [])]
     for _ in range(n - 1):
         level = [child for parent in level for child in _children(*parent)]
@@ -406,14 +409,17 @@ def _graph_level(n: int) -> list[tuple[Graph, Generators]]:
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of graphs on n vertices, in
-    a deterministic order."""
+    a deterministic order.  The last level yields its children straight
+    from canon.accepts, which needs no code and no generators and settles
+    most of them from degrees alone."""
     _check_budget("graphs", f"graph order {n}", n, n)
     if n == 1:
         yield build_graph(1, [])
         return
-    for parent in _graph_level(n - 1):
-        for child, _ in _children(*parent):
-            yield child
+    for parent, gens in _graph_level(n - 1):
+        for child in _candidates(parent, gens):
+            if accepts(child, parent.n):
+                yield child
 
 
 # ---------------------------------------------------------------------------

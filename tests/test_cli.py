@@ -202,8 +202,21 @@ class TestBruteforce:
         # no budget admits order 0, so raising SATFORGE_BUDGET cannot help
         code, stdout, err = run(capsys, *argv)
         assert code == 2 and stdout == ""
-        assert "graph order 0: orders start at 1" in err
+        assert {
+            "bruteforce": "graph order 0: orders start at 1",
+            "verify": "thm-1.4 needs --n of at least 2, not 1",
+        }[argv[0]] in err
         assert "budget" not in err and "SATFORGE_BUDGET" not in err
+
+    @pytest.mark.parametrize("n", ["0", "1", "6,1"])
+    def test_hub_join_refuses_orders_below_two_before_any_search(self, capsys, monkeypatch, n):
+        def refuse(*args):
+            raise AssertionError("sat_bruteforce called")
+
+        monkeypatch.setattr(claims, "sat_bruteforce", refuse)
+        code, stdout, err = run(capsys, "verify", "thm-1.4", "--n", n)
+        assert code == 2 and stdout == ""
+        assert "--n of at least 2" in err
 
 
 class TestFormula:

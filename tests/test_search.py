@@ -4,16 +4,25 @@ import random
 
 import pytest
 
-from satforge import saturation
+from satforge import canon, saturation
 from satforge.canon import (
     _labelling,
+    accepts,
     augmentation_code,
     canonical_form,
     canonical_last_vertex,
     same_orbit,
 )
 from satforge.constructions import make_t0k, make_t1k
-from satforge.graphs import build_graph, diameter, graph6_decode, graph6_encode, is_tree
+from satforge.graphs import (
+    build_graph,
+    diameter,
+    disjoint_union,
+    graph6_decode,
+    graph6_encode,
+    is_connected,
+    is_tree,
+)
 from satforge.saturation import (
     _Forest,
     check_saturated,
@@ -31,6 +40,7 @@ from satforge.search import (
 )
 from satforge.search import (
     _augmented,
+    _candidates,
     _children,
     _graph_level,
     _height_of,
@@ -197,8 +207,11 @@ class TestEnumerateGraphs:
 
     @pytest.mark.slow
     def test_order_8_count(self):
-        codes = {canonical_form(g) for g in enumerate_graphs(8)}
-        assert len(codes) == 12346
+        # a list, not a set: no child goes through a per-parent code set, so
+        # a class yielded twice must show here
+        listed = [canonical_form(g) for g in enumerate_graphs(8)]
+        codes = set(listed)
+        assert len(listed) == len(codes) == 12346
         for w in RECOVERED_ORDER_8:
             assert canonical_form(graph6_decode(w)) in codes, w
 
@@ -244,6 +257,28 @@ class TestAugmentation:
                     ) == canonical_form(marked(child, last))
                     assert (augmentation_code(child, k) is not None) == same
 
+    def test_accepts_matches_augmentation_code(self):
+        # every child of every parent of order <= 5
+        for k in range(1, 6):
+            for parent in enumerate_graphs(k):
+                for subset in range(1 << k):
+                    child = _augmented(parent, subset)
+                    assert accepts(child, k) == (augmentation_code(child, k) is not None)
+        # every child the order-7 walk asks about
+        asked = 0
+        for parent, gens in _graph_level(6):
+            for child in _candidates(parent, gens):
+                asked += 1
+                assert accepts(child, 6) == (augmentation_code(child, 6) is not None)
+        assert asked == 1405
+        # two components tie for the largest order, isomorphic or not, trees
+        # or not, with the new vertex in either one
+        quads = [g for g in enumerate_graphs(4) if is_connected(g)]
+        for a, b in itertools.combinations_with_replacement(quads, 2):
+            g = disjoint_union(a, b)
+            for v in range(8):
+                assert accepts(g, v) == (augmentation_code(g, v) is not None), (a, b, v)
+
 
 def reference_children(parent):
     """Canonical children as found without pruning: every neighbourhood,
@@ -259,11 +294,10 @@ def reference_children(parent):
 
 
 def as_permutation(n, gen):
-    """The image list of a recorded (src, dst) generator."""
-    perm = list(range(n))
-    for u, v in zip(*gen):
-        perm[u] = v
-    return perm
+    """The image list of a recorded generator, a bytes permutation of
+    range(n)."""
+    assert isinstance(gen, bytes) and len(gen) == n
+    return list(gen)
 
 
 def is_automorphism(g, perm):
@@ -321,6 +355,27 @@ class TestPruning:
                 assert all(is_automorphism(g, as_permutation(n, p)) for p in gens), g
         for g, gens in _graph_level(7):  # as carried from the accepting pass
             assert all(is_automorphism(g, as_permutation(7, p)) for p in gens), g
+
+    def test_last_level_mostly_skips_the_search(self, monkeypatch):
+        # accepts settles most order-7 children from degrees and the refined
+        # degree partition, without the search over its cells
+        level = _graph_level(6)
+        searched = set()
+        for name in ("_labelling", "_search_order"):
+            full = getattr(canon, name)
+
+            def counted(*args, full=full):
+                searched.add(asked)  # the index of the child being asked about
+                return full(*args)
+
+            monkeypatch.setattr(canon, name, counted)
+        asked = 0
+        for parent, gens in level:
+            for child in _candidates(parent, gens):
+                asked += 1
+                accepts(child, 6)
+        assert asked == 1405
+        assert 0 < len(searched) < asked / 3
 
     def test_generators_span_the_group(self):
         nx = pytest.importorskip("networkx")
