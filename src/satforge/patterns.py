@@ -9,9 +9,12 @@ enumerator, `_iter_paths_exact`, with its reachability prune.
 
 The prune is a keyword because each caller pays for the wrong choice (2-core
 VM, Python 3.11): leaving it off took 450 path queries on 150 components of
-order 11..16 and cycle rank above 12 from 0.32 to 0.83 s, and turning it on
-made the hub witness check, `check_saturated` of K1 joined to T_11 against
-K1*[11], 4 times slower (0.10 -> 0.45 s).
+order 11..16 and cycle rank above 12 from 0.32 to 0.83 s.  Turning it on made
+the generic scan for K1*F members, which still decides a K1*F family on a
+graph with no universal vertex, 4 times slower: that scan over a relabelled
+K1 joined to T_11 against K1*[11] went from 0.06-0.08 to 0.29 s.  The
+linear-forest searches of the K3+P10 detector on make_h0(1210, 10) and of
+sat_bruteforce(7, K1*[2,2]) cost the same either way.
 
 Containment flags, the tree scan's record of which claimed minimum trees a
 saturated tree holds, come from the one subtree matcher, `TreePattern`.  It

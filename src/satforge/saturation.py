@@ -34,6 +34,16 @@ Everything else goes through the "generic" scan, one lazy loop that asks,
 per non-edge in turn, whether a member uses it: a clique through the new
 edge is a smaller clique in the common neighbourhood of its ends, and the
 other members run their detectors on the graph with the edge added.
+
+A family whose members are all hubs joined to linear forests, K1*F, is
+first peeled at a universal vertex h of g, the least one, when g has two
+vertices or more: g holds K1*F exactly when g - h holds F, and no non-edge
+touches h, so g is decided as g - h against the family of the Fs (K1*[a]
+becomes Pa, K1*[a,b,...] becomes Pa+Pb+...) by the dispatch above, and its
+failures are mapped back past h.  The verdict's strategy is "hub+" and the
+strategy that decided g - h, so K1 joined to a tree is "hub+forest" at
+O(m^2).  When g - h holds a member, the whole-graph detector gives the
+witness, the same as without the peel.
 """
 
 from __future__ import annotations
@@ -44,7 +54,14 @@ from itertools import islice
 from typing import Sequence
 
 from .canon import tree_code
-from .graphs import Graph, component_masks, full_mask, iter_bits, longest_path_layers
+from .graphs import (
+    Graph,
+    component_masks,
+    delete_vertex,
+    full_mask,
+    iter_bits,
+    longest_path_layers,
+)
 from .patterns import (
     Witness,
     contains_join_k1,
@@ -298,8 +315,9 @@ MISSING_EDGE = "missing_edge"
 class SaturationVerdict:
     """A verdict, its witness or smallest failing non-edge, and the strategy
     that reached it: "detector" (g holds a member), "forest",
-    "triangle_table" or "generic" (the non-edge scan that decided).  The
-    strategy takes no part in equality."""
+    "triangle_table" or "generic" (the non-edge scan that decided), or
+    "hub+" and one of those scans when a K1*F family was decided on g less
+    a universal vertex.  The strategy takes no part in equality."""
 
     status: str
     witness: Witness | None = None
@@ -388,7 +406,19 @@ def _decide(
     A forest holds no triangle, and it holds Pk exactly when some component
     has diameter at least k-1, so a member-free forest against {Pk} or
     {K3, Pk} goes to its scan without running the detectors.
+
+    The hub peel is exact: a K1*F copy whose hub is not h gives an F in
+    g - h, its hub taking h's place when h lies in the F, and an F in g - h
+    gives K1*F with h.  No non-edge touches h, and the map back past h is
+    monotone, so failures stay ascending.
     """
+    hub = _hub(g, fam)
+    if hub is not None:
+        h, base = hub
+        strategy, w, failures = _decide(delete_vertex(g, h), base, collect_all)
+        if w is None:
+            up = [(u + (u >= h), v + (v >= h)) for u, v in failures]
+            return "hub+" + strategy, None, up
     shape = _forest_shape(fam)
     if shape is not None:
         forest = _Forest.of(g)
@@ -403,6 +433,22 @@ def _decide(
         if len(tris) <= _TRIANGLE_TABLE_CAP:
             return "triangle_table", None, _scan_k3_cup_pk(g, k, tris, collect_all)
     return "generic", None, _scan_generic(g, fam, collect_all)
+
+
+def _hub(g: Graph, fam: ForbiddenFamily) -> tuple[int, ForbiddenFamily] | None:
+    """The least vertex adjacent to every other and the family with each
+    K1*[a,b,...] as Pa+Pb+..., when every member is a K1*F and g has at
+    least two vertices and such a hub; else None."""
+    base = []
+    for m in fam.members:
+        if not isinstance(m, JoinK1):
+            return None
+        paths = tuple(map(Path, m.orders))
+        base.append(paths[0] if len(paths) == 1 else DisjointUnion(paths))
+    h = next((v for v, r in enumerate(g.rows) if r.bit_count() == g.n - 1), None)
+    if g.n < 2 or h is None:
+        return None
+    return h, ForbiddenFamily(tuple(base))
 
 
 def _forest_shape(fam: ForbiddenFamily) -> tuple[int, bool] | None:

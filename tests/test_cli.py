@@ -5,12 +5,15 @@ import pytest
 
 from satforge import claims, cli
 from satforge.cli import main
+from satforge.constructions import make_tk
 from satforge.graphs import (
     build_graph,
     complete_graph,
     disjoint_union,
+    empty_graph,
     graph6_decode,
     graph6_encode,
+    join,
     path_graph,
 )
 
@@ -140,6 +143,15 @@ class TestCheck:
         code, stdout, _ = run(capsys, "check", "--family", "P11", str(out))
         assert code == 3
         assert json.loads(stdout)["strategy"] == "detector"
+
+    def test_hub_strategy_reported(self, tmp_path, capsys):
+        # K1 joined to T_11, as graph6: decided as T_11 against P11
+        out = tmp_path / "hub.g6"
+        out.write_bytes(graph6_encode(join(empty_graph(1), make_tk(11))) + b"\n")
+        code, stdout, _ = run(capsys, "check", "--family", "K1*[11]", str(out))
+        assert code == 0
+        data = json.loads(stdout)
+        assert data["status"] == "saturated" and data["strategy"] == "hub+forest"
 
     def test_deep_union_member_exit_three(self, tmp_path, capsys):
         # a P1500 search deeper than Python's recursion limit

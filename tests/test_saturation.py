@@ -18,6 +18,7 @@ from satforge.graphs import (
     join,
     path_graph,
 )
+from satforge.patterns import Witness, contains_join_k1
 from satforge.saturation import (
     CONTAINS_MEMBER,
     MISSING_EDGE,
@@ -355,6 +356,95 @@ class TestScanEquivalence:
         for text in ("K3,P10", "P10"):
             self._assert_agrees(g, parse_family(text), "forest")
         assert check_saturated(g, parse_family("K3,P10")).status == MISSING_EDGE
+
+    # hub graphs against K1*F families: decided as g less its least
+    # universal vertex against the Fs, the oracle still contains_member on
+    # the whole of g + uv
+
+    HUB_FAMILIES = ("K1*[2]", "K1*[3]", "K1*[4]", "K1*[5]", "K1*[2,2]", "K1*[2,3]", "K1*[2],K1*[4]")
+
+    def test_every_hub_graph_of_order_7_against_joins(self):
+        from satforge.search import enumerate_graphs
+
+        rng = random.Random(79)
+        rows = 0
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                if all(r.bit_count() < n - 1 for r in g.rows):
+                    continue
+                relabelled = self._copies([g], rng)[0]
+                for text in self.HUB_FAMILIES:
+                    rows += 1
+                    for h in (g, relabelled):
+                        v = self._assert_agrees(h, parse_family(text))
+                        if n > 1 and v.status != CONTAINS_MEMBER:
+                            assert v.strategy.startswith("hub+"), (graph6_encode(h), text)
+        assert rows == 1463
+
+    def test_hub_holding_a_member_keeps_whole_graph_witness(self):
+        # P5 joined to a hub labelled 5: the whole-graph detector finds its
+        # K1*[3] at vertex 1, not at the hub
+        g = join(path_graph(5), empty_graph(1))
+        v = check_saturated(g, parse_family("K1*[3]"))
+        assert v.status == CONTAINS_MEMBER and v.strategy == "detector"
+        assert v.witness == contains_join_k1(g, (3,)) == Witness("join_k1", ((1,), (0, 5, 2)))
+
+    def test_mixed_or_clique_families_are_not_peeled(self):
+        # a member that is no K1*F keeps the whole-graph scan, and so does
+        # a single vertex; make_erdos_kp(400, 4) against K4, a clique
+        # family on a graph with two hubs, is TestGenericScan's
+        fam = parse_family("K1*[2,2],P4")
+        for h in (path_graph(2), path_graph(3), make_star(4), join(empty_graph(1), path_graph(3))):
+            v = self._assert_agrees(h, fam)
+            assert not v.strategy.startswith("hub+")
+        v = check_saturated(empty_graph(1), parse_family("K1*[2]"))
+        assert v.is_saturated and v.strategy == "generic"
+
+    def test_two_hubs_match_whole_graph(self):
+        for g in (
+            complete_graph(5),
+            join(complete_graph(2), path_graph(4)),
+            join(complete_graph(2), empty_graph(4)),
+            join(path_graph(4), complete_graph(2)),
+        ):
+            for text in self.HUB_FAMILIES:
+                self._assert_agrees(g, parse_family(text))
+
+    def test_hub_gap_ascending_in_graph_labels(self):
+        # T_6 plus a hub labelled in the middle, less one tree edge: failures
+        # on both sides of the hub label come back ascending
+        rng = random.Random(83)
+        g = make_tk(6)
+        edges = list(g.edges())
+        edges.remove(rng.choice(edges))
+        h = g.n // 2
+        edges = [(u + (u >= h), v + (v >= h)) for u, v in edges]
+        g = build_graph(g.n + 1, edges + [(h, x) for x in range(g.n + 1) if x != h])
+        fam = parse_family("K1*[6]")
+        gap = saturation_gap(g, fam)
+        assert gap == sorted(gap) == self._generic_failures(g, fam)
+        assert min(u for u, _ in gap) < h < max(v for _, v in gap)
+        assert all(h not in pair for pair in gap)
+        assert check_saturated(g, fam).strategy == "hub+forest"
+
+    def test_hub_over_t16_takes_no_path_search(self, monkeypatch):
+        # K1 joined to T_16 (n = 383): the tree goes to the forest scan, so
+        # not one exhaustive path search runs
+        from satforge import patterns
+
+        calls = []
+        iter_paths = patterns._iter_paths_exact
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return iter_paths(*args, **kwargs)
+
+        monkeypatch.setattr(patterns, "_iter_paths_exact", spy)
+        g = join(empty_graph(1), make_tk(16))
+        assert g.n == 383
+        v = check_saturated(g, parse_family("K1*[16]"))
+        assert v.is_saturated and v.strategy == "hub+forest"
+        assert calls == []
 
     # copies of a few tree classes, relabelled at random: the forest and
     # triangle-table scans decide each class of copies once
