@@ -136,7 +136,13 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
-    return induced_subgraph(g, (u for u in range(g.n) if u != v))
+    """g less the vertex v, the vertices above v relabelled one lower, as
+    induced_subgraph gives it: each other row keeps its bits below v and
+    shifts those above v down by one."""
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+    low = (1 << v) - 1
+    return Graph(g.n - 1, tuple(r & low | r >> 1 & ~low for r in g.rows[:v] + g.rows[v + 1 :]))
 
 
 def full_mask(n: int) -> int:

@@ -5,6 +5,9 @@ or a hub joined to a linear forest.  A graph is family-saturated when it is
 member-free and every added non-edge creates a member.  Non-edges are always
 decided in ascending order, so the reported failure is the smallest one
 whatever the execution strategy, and each verdict names its strategy.
+Every strategy gives its failing non-edges as one lazy ascending stream:
+check_saturated reads its first item and saturation_gap all of it, so a
+check stops testing pairs at the first failure.
 
 Two structure-aware scans decide whole components at once instead of one
 non-edge at a time:
@@ -51,7 +54,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .canon import tree_code
 from .graphs import (
@@ -73,6 +76,11 @@ from .patterns import (
     witness_ok,
 )
 
+# Graphs with more triangles than this skip the triangle table for the
+# generic scan, a trade with losses on both sides (one run each on a 2-core
+# VM): uncapped, K9 + 2 T1_10 against K3+P12 takes 97 s in the table, whose
+# chords from the clique run a path search per triangle, and 0.48 s generic;
+# capped, K12 + 6 K1 against K3+P10 takes 2.5 s generic and 0.009 s tabled.
 _TRIANGLE_TABLE_CAP = 24
 
 
@@ -347,20 +355,21 @@ def check_saturated(g: Graph, fam: ForbiddenFamily) -> SaturationVerdict:
 
     The reported failure is always the ascending-smallest one.
     """
-    strategy, w, failures = _decide(g, fam, collect_all=False)
+    strategy, w, failures = _decide(g, fam)
     if w is not None:
         return SaturationVerdict(CONTAINS_MEMBER, witness=w, strategy=strategy)
-    if failures:
-        return SaturationVerdict(MISSING_EDGE, missing_edge=failures[0], strategy=strategy)
+    first = next(failures, None)
+    if first is not None:
+        return SaturationVerdict(MISSING_EDGE, missing_edge=first, strategy=strategy)
     return SaturationVerdict(SATURATED, strategy=strategy)
 
 
 def saturation_gap(g: Graph, fam: ForbiddenFamily) -> list[tuple[int, int]]:
     """All non-edges whose addition creates no member (empty iff saturated)."""
-    _, w, failures = _decide(g, fam, collect_all=True)
+    _, w, failures = _decide(g, fam)
     if w is not None:
         raise ValueError("graph already contains a family member")
-    return failures
+    return list(failures)
 
 
 def tree_is_saturated(parent: list[int], diameter: int, k: int) -> bool:
@@ -397,11 +406,9 @@ def tree_is_saturated(parent: list[int], diameter: int, k: int) -> bool:
     return True
 
 
-def _decide(
-    g: Graph, fam: ForbiddenFamily, collect_all: bool
-) -> tuple[str, Witness | None, list[tuple[int, int]]]:
-    """The strategy, and the first member witness of g or else its failing
-    non-edges.
+def _decide(g: Graph, fam: ForbiddenFamily) -> tuple[str, Witness | None, Iterator[tuple[int, int]]]:
+    """The strategy, and the first member witness of g or else a lazy
+    ascending iterator over its failing non-edges.
 
     A forest holds no triangle, and it holds Pk exactly when some component
     has diameter at least k-1, so a member-free forest against {Pk} or
@@ -415,24 +422,23 @@ def _decide(
     hub = _hub(g, fam)
     if hub is not None:
         h, base = hub
-        strategy, w, failures = _decide(delete_vertex(g, h), base, collect_all)
+        strategy, w, failures = _decide(delete_vertex(g, h), base)
         if w is None:
-            up = [(u + (u >= h), v + (v >= h)) for u, v in failures]
-            return "hub+" + strategy, None, up
+            return "hub+" + strategy, None, ((u + (u >= h), v + (v >= h)) for u, v in failures)
     shape = _forest_shape(fam)
     if shape is not None:
         forest = _Forest.of(g)
         if forest is not None and forest.diameter < shape[0] - 1:
-            return "forest", None, _scan_forest(forest, *shape, collect_all)
+            return "forest", None, _scan_forest(forest, *shape)
     w = contains_member(g, fam)
     if w is not None:
-        return "detector", w, []
+        return "detector", w, iter(())
     k = _k3_cup_pk_shape(fam)
     if k is not None:
         tris = list(islice(iter_cliques(g, 3), _TRIANGLE_TABLE_CAP + 1))
         if len(tris) <= _TRIANGLE_TABLE_CAP:
-            return "triangle_table", None, _scan_k3_cup_pk(g, k, tris, collect_all)
-    return "generic", None, _scan_generic(g, fam, collect_all)
+            return "triangle_table", None, _scan_k3_cup_pk(g, k, tris)
+    return "generic", None, _scan_generic(g, fam)
 
 
 def _hub(g: Graph, fam: ForbiddenFamily) -> tuple[int, ForbiddenFamily] | None:
@@ -730,37 +736,32 @@ class _Forest:
         return fails
 
 
-def _ascending_failures(n: int, partners, collect_all: bool) -> list[tuple[int, int]]:
-    """Failing non-edges in ascending order.
+def _ascending_failures(n: int, partners) -> Iterator[tuple[int, int]]:
+    """Failing non-edges in ascending order, lazily.
 
     partners(u) describes the non-neighbours of u above it as (tested,
     fails, failing): tested lists, ascending, those that fails(u, v) decides
     one at a time, and the mask failing holds the others that are known to
-    fail (its bits at or below u are ignored).  Without collect_all, pair
-    tests stop at the first known failure.
+    fail (its bits at or below u are ignored).  The known failures below v
+    are yielded before (u, v) is tested, so a reader that stops at the
+    first failure tests no pair above it.
     """
-    out: list[tuple[int, int]] = []
     for u in range(n):
         tested, fails, failing = partners(u)
-        failing = failing >> (u + 1) << (u + 1)
-        first = (failing & -failing).bit_length() - 1 if failing else n
-        found = []
+        known = iter_bits(failing >> (u + 1) << (u + 1))
+        w = next(known, n)
         for v in tested:
-            if v > first and not collect_all:
-                break
+            while w < v:
+                yield u, w
+                w = next(known, n)
             if fails(u, v):
-                found.append(v)
-                if not collect_all:
-                    break
-        if collect_all:
-            found.extend(iter_bits(failing))
-            out.extend((u, v) for v in sorted(found))
-        elif found or failing:
-            return [(u, found[0] if found else first)]
-    return out
+                yield u, v
+        while w < n:
+            yield u, w
+            w = next(known, n)
 
 
-def _scan_forest(f: _Forest, k: int, closes_two: bool, collect_all: bool) -> list[tuple[int, int]]:
+def _scan_forest(f: _Forest, k: int, closes_two: bool) -> Iterator[tuple[int, int]]:
     """Failing non-edges of a member-free forest against {Pk}, or {K3, Pk}
     when closes_two.
 
@@ -785,12 +786,10 @@ def _scan_forest(f: _Forest, k: int, closes_two: bool, collect_all: bool) -> lis
                 failing = cross[t] & ~f.parts[f.comp_of[u]]
         return f.later(u), fails, failing
 
-    return _ascending_failures(f.n, partners, collect_all)
+    return _ascending_failures(f.n, partners)
 
 
-def _scan_k3_cup_pk(
-    g: Graph, k: int, tris: list[tuple[int, ...]], collect_all: bool
-) -> list[tuple[int, int]]:
+def _scan_k3_cup_pk(g: Graph, k: int, tris: list[tuple[int, ...]]) -> Iterator[tuple[int, int]]:
     """Non-edge scan for the single member K3 u Pk, on a member-free g.
 
     A chord uv creates a member in one of two ways.  Around an old triangle
@@ -896,7 +895,7 @@ def _scan_k3_cup_pk(
         tested = iter_bits(rest & (~rows[u] >> (u + 1) << (u + 1)))
         return tested, non_plain_fails, le[th[u]] if th[u] >= 0 else 0
 
-    return _ascending_failures(n, partners, collect_all)
+    return _ascending_failures(n, partners)
 
 
 # ---------------------------------------------------------------------------
@@ -904,16 +903,12 @@ def _scan_k3_cup_pk(
 # ---------------------------------------------------------------------------
 
 
-def _scan_generic(g: Graph, fam: ForbiddenFamily, collect_all: bool) -> list[tuple[int, int]]:
-    """Members through each non-edge in ascending order, stopping at the
-    first failure unless collect_all."""
-    failures = []
+def _scan_generic(g: Graph, fam: ForbiddenFamily) -> Iterator[tuple[int, int]]:
+    """The non-edges through which no member is created, ascending and
+    lazily."""
     for u, v in g.non_edges():
         if not any(_creates(g, member, u, v) for member in fam.members):
-            failures.append((u, v))
-            if not collect_all:
-                break
-    return failures
+            yield u, v
 
 
 def _creates(g: Graph, member: Member, u: int, v: int) -> bool:

@@ -10,6 +10,7 @@ from satforge.graphs import (
     complete_graph,
     connected_components,
     cycle_graph,
+    delete_vertex,
     diameter,
     disjoint_union,
     distances_from,
@@ -212,6 +213,19 @@ def test_induced_subgraph():
     g = cycle_graph(5)
     sub = induced_subgraph(g, [0, 1, 2])
     assert sub.n == 3 and sub.edge_count == 2
+
+
+def test_delete_vertex_matches_induced_subgraph():
+    # the row shift against the relabelling it replaces, at every vertex
+    rng = random.Random(29)
+    for n in range(1, 31):
+        for p in (0.2, 0.5, 0.9):
+            g = random_graph(rng, n, p)
+            for v in range(n):
+                assert delete_vertex(g, v) == induced_subgraph(g, (u for u in range(n) if u != v))
+    for v in (-1, 4):
+        with pytest.raises(ValueError):
+            delete_vertex(cycle_graph(4), v)
 
 
 def test_add_edge_immutable():

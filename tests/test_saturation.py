@@ -204,6 +204,67 @@ class TestCheckSaturated:
         assert peak < 16 * 2**20
 
 
+    def test_check_tests_no_pair_above_its_first_failure(self, monkeypatch):
+        # a check reads the ascending failure stream only to its first item.
+        # Pair tests are counted through _creates, chord_reach (one reach
+        # row gives all of a vertex's chords) and the forest chord test; the
+        # check's counts are those recorded when the scans still took a
+        # collect_all flag, and fewer than the gap's.  A scan's set-up, such
+        # as testing one copy per tree class, runs before the stream; of the
+        # tests made while reading it, none is above the first failure.  The
+        # hubs are labelled last, so g - h keeps g's labels
+        tests = []
+        creates, reach = saturation._creates, saturation.chord_reach
+        monkeypatch.setattr(
+            saturation, "_creates", lambda g, m, u, v: tests.append((u, v)) or creates(g, m, u, v)
+        )
+        monkeypatch.setattr(saturation, "chord_reach", lambda *a: tests.append(None) or reach(*a))
+        chord_fails = saturation._Forest.chord_fails
+
+        def counted_fails(forest, *args):
+            fails = chord_fails(forest, *args)
+            return lambda u, v: tests.append((u, v)) or fails(u, v)
+
+        monkeypatch.setattr(saturation._Forest, "chord_fails", counted_fails)
+        tree = build_graph(
+            11, [(0, 10), (1, 5), (2, 5), (3, 5), (4, 5), (5, 10), (6, 9), (7, 8), (8, 9), (9, 10)]
+        )
+        # the same tree beside a vertex labelled 1: (0, 1) is known to fail
+        # from the eccentricities, below every chord from 0
+        beside = build_graph(12, [(u + (u >= 1), v + (v >= 1)) for u, v in tree.edges()])
+        h0 = make_h0(120, 10)
+        edges = list(h0.edges())
+        edges.remove(random.Random(3).choice(edges))
+        h0 = build_graph(h0.n, edges)
+        # K2 joined to 18 vertices less the edge (17, 19): every pair of the
+        # 18 but those with 17 has a common edge
+        kp = build_graph(20, [(u, 18) for u in range(18)] + [(u, 19) for u in range(17)] + [(18, 19)])
+        # a star centred at 5 and two isolated vertices, then the hub
+        star = join(empty_graph(5), empty_graph(1))
+        star_hub = join(disjoint_union(star, empty_graph(2)), empty_graph(1))
+        cases = [
+            (tree, "K3,P7", "forest", (5, 8), 44, 54),
+            (beside, "K3,P7", "forest", (0, 1), 0, 54),
+            (h0, "K3+P10", "triangle_table", (0, 29), 194, 383),
+            (kp, "K4", "generic", (0, 17), 17, 154),
+            (join(tree, empty_graph(1)), "K1*[7]", "hub+forest", (5, 8), 44, 54),
+            (star_hub, "K1*[2,2]", "hub+generic", (5, 6), 21, 23),
+        ]
+        for g, text, strategy, missing, check_tests, gap_tests in cases:
+            fam = parse_family(text)
+            tests.clear()
+            v = check_saturated(g, fam)
+            assert (v.strategy, v.missing_edge, len(tests)) == (strategy, missing, check_tests), text
+            tests.clear()
+            failures = saturation._decide(g, fam)[2]
+            setup = len(tests)
+            assert next(failures) == missing and len(tests) == check_tests, text
+            assert all(pair <= missing for pair in tests[setup:] if pair is not None), text
+            tests.clear()
+            gap = saturation_gap(g, fam)
+            assert gap[0] == missing and len(tests) == gap_tests > check_tests, text
+
+
 class TestSaturationGap:
     def test_saturated_tree_has_empty_gap(self):
         assert saturation_gap(make_t1k(10), parse_family("K3,P10")) == []

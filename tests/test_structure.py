@@ -45,6 +45,16 @@ def test_saturation_takes_no_threads():
     assert owners == set()
 
 
+def test_saturation_takes_no_collect_all():
+    # check_saturated reads the first item of one ascending failure stream
+    # and saturation_gap all of it, so no scan is told which it serves
+    owners = {
+        fn.name for module, fn in _functions()
+        if module == "saturation" and "collect_all" in _parameters(fn)
+    }
+    assert owners == set()
+
+
 def test_no_shards_parameter_but_the_scan_shard():
     # the tree scan deals its own shards; no public signature takes them
     owners = set()
