@@ -1,5 +1,10 @@
 """Deterministic builders for the extremal graphs.
 
+Every builder is a closed rule: it places vertices and edges by formula and
+runs no saturation check, so this module reads only `graphs` and
+`formulas`.  That each output is saturated (or free) is certified where the
+claims are checked, by the `verify` campaigns and by the tests.
+
 All trees are labelled layer-major: layer-1 vertices first (0, then 1 when
 the middle has two vertices), then each deeper layer in parent order, so a
 construction reproduces the identical graph6 string on every run.
@@ -7,35 +12,31 @@ construction reproduces the identical graph6 string on every run.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .formulas import order_constant
 from .graphs import Graph, build_graph, complete_graph, disjoint_union, empty_graph, join
-from .saturation import check_saturated, parse_family
 
 
-def _grow_layers(first_layer: int, child_plan) -> tuple[list[tuple[int, int]], list[list[int]]]:
-    """Edges and layer lists for a layered tree.
+def _grow_layers(first_layer: int, plan) -> Graph:
+    """A layered tree, numbered layer-major.
 
-    child_plan(layer_index, vertex) -> child count; layer_index is 1-based;
-    growth stops when a layer comes out empty.
+    plan(layer, position) -> child count of the vertex at that 0-based
+    position of that 1-based layer; growth stops when a layer comes out
+    empty.
     """
-    layers: list[list[int]] = [list(range(first_layer))]
-    edges: list[tuple[int, int]] = []
-    if first_layer == 2:
-        edges.append((0, 1))
-    nxt = first_layer
+    edges: list[tuple[int, int]] = [(0, 1)] if first_layer == 2 else []
+    layer = range(first_layer)
     i = 1
-    while True:
-        new_layer: list[int] = []
-        for v in layers[-1]:
-            kids = child_plan(i, v)
-            for _ in range(kids):
-                edges.append((v, nxt))
-                new_layer.append(nxt)
-                nxt += 1
-        if not new_layer:
-            return edges, layers
-        layers.append(new_layer)
+    while layer:
+        nxt = layer.stop
+        for p, v in enumerate(layer):
+            kids = plan(i, p)
+            edges.extend((v, c) for c in range(nxt, nxt + kids))
+            nxt += kids
+        layer = range(layer.stop, nxt)
         i += 1
+    return build_graph(layer.stop, edges)
 
 
 def make_tk(k: int) -> Graph:
@@ -46,17 +47,16 @@ def make_tk(k: int) -> Graph:
     t = k // 2
     first = k + 1 - 2 * t
 
-    def plan(i: int, v: int) -> int:
+    def plan(i: int, p: int) -> int:
         if i >= t:
             return 0
         if i == 1:
             return 3 - (first - 1)
         return 2
 
-    edges, layers = _grow_layers(first, plan)
-    order = sum(len(layer) for layer in layers)
-    assert order == order_constant("A", k)
-    return build_graph(order, edges)
+    g = _grow_layers(first, plan)
+    assert g.n == order_constant("A", k)
+    return g
 
 
 def make_t0k(k: int) -> Graph:
@@ -67,7 +67,7 @@ def make_t0k(k: int) -> Graph:
     m = (k - 1) // 2  # number of layers, ceil((k-2)/2)
     first = 2 if k % 2 == 0 else 1
 
-    def plan(i: int, v: int) -> int:
+    def plan(i: int, p: int) -> int:
         up = first - 1 if i == 1 else 1
         if i <= m - 2:
             return 3 - up
@@ -75,10 +75,9 @@ def make_t0k(k: int) -> Graph:
             return 2 - up
         return 0
 
-    edges, layers = _grow_layers(first, plan)
-    order = sum(len(layer) for layer in layers)
-    assert order == order_constant("A0", k)
-    return build_graph(order, edges)
+    g = _grow_layers(first, plan)
+    assert g.n == order_constant("A0", k)
+    return g
 
 
 def make_t1k(k: int) -> Graph:
@@ -88,68 +87,32 @@ def make_t1k(k: int) -> Graph:
     The deep branches hang under distinct children of the middle so their
     paths to the middle are internally disjoint; for odd k the first middle
     vertex carries two of the three branches and the second carries one.
+    Every vertex of layers 2..t-3 has two children, so each layer-2 vertex
+    heads a run of 2^(t-4) vertices in layer t-2.  A branch is marked at the
+    first vertex of each of the first theta runs, at positions j*2^(t-4).
+    Layer t-1 gives each marked vertex two children and every other vertex
+    one, so the first child of the j-th marked vertex, the one that goes
+    deeper, sits at j*(2^(t-4) + 1).
     """
     if k < 8:
         raise ValueError("make_t1k needs k >= 8")
     t = k // 2
     first = k + 1 - 2 * t
     theta = 3 if k % 2 else 2
+    block = 1 << (t - 4)
 
-    layers: list[list[int]] = [list(range(first))]
-    edges: list[tuple[int, int]] = []
-    parent: dict[int, int] = {}
-    first_child: dict[int, int] = {}
-    if first == 2:
-        edges.append((0, 1))
-    nxt = first
+    def plan(i: int, p: int) -> int:
+        if i < t - 2:
+            return 3 - (first - 1) if i == 1 else 2
+        if i == t - 2:
+            return 2 if p % block == 0 and p < theta * block else 1
+        if i == t - 1:
+            return 1 if p % (block + 1) == 0 and p < theta * (block + 1) else 0
+        return 0
 
-    def add_child(v: int) -> int:
-        nonlocal nxt
-        edges.append((v, nxt))
-        parent[nxt] = v
-        if v not in first_child:
-            first_child[v] = nxt
-        child = nxt
-        nxt += 1
-        return child
-
-    # layers 2 .. t-2: full branching (degree 3 everywhere above the marks)
-    for i in range(2, t - 1):
-        new_layer = []
-        for v in layers[-1]:
-            kids = (3 - (first - 1)) if i == 2 else 2
-            new_layer.extend(add_child(v) for _ in range(kids))
-        layers.append(new_layer)
-
-    # deep-branch marks: leftmost (t-2)-layer descendants of distinct
-    # children of the middle vertices
-    if first == 1:
-        anchors = [layers[1][0], layers[1][1]]
-    else:
-        anchors = [layers[1][0], layers[1][1], layers[1][2]]
-        # layers[1] lists vertex 0's children first, then vertex 1's
-    marked = []
-    for a in anchors[:theta]:
-        v = a
-        while v not in layers[t - 2 - 1]:
-            v = first_child[v]
-        marked.append(v)
-    marked_set = set(marked)
-
-    # layer t-1: marked vertices keep degree 3, the rest drop to degree 2
-    new_layer = []
-    for v in layers[t - 2 - 1]:
-        kids = 2 if v in marked_set else 1
-        new_layer.extend(add_child(v) for _ in range(kids))
-    layers.append(new_layer)
-
-    # layer t: only the continuation child of each marked vertex goes deeper
-    deep = {first_child[v] for v in marked}
-    new_layer = [add_child(v) for v in layers[-1] if v in deep]
-    layers.append(new_layer)
-
-    assert nxt == order_constant("A1", k)
-    return build_graph(nxt, edges)
+    g = _grow_layers(first, plan)
+    assert g.n == order_constant("A1", k)
+    return g
 
 
 def t1k_attachment_vertex(k: int) -> int:
@@ -199,35 +162,31 @@ def make_erdos_kp(n: int, p: int) -> Graph:
 
 
 def saturated_tree_of_order(n: int, k: int) -> Graph:
-    """A non-star {triangle, path}-saturated tree of order exactly n.
+    """A non-star {triangle, path}-saturated tree of order exactly n: T1_k
+    with n - A1(k) leaves hung on vertex 0, numbered A1(k)..n-1.
 
-    Starts from the sparse layered tree and attaches one pendant leaf at a
-    time, at the first vertex whose augmented tree the saturation checker
-    certifies; every accepted step is checker-verified, so the result is
-    certified rather than assumed.
+    Why this is saturated, with T = T1_k (itself saturated) and l a new leaf:
+    - It holds no Pk: ecc(0) <= k-3 in T, so a path ending at l has at most
+      k-1 vertices, and a path through two new leaves has three.
+    - A non-edge of T closes a triangle or a Pk already in T.
+    - l closes a triangle through 0 with another new leaf or with a
+      neighbour of 0.
+    - For any other x, a path through the chord 0x of T, with l put between
+      0 and x, is a path through lx with one vertex more.  At distance 3 or
+      more the chord lies on a Pk, since T is saturated.  At distance 2 (x
+      under w) it lies on a path of k-1 vertices: the branch under a sibling
+      of x, then w and x, then 0 and its deepest branch that avoids w.  From
+      k = 9 on every such w has the sibling.
     """
     if k < 9:
         raise ValueError("saturated_tree_of_order needs k >= 9")
     a1 = order_constant("A1", k)
     if n < a1:
         raise ValueError(f"no non-star saturated tree below order {a1} for k={k}")
-    fam = parse_family(f"K3,P{k}")
-    tree = make_t1k(k)
-    while tree.n < n:
-        grown = None
-        for v in range(tree.n):
-            rows = list(tree.rows) + [1 << v]
-            rows[v] |= 1 << tree.n
-            candidate = Graph(tree.n + 1, tuple(rows))
-            if check_saturated(candidate, fam).is_saturated:
-                grown = candidate
-                break
-        if grown is None:
-            raise RuntimeError(
-                f"no saturated pendant extension found at order {tree.n + 1} (k={k})"
-            )
-        tree = grown
-    return tree
+    rows = list(make_t1k(k).rows)
+    rows[0] |= (1 << n) - (1 << a1)
+    rows.extend([1] * (n - a1))
+    return Graph(n, tuple(rows))
 
 
 def make_g0(n: int, k: int) -> Graph:
@@ -238,63 +197,28 @@ def make_g0(n: int, k: int) -> Graph:
     a1 = order_constant("A1", k)
     if n < a1:
         raise ValueError(f"make_g0 needs n >= {a1} for k={k}")
-    n0 = n % a1
-    g = saturated_tree_of_order(n0 + a1, k)
-    copy = make_t1k(k)
-    for _ in range(n // a1 - 1):
-        g = disjoint_union(g, copy)
-    return g
-
-
-_h0_attachment_cache: dict[int, int] = {}
-
-
-def _h0_assemble(n: int, k: int, att: int) -> Graph:
-    a1 = order_constant("A1", k)
-    copy = make_t1k(k)
-    edges: list[tuple[int, int]] = []
-    for i in range(4):
-        off = i * a1
-        edges.extend((off + u, off + v) for u, v in copy.edges())
-    corners = [i * a1 + att for i in range(4)]
-    edges.extend((corners[i], corners[j]) for i in range(4) for j in range(i + 1, 4))
-    q1 = build_graph(4 * a1, edges)
-
-    h = disjoint_union(q1, saturated_tree_of_order(a1 + n % a1, k))
-    for _ in range(n // a1 - 5):
-        h = disjoint_union(h, copy)
-    return h
-
-
-def _h0_attachment(k: int) -> int:
-    """Checker-certified attachment vertex for the 4-clique component.
-
-    The designated deep leaf is tried first; if the checker rejects it on
-    the smallest instance, every other vertex is tried (deepest first).
-    The certified choice is cached per k.
-    """
-    if k in _h0_attachment_cache:
-        return _h0_attachment_cache[k]
-    a1 = order_constant("A1", k)
-    fam = parse_family(f"K3+P{k}")
-    candidates = [t1k_attachment_vertex(k)] + list(range(a1 - 1, -1, -1))
-    for att in dict.fromkeys(candidates):
-        if check_saturated(_h0_assemble(6 * a1, k, att), fam).is_saturated:
-            _h0_attachment_cache[k] = att
-            return att
-    raise RuntimeError(f"no attachment vertex yields a saturated witness for k={k}")
+    copies = [make_t1k(k)] * (n // a1 - 1)
+    return disjoint_union(saturated_tree_of_order(n % a1 + a1, k), *copies)
 
 
 def make_h0(n: int, k: int) -> Graph:
     """Disconnected clique-union-path saturated witness.
 
-    One component carries a 4-clique whose corners are deep-leaf attachment
-    vertices of four private sparse-tree copies; one component is a
-    saturated tree absorbing the remainder; the rest are plain copies.
+    One component carries a 4-clique whose corners are the attachment
+    vertices (t1k_attachment_vertex) of four private sparse-tree copies;
+    one component is a saturated tree absorbing the remainder; the rest are
+    plain copies.
     """
     if k < 10:
         raise ValueError("make_h0 needs k >= 10")
     a1 = order_constant("A1", k)
     if n < 6 * a1:
         raise ValueError(f"make_h0 needs n >= {6 * a1} for k={k}")
-    return _h0_assemble(n, k, _h0_attachment(k))
+    copy = make_t1k(k)
+    h = disjoint_union(
+        *[copy] * 4, saturated_tree_of_order(a1 + n % a1, k), *[copy] * (n // a1 - 5)
+    )
+    att = t1k_attachment_vertex(k)
+    for u, v in combinations(range(att, 4 * a1, a1), 2):
+        h = h.add_edge(u, v)
+    return h

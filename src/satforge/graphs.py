@@ -108,11 +108,14 @@ def cycle_graph(n: int) -> Graph:
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """Vertex-disjoint union; g2's vertices are shifted up by |g1|."""
-    shift = g1.n
-    rows = list(g1.rows) + [r << shift for r in g2.rows]
-    return Graph(g1.n + g2.n, tuple(rows))
+def disjoint_union(*parts: Graph) -> Graph:
+    """Vertex-disjoint union; each part's vertices are shifted up by the
+    total order of the parts before it, each row once."""
+    rows: list[int] = []
+    for g in parts:
+        shift = len(rows)
+        rows.extend(r << shift for r in g.rows)
+    return Graph(len(rows), tuple(rows))
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
@@ -123,6 +126,17 @@ def join(g1: Graph, g2: Graph) -> Graph:
     rows = [r | right_mask for r in g1.rows]
     rows += [(r << shift) | left_mask for r in g2.rows]
     return Graph(g1.n + g2.n, tuple(rows))
+
+
+def tree_adjacency(parent: Sequence[int]) -> list[list[int]]:
+    """A preorder parent array (parent[0] unused) to the tree's adjacency
+    lists.  Vertex ids follow preorder, so each list is ascending: the
+    parent, then the children."""
+    adj: list[list[int]] = [[] for _ in parent]
+    for i in range(1, len(parent)):
+        adj[parent[i]].append(i)
+        adj[i].append(parent[i])
+    return adj
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:

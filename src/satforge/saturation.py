@@ -64,6 +64,7 @@ from .graphs import (
     full_mask,
     iter_bits,
     longest_path_layers,
+    tree_adjacency,
 )
 from .patterns import (
     Witness,
@@ -394,10 +395,7 @@ def tree_is_saturated(parent: list[int], diameter: int, k: int) -> bool:
     reach = chord_reach(dist, parent, range(n))
     if any(d > 2 and r < k for d, r in zip(dist, reach)):
         return False
-    adj: list[list[int]] = [[] for _ in parent]
-    for i in range(1, n):
-        adj[parent[i]].append(i)
-        adj[i].append(parent[i])
+    adj = tree_adjacency(parent)
     for u in range(1, n - 1):  # the last vertex has no chord above it
         dist, up, order = _bfs(adj, u)
         reach = chord_reach(dist, up, order)

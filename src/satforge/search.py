@@ -41,7 +41,14 @@ from typing import Iterator, Sequence
 
 from .canon import accepts, augmentation_code
 from .constructions import make_small_tree, make_t0k, make_t1k
-from .graphs import Graph, build_graph, component_masks, graph6_encode, iter_bits
+from .graphs import (
+    Graph,
+    build_graph,
+    component_masks,
+    graph6_encode,
+    iter_bits,
+    tree_adjacency,
+)
 from .patterns import TreePattern
 from .saturation import ForbiddenFamily, check_saturated, tree_is_saturated
 
@@ -265,17 +272,6 @@ def _parents(levels: Sequence[int]) -> list[int]:
         parent[i] = chain[lvl - 1]
         chain[lvl] = i
     return parent
-
-
-def _tree_adjacency(parent: list[int]) -> list[list[int]]:
-    """A preorder parent array to the tree's adjacency lists.  Vertex ids
-    follow preorder, so each list is ascending: the parent, then the
-    children."""
-    adj: list[list[int]] = [[] for _ in parent]
-    for i in range(1, len(parent)):
-        adj[parent[i]].append(i)
-        adj[i].append(parent[i])
-    return adj
 
 
 def _levels_to_graph(levels: Sequence[int]) -> Graph:
@@ -541,7 +537,7 @@ def _scan_shard(job: tuple) -> tuple[int, int, int, list[TreeWitness]]:
             if not tree_is_saturated(parent, diam, k):
                 continue
             saturated += 1
-            adj = _tree_adjacency(parent)
+            adj = tree_adjacency(parent)
             flags = tuple(
                 (name, pat.embedding(adj, diam) is not None) for name, pat in patterns
             )

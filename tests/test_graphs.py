@@ -67,6 +67,19 @@ def test_disjoint_union():
     assert disjoint_union(empty_graph(0), g) == g
 
 
+def test_disjoint_union_of_many_parts():
+    parts = [path_graph(3), complete_graph(4), empty_graph(0), cycle_graph(5), path_graph(1)]
+    g = disjoint_union(*parts)
+    nested = parts[0]
+    for part in parts[1:]:
+        nested = disjoint_union(nested, part)
+    assert g == nested
+    assert g.n == 13 and g.edge_count == 2 + 6 + 5
+    assert connected_components(g) == [[0, 1, 2], [3, 4, 5, 6], [7, 8, 9, 10, 11], [12]]
+    assert disjoint_union(g) == g
+    assert disjoint_union() == empty_graph(0)
+
+
 def test_join_edge_counts():
     wheel = join(empty_graph(1), cycle_graph(5))
     assert wheel.n == 6 and wheel.edge_count == 10

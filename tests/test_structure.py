@@ -1,6 +1,7 @@
 """Source-level checks that each parallel or shard mechanism, the subtree
 matcher, the tree verdict and the breadth-first search over adjacency lists
-exist once, and that no module keeps an import it never uses."""
+exist once, that the builders run no checker, and that no module keeps an
+import it never uses."""
 
 import ast
 from pathlib import Path
@@ -233,3 +234,17 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found.update(f"{path.stem}: {name}" for name in imported - used)
     assert found == set()
+
+
+def test_constructions_are_closed_rules():
+    # the builders place vertices by formula: they read graphs and formulas
+    # only, and never run the checker to choose a vertex
+    tree = _module("constructions")
+    sources = {
+        node.module for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+    }
+    assert sources == {"graphs", "formulas"}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "check_saturated" not in names | attrs
