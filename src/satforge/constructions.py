@@ -198,7 +198,7 @@ def make_g0(n: int, k: int) -> Graph:
     if n < a1:
         raise ValueError(f"make_g0 needs n >= {a1} for k={k}")
     copies = [make_t1k(k)] * (n // a1 - 1)
-    return disjoint_union(saturated_tree_of_order(n % a1 + a1, k), *copies)
+    return disjoint_union(saturated_tree_of_order(a1 + n % a1, k), *copies)
 
 
 def make_h0(n: int, k: int) -> Graph:
