@@ -2,19 +2,20 @@
 
 All detectors explore vertices in ascending id order, so returned witnesses
 are deterministic and usable as golden test fixtures.  Path existence is
-decided exactly: tree components by diameter, components with few independent
-cycles by branching over cycle-edge deletions (every simple path misses at
-least one edge of any fixed cycle), and dense leftovers by the one path
-enumerator, `_iter_paths_exact`, with its reachability prune.
+decided exactly: a tree component by its diameter, and any other component
+block by block over its block-cut tree (Hopcroft & Tarjan, CACM 16, 1973),
+since a simple path crosses each block at most once.  Inside a block the one
+path search, `_walk`, runs weighted: each vertex weighs the longest path it
+starts into the blocks below it, and a step is taken back when neither the
+path so far nor anything still reachable can reach the target.  A weighted
+walk that passes MAX_WALK_STEPS steps raises PathSearchBudgetError.
 
-The prune is a keyword because each caller pays for the wrong choice (2-core
-VM, Python 3.11): leaving it off took 450 path queries on 150 components of
-order 11..16 and cycle rank above 12 from 0.32 to 0.83 s.  Turning it on made
-the generic scan for K1*F members, which still decides a K1*F family on a
-graph with no universal vertex, 4 times slower: that scan over a relabelled
-K1 joined to T_11 against K1*[11] went from 0.06-0.08 to 0.29 s.  The
-linear-forest searches of the K3+P10 detector on make_h0(1210, 10) and of
-sat_bruteforce(7, K1*[2,2]) cost the same either way.
+The same walk, unweighted and unpruned, is `_iter_paths_exact`, the
+enumerator of the linear-forest searches.  Those stay unpruned because the
+prune costs them more than it saves (2-core VM, Python 3.11): it made the
+generic scan for K1*F members, which still decides a K1*F family on a graph
+with no universal vertex, 4 times slower, and the K3+P10 detector on
+make_h0(1210, 10) and sat_bruteforce(7, K1*[2,2]) no faster.
 
 Containment flags, the tree scan's record of which claimed minimum trees a
 saturated tree holds, come from the one subtree matcher, `TreePattern`.  It
@@ -38,12 +39,11 @@ from .graphs import (
     longest_path_layers,
 )
 
-MAX_DFS_COMPONENT = 256
-MAX_CYCLE_RANK_FOR_DELETION = 12
+MAX_WALK_STEPS = 100_000
 
 
 class PathSearchBudgetError(RuntimeError):
-    """A path search met a dense component over MAX_DFS_COMPONENT vertices."""
+    """A weighted walk of the path search took more than MAX_WALK_STEPS steps."""
 
 
 @dataclass(frozen=True)
@@ -135,53 +135,126 @@ def has_clique(g: Graph, p: int) -> Witness | None:
 # ---------------------------------------------------------------------------
 
 
-def _find_cycle_edges(rows: Sequence[int], comp: int) -> list[tuple[int, int]]:
-    """Edges of one cycle in the component (deterministic DFS)."""
-    start = (comp & -comp).bit_length() - 1
-    parent = {start: -1}
-    stack = [start]
-    order = []
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for u in iter_bits(rows[v] & comp):
-            if u == parent[v]:
+def _walk(
+    rows: Sequence[int], mask: int, starts: int, need: int, weight: dict | None = None, heavy: int = 0
+) -> Iterator[tuple[int, ...]]:
+    """Simple paths within mask from each vertex of starts in turn, depth
+    first in ascending vertex order: the one path search of this module.
+
+    Without weights it yields the paths of exactly `need` vertices that end
+    above their start.  With weights, a path's value is its order plus
+    weight[x] - 1 at each end x, and it yields each path whose value reaches
+    need, raising need past it: the first path yielded meets the target and
+    the last one is the best.  A step to u is then taken back when neither
+    the path to u nor any longer one can reach need, bounding the longer
+    ones by every vertex still reachable from u and the heaviest weight
+    among them.  heavy masks the vertices of weight above 1, the only ones
+    weighed.  A weighted walk raises PathSearchBudgetError after
+    MAX_WALK_STEPS steps.
+    """
+    steps = 0
+    for s in iter_bits(starts):
+        # stack[i] holds the next vertices not yet tried after seq[:i+1]
+        seq, used = [s], 1 << s
+        # the value of the path seq + [u] is base + len(seq) + weight[u]
+        base = 0 if weight is None else weight[s] - 1
+        stack = [rows[s] & mask & ~used]
+        while stack:
+            cand = stack[-1]
+            if not cand:
+                stack.pop()
+                used ^= 1 << seq.pop()
                 continue
-            if u in parent:
-                # back edge v-u closes a cycle through the parent chain
-                chain_v = []
-                x = v
-                while x != -1:
-                    chain_v.append(x)
-                    x = parent[x]
-                anc = set(chain_v)
-                chain_u = []
-                x = u
-                while x not in anc:
-                    chain_u.append(x)
-                    x = parent[x]
-                meet = x
-                cyc = chain_v[: chain_v.index(meet) + 1] + chain_u[::-1]
-                return [(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
-            parent[u] = v
-            stack.append(u)
-    raise AssertionError("no cycle in a component with cycle rank > 0")
+            low = cand & -cand
+            stack[-1] = cand ^ low
+            u = low.bit_length() - 1
+            if weight is None:
+                if len(seq) + 1 == need:
+                    if s < u:
+                        yield (*seq, u)
+                    continue
+                nxt = rows[u] & mask & ~used & ~low
+            else:
+                steps += 1
+                if steps > MAX_WALK_STEPS:
+                    raise PathSearchBudgetError(
+                        f"path search budget exceeded: {MAX_WALK_STEPS} steps in one walk"
+                    )
+                value = base + len(seq) + weight[u]
+                if value >= need:
+                    yield (*seq, u)
+                    need = value + 1
+                free = mask & ~used & ~low
+                nxt = rows[u] & free
+                # the layers are disjoint, so their sum is their union
+                seen = sum(bfs_layers(rows, nxt, free))
+                top = max((weight[x] for x in iter_bits(seen & heavy)), default=1)
+                if not nxt or base + len(seq) + seen.bit_count() + top < need:
+                    continue
+            seq.append(u)
+            used |= low
+            stack.append(nxt)
 
 
-def _lp_component(
-    rows: Sequence[int] | dict[int, int], comp: int, k: int, seen_removed: set, removed: frozenset
-) -> list[int] | None:
-    """A path on >= k vertices in the component comp, or None.  rows may
-    reach outside comp (every read is masked) and, once cycle edges are
-    deleted, holds only the rows of comp."""
+def _blocks(rows: Sequence[int], comp: int) -> Iterator[tuple[int, int]]:
+    """The blocks of the connected component comp, as (r, block mask): an
+    iterative Hopcroft-Tarjan DFS over the bit rows from the least vertex.
+    r is the block's vertex nearest that root, the one it hangs from, and a
+    block comes after every block that hangs below it."""
+    root = (comp & -comp).bit_length() - 1
+    disc, low = {root: 0}, {root: 0}
+    path, todo = [root], [rows[root] & comp]
+    pending = [root]  # visited vertices whose block has not been emitted
+    while todo:
+        v, cand = path[-1], todo[-1]
+        if cand:
+            bit = cand & -cand
+            todo[-1] = cand ^ bit
+            u = bit.bit_length() - 1
+            if u not in disc:
+                disc[u] = low[u] = len(disc)
+                path.append(u)
+                todo.append(rows[u] & comp)
+                pending.append(u)
+            elif disc[u] < low[v]:
+                low[v] = disc[u]
+            continue
+        path.pop()
+        todo.pop()
+        if path:
+            r = path[-1]
+            if low[v] < low[r]:
+                low[r] = low[v]
+            if low[v] >= disc[r]:
+                block = 1 << r
+                x = -1
+                while x != v:
+                    x = pending.pop()
+                    block |= 1 << x
+                yield r, block
+
+
+def _lp_component(rows: Sequence[int], comp: int, k: int) -> list[int] | None:
+    """A path on >= k vertices in the connected component comp, or None,
+    read from its smaller end; rows may reach outside comp (every read is
+    masked).
+
+    A tree is decided by its diameter.  Otherwise a simple path crosses each
+    block at most once, so the blocks are taken bottom up, with down[v] the
+    longest path from v into the blocks below v.  A bridge ry gives r the
+    way down [r] + down[y].  In a larger block hanging from r, with each
+    other vertex x weighted len(down[x]) and r weighted 1, a walk from every
+    vertex looks for a path through the block with both ends in it, and a
+    walk from r finds r's longest way down through it.  Joined to r's best
+    earlier way down, that covers the paths whose highest vertex is r.
+    """
     size = comp.bit_count()
     if size < k:
         return None
     m = sum((rows[v] & comp).bit_count() for v in iter_bits(comp)) // 2
-    rank = m - size + 1
-    if rank == 0:
-        # the longest path a..b, read from its smaller end: its i-th vertex
-        # from a is the one at distance i from a and d-i from b
+    if m == size - 1:
+        # the longest path a..b: its i-th vertex from a is the one at
+        # distance i from a and d-i from b
         from_a = longest_path_layers(rows, comp)
         if len(from_a) < k:
             return None
@@ -189,27 +262,32 @@ def _lp_component(
         from_b = bfs_layers(rows, far & -far, comp)
         d = len(from_a) - 1
         path = [(from_a[i] & from_b[d - i]).bit_length() - 1 for i in range(d + 1)]
-        return path if path[0] < path[-1] else path[::-1]
-    if rank <= MAX_CYCLE_RANK_FOR_DELETION:
-        for u, v in _find_cycle_edges(rows, comp):
-            key = removed | {(min(u, v), max(u, v))}
-            if key in seen_removed:
-                continue
-            seen_removed.add(key)
-            rows2 = {w: rows[w] for w in iter_bits(comp)}
-            rows2[u] &= ~(1 << v)
-            rows2[v] &= ~(1 << u)
-            # removing a cycle edge keeps the component connected
-            res = _lp_component(rows2, comp, k, seen_removed, key)
-            if res is not None:
-                return res
-        return None
-    if size > MAX_DFS_COMPONENT:
-        raise PathSearchBudgetError(
-            f"path search budget exceeded: dense component of order {size}"
-        )
-    path = next(_iter_paths_exact(rows, k, comp, prune=True), None)
-    return None if path is None else list(path)
+        return _from_smaller_end(path)
+    down: dict[int, list[int]] = {}
+    for r, block in _blocks(rows, comp):
+        if block.bit_count() == 2:
+            y = (block ^ 1 << r).bit_length() - 1
+            new = [r, *down.get(y, (y,))]
+        else:
+            arms = {x: down.get(x, [x]) for x in iter_bits(block)}
+            arms[r] = [r]
+            weight = {x: len(arm) for x, arm in arms.items()}
+            heavy = sum(1 << x for x, w in weight.items() if w > 1)
+            path = next(_walk(rows, block, block, k, weight, heavy), None)
+            if path is not None:
+                return _from_smaller_end(arms[path[0]][::-1] + list(path[1:-1]) + arms[path[-1]])
+            *_, way = _walk(rows, block, 1 << r, 2, weight, heavy)
+            new = list(way[:-1]) + arms[way[-1]]
+        old = down.get(r, [r])
+        if len(old) + len(new) > k:
+            return _from_smaller_end(old[::-1] + new[1:])
+        if len(new) > len(old):
+            down[r] = new
+    return None
+
+
+def _from_smaller_end(path: list[int]) -> list[int]:
+    return path if path[0] < path[-1] else path[::-1]
 
 
 def find_path_of_order(g: Graph, k: int, mask: int | None = None) -> list[int] | None:
@@ -220,7 +298,7 @@ def find_path_of_order(g: Graph, k: int, mask: int | None = None) -> list[int] |
     if k == 1:
         return [(m & -m).bit_length() - 1] if m else None
     for comp in component_masks(g, m):
-        res = _lp_component(g.rows, comp, k, set(), frozenset())
+        res = _lp_component(g.rows, comp, k)
         if res is not None:
             return res
     return None
@@ -238,49 +316,14 @@ def has_path_of_order(g: Graph, k: int) -> Witness | None:
 # ---------------------------------------------------------------------------
 
 
-def _iter_paths_exact(
-    rows: Sequence[int] | dict[int, int], order: int, mask: int, prune: bool = False
-) -> Iterator[tuple[int, ...]]:
+def _iter_paths_exact(rows: Sequence[int], order: int, mask: int) -> Iterator[tuple[int, ...]]:
     """Paths with exactly `order` vertices within mask, each once (from its
-    smaller end), depth first in ascending vertex order.
-
-    With `prune`, a step to u is taken back when fewer vertices than are
-    still missing can be reached from u's free neighbours.  That cuts only
-    branches that cannot finish a path, so the paths and their order stay
-    the same.
-    """
+    smaller end), depth first in ascending vertex order."""
     if order == 1:
         for v in iter_bits(mask):
             yield (v,)
         return
-
-    for s in iter_bits(mask):
-        # stack[i] holds the next vertices not yet tried after seq[:i+1]
-        seq, used = [s], 1 << s
-        stack = [rows[s] & mask & ~used]
-        while stack:
-            cand = stack[-1]
-            if not cand:
-                stack.pop()
-                used ^= 1 << seq.pop()
-                continue
-            low = cand & -cand
-            stack[-1] = cand ^ low
-            u = low.bit_length() - 1
-            if len(seq) + 1 == order:
-                if s < u:
-                    yield (*seq, u)
-                continue
-            seq.append(u)
-            used |= low
-            nxt = rows[u] & mask & ~used
-            if prune:
-                reach = sum(map(int.bit_count, bfs_layers(rows, nxt, mask & ~used)))
-                if len(seq) + reach < order:
-                    seq.pop()
-                    used ^= low
-                    continue
-            stack.append(nxt)
+    yield from _walk(rows, mask, mask, order)
 
 
 def contains_linear_forest(g: Graph, orders: Sequence[int], mask: int | None = None) -> Witness | None:

@@ -25,13 +25,13 @@ non-edge at a time:
   A pair in two trees fails exactly when ecc(u) + ecc(v) + 2 < k, so one
   mask of the vertices of eccentricity at most t, per threshold t, gives
   all of u's failing partners at once.
-* "triangle_table": against the single member K3 u Pk, with few
-  triangles, the same arithmetic decides every pair between trees that
-  hold no Pk, again once per isomorphism class of such trees.  Only pairs
-  that touch another component go through per-triangle tables built over
-  those components alone.  The K3 u Pk detector itself looks for Pk only
-  in the components, left by each triangle, that have order at least k
-  and, for a tree, diameter at least k-1.
+* "triangle_table": against the single member K3 u Pk, the same
+  arithmetic decides every pair between trees that hold no Pk, again once
+  per isomorphism class of such trees.  Only pairs that touch another
+  component go through per-triangle tables built over those components
+  alone.  The K3 u Pk detector itself looks for Pk only in the components,
+  left by each triangle, that have order at least k and, for a tree,
+  diameter at least k-1.
 
 Everything else goes through the "generic" scan, one lazy loop that asks,
 per non-edge in turn, whether a member uses it: a clique through the new
@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Iterator, Sequence
 
 from .canon import tree_code
@@ -76,13 +75,6 @@ from .patterns import (
     iter_cliques,
     witness_ok,
 )
-
-# Graphs with more triangles than this skip the triangle table for the
-# generic scan, a trade with losses on both sides (one run each on a 2-core
-# VM): uncapped, K9 + 2 T1_10 against K3+P12 takes 97 s in the table, whose
-# chords from the clique run a path search per triangle, and 0.48 s generic;
-# capped, K12 + 6 K1 against K3+P10 takes 2.5 s generic and 0.009 s tabled.
-_TRIANGLE_TABLE_CAP = 24
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +425,7 @@ def _decide(g: Graph, fam: ForbiddenFamily) -> tuple[str, Witness | None, Iterat
         return "detector", w, iter(())
     k = _k3_cup_pk_shape(fam)
     if k is not None:
-        tris = list(islice(iter_cliques(g, 3), _TRIANGLE_TABLE_CAP + 1))
-        if len(tris) <= _TRIANGLE_TABLE_CAP:
-            return "triangle_table", None, _scan_k3_cup_pk(g, k, tris)
+        return "triangle_table", None, _scan_k3_cup_pk(g, k)
     return "generic", None, _scan_generic(g, fam)
 
 
@@ -589,9 +579,9 @@ class _Forest:
     two ends give the part's diameter and every eccentricity.
 
     Many parts are often copies of one tree.  skip_clean_copies tests the
-    chords of one part per isomorphism class, and later() then lists
-    nothing in the parts of a class where none fails, so those parts never
-    build the rows of their inner vertices.
+    chords of one part per isomorphism class, once later() is first called,
+    and later() then lists nothing in the parts of a class where none fails,
+    so those parts never build the rows of their inner vertices.
     """
 
     def __init__(self, g: Graph, parts: list[int]):
@@ -623,6 +613,8 @@ class _Forest:
         self.diameters = [max(self.row(self._far(vs[0]))) for vs in verts]
         self.diameter = max(self.diameters, default=0)
         self.clean = [False] * len(parts)
+        # (fails, among) for skip_clean_copies, run on the first later() call
+        self.grouping = None
 
     @classmethod
     def of(cls, g: Graph) -> "_Forest | None":
@@ -662,7 +654,13 @@ class _Forest:
 
     def later(self, u: int) -> list[int]:
         """The non-neighbours of u in its part above u, ascending; none in
-        a part that skip_clean_copies found clean."""
+        a part that skip_clean_copies found clean.  The first call runs
+        skip_clean_copies on the grouping a scan set, so a scan that fails
+        before it reads any part groups nothing."""
+        if self.grouping is not None:
+            fails, among = self.grouping
+            self.grouping = None
+            self.skip_clean_copies(fails, among)
         c = self.comp_of[u]
         if self.clean[c]:
             return []
@@ -772,7 +770,7 @@ def _scan_forest(f: _Forest, k: int, closes_two: bool) -> Iterator[tuple[int, in
     fails = f.chord_fails(k, closes_two, True)
     cross: list[int] = []
     if len(f.parts) > 1:
-        f.skip_clean_copies(fails, range(len(f.parts)))
+        f.grouping = (fails, range(len(f.parts)))
         ecc = f.eccentricities()
         cross = _at_most(ecc, range(f.n), k - 3, f.n)
 
@@ -787,7 +785,7 @@ def _scan_forest(f: _Forest, k: int, closes_two: bool) -> Iterator[tuple[int, in
     return _ascending_failures(f.n, partners)
 
 
-def _scan_k3_cup_pk(g: Graph, k: int, tris: list[tuple[int, ...]]) -> Iterator[tuple[int, int]]:
+def _scan_k3_cup_pk(g: Graph, k: int) -> Iterator[tuple[int, int]]:
     """Non-edge scan for the single member K3 u Pk, on a member-free g.
 
     A chord uv creates a member in one of two ways.  Around an old triangle
@@ -821,7 +819,7 @@ def _scan_k3_cup_pk(g: Graph, k: int, tris: list[tuple[int, ...]]) -> Iterator[t
            and find_path_of_order(g, k, mask=m) is not None]
 
     tables = []
-    for cl in tris:
+    for cl in iter_cliques(g, 3):
         tmask = (1 << cl[0]) | (1 << cl[1]) | (1 << cl[2])
         parts = component_masks(g, rest & ~tmask)
         is_tree = [_is_tree(g, m) for m in parts]
@@ -877,7 +875,7 @@ def _scan_k3_cup_pk(g: Graph, k: int, tris: list[tuple[int, ...]]) -> Iterator[t
     le = _at_most(ecc, plain_vs, k - 2, n)
     np_ge = [_mask((u for u in th if th[u] >= e), n) for e in range(k - 1)]
     plain_fails = forest.chord_fails(k, bool(pk), bool(tables))
-    forest.skip_clean_copies(plain_fails, plain)
+    forest.grouping = (plain_fails, plain)
 
     def non_plain_fails(u: int, v: int) -> bool:
         return not creates(u, v)

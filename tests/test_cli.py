@@ -126,13 +126,22 @@ class TestCheck:
             assert "expected one graph6 line, found 2" in err
 
     def test_path_search_budget_exit_five(self, tmp_path, capsys):
-        # K150,150 is one dense 300-vertex component, over the DFS budget
-        g = build_graph(300, [(u, v) for u in range(150) for v in range(150, 300)])
-        out = tmp_path / "k150.g6"
-        out.write_bytes(graph6_encode(g) + b"\n")
-        code, stdout, err = run(capsys, "check", "--family", "P200", str(out))
-        assert code == cli.EXIT_BUDGET == 5 and stdout == ""
-        assert "path search budget exceeded" in err
+        # K150,150 is one 300-vertex block whose walk meets a P200 at once;
+        # K5,40 has no P12 (its longest path has 11 vertices), and its walk
+        # explodes past the step budget
+        k150 = build_graph(300, [(u, v) for u in range(150) for v in range(150, 300)])
+        k5 = build_graph(45, [(u, v) for u in range(5) for v in range(5, 45)])
+        cases = (("k150", k150, "P200", cli.EXIT_CONTAINS), ("k5", k5, "P12", cli.EXIT_BUDGET))
+        for name, g, family, want in cases:
+            out = tmp_path / f"{name}.g6"
+            out.write_bytes(graph6_encode(g) + b"\n")
+            code, stdout, err = run(capsys, "check", "--family", family, str(out))
+            assert code == want, name
+            if want == cli.EXIT_CONTAINS:
+                assert json.loads(stdout)["status"] == "contains_member"
+            else:
+                assert want == 5 and stdout == ""
+                assert "path search budget exceeded" in err
 
     def test_strategy_reported(self, tmp_path, capsys):
         out = tmp_path / "t12.g6"

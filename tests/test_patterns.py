@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -20,9 +21,10 @@ from satforge.graphs import (
     path_graph,
 )
 from satforge.patterns import (
-    MAX_CYCLE_RANK_FOR_DELETION,
     TreePattern,
+    Witness,
     _iter_paths_exact,
+    _walk,
     contains_join_k1,
     contains_linear_forest,
     find_path_of_order,
@@ -92,6 +94,44 @@ def reference_tree_path(t):
     while path[-1] != a:
         path.append(min(u for u in t.neighbors(path[-1]) if dist[u] == dist[path[-1]] - 1))
     return path[::-1]
+
+
+def glued_blocks(rng, shapes, first=None, limit=16):
+    """A connected graph of order <= limit, relabelled at random, built by
+    hanging blocks at random vertices: `first` (kind, least, most) and then
+    blocks drawn from `shapes`, each an edge, a cycle or a clique."""
+    edges, n = [], 0
+
+    def hang(kind, size, at):
+        nonlocal n
+        vs = ([] if at is None else [at]) + list(range(n, n + size - (at is not None)))
+        n += len(vs) - (at is not None)
+        if kind == "clique":
+            edges.extend(itertools.combinations(vs, 2))
+        else:
+            edges.extend(zip(vs, vs[1:]))
+            if kind == "cycle":
+                edges.append((vs[-1], vs[0]))
+
+    kind, lo, hi = first or rng.choice(shapes)
+    hang(kind, rng.randint(lo, hi), None)
+    while True:
+        kind, lo, hi = rng.choice(shapes)
+        size = rng.randint(lo, hi)
+        if n + size - 1 > limit:
+            break
+        hang(kind, size, rng.randrange(n))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def tree_with_chords(rng, limit=16):
+    """A random tree of order 8..limit plus one to four chords."""
+    n = rng.randint(8, limit)
+    t = random_tree(rng, n)
+    chords = [e for e in itertools.combinations(range(n), 2) if not t.has_edge(*e)]
+    return build_graph(n, list(t.edges()) + rng.sample(chords, rng.randint(1, 4)))
 
 
 class TestHasClique:
@@ -184,9 +224,9 @@ class TestHasPath:
 
     def test_paths_match_recorded(self):
         # sha256 of the paths found in 200 seeded graphs of order 6..11, with
-        # and without a random mask, recorded while every searched component
-        # still copied and masked all g.n rows; the sample reaches the tree,
-        # cycle-edge deletion and DFS branches
+        # and without a random mask, recorded when components with a cycle
+        # were first searched block by block; the sample reaches trees,
+        # bridges and the weighted walks of larger blocks
         rng = random.Random(53)
         out = []
         for _ in range(200):
@@ -198,28 +238,69 @@ class TestHasPath:
                 out.append(repr(find_path_of_order(g, k, mask)))
                 out.append(repr(find_path_of_order(g, k)))
         digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
-        assert digest == "9d18efeb119bf509ff78d4e49aba034e287e16c23e78fc09917ed1653642aa4f"
+        assert digest == "38cf4a05c726f8e0f0af444484ffd938aa4005f5792733ce72eefa13270891c1"
 
-    def test_dense_components_take_the_first_path(self):
-        # components above the deletion tier get the first pruned path,
-        # which is the first path the unpruned enumerator yields
+    def test_one_block_components_take_the_first_path(self):
+        # a 2-connected component is one block whose vertices all weigh 1,
+        # so the search returns the first path the pruned walk meets: the
+        # first path of order k that the unpruned enumerator yields
         rng = random.Random(15)
-        dense = 0
+        one_block = 0
         for _ in range(400):
-            n = rng.randint(2, 14)
+            n = rng.randint(3, 14)
             g = random_graph(rng, n, rng.uniform(0.2, 1.0))
             mask = rng.getrandbits(n) | rng.getrandbits(n) | rng.getrandbits(n)
             for comp in component_masks(g, mask):
                 size = comp.bit_count()
-                inner = [(g.rows[v] & comp).bit_count() for v in range(n) if comp >> v & 1]
-                if sum(inner) // 2 - size + 1 <= MAX_CYCLE_RANK_FOR_DELETION:
+                if size < 3 or any(
+                    len(component_masks(g, comp & ~(1 << v))) > 1 for v in range(n) if comp >> v & 1
+                ):
                     continue
-                dense += 1
+                one_block += 1
                 for k in range(2, size + 1):
                     first = next(_iter_paths_exact(g.rows, k, comp), None)
                     want = None if first is None else list(first)
                     assert find_path_of_order(g, k, comp) == want, (graph6_encode(g), k)
-        assert dense > 100
+        assert one_block > 100
+
+    def test_glued_blocks_against_dp_oracle(self):
+        # cactus chains, cliques with pendant trees, cycles with legs and
+        # sparse graphs with chords, relabelled at random: every query
+        # agrees with the subset DP and every path found is a path
+        rng = random.Random(97)
+        shapes = {
+            "cactus": lambda: glued_blocks(rng, [("cycle", 3, 5)] * 3 + [("edge", 2, 2)]),
+            "clique": lambda: glued_blocks(rng, [("edge", 2, 2)], first=("clique", 3, 6)),
+            "legs": lambda: glued_blocks(rng, [("edge", 2, 2)], first=("cycle", 4, 10)),
+            "chords": lambda: tree_with_chords(rng),
+        }
+        for name, make in shapes.items():
+            for _ in range(50):
+                g = make()
+                lp = longest_path_dp(g)
+                for k in range(2, g.n + 1):
+                    path = find_path_of_order(g, k)
+                    assert (path is not None) == (k <= lp), (name, graph6_encode(g), k)
+                    if path is not None:
+                        assert len(path) >= k and path[0] < path[-1]
+                        assert witness_ok(g, Witness("path", (tuple(path),))), (name, path)
+
+    def test_block_chains_answer_at_once(self):
+        # a chain of 130 triangles, each sharing a vertex with the next, and
+        # C300 with three chords: the search follows the blocks, not the
+        # number of independent cycles
+        chain = build_graph(
+            261, [e for i in range(0, 260, 2) for e in ((i, i + 1), (i + 1, i + 2), (i, i + 2))]
+        )
+        c300 = build_graph(
+            300, [(i, (i + 1) % 300) for i in range(300)] + [(66, 189), (242, 297), (6, 33)]
+        )
+        for g, k in ((chain, 10), (chain, 261), (c300, 300)):
+            start = time.perf_counter()
+            path = find_path_of_order(g, k)
+            assert time.perf_counter() - start < 1.0, (g.n, k)
+            assert len(path) >= k and witness_ok(g, Witness("path", (tuple(path),)))
+        assert find_path_of_order(chain, 262) is None
 
     def test_witness_is_a_path(self):
         rng = random.Random(4)
@@ -281,17 +362,62 @@ class TestLinearForest:
                 ]
                 assert list(_iter_paths_exact(g.rows, order, mask)) == want
 
-    def test_prune_keeps_every_path(self):
+    def test_unit_weight_walk_meets_the_unweighted_paths(self):
+        # from the least vertex of the mask, where every path ends above its
+        # start, the pruned walk with unit weights yields the first path of
+        # each order from `order` up, as the unweighted walk finds them
         rng = random.Random(14)
-        for n in range(2, 15):
-            for _ in range(8):
+        for n in range(2, 12):
+            for _ in range(12):
                 g = random_graph(rng, n, rng.random())
                 mask = rng.getrandbits(n) | rng.getrandbits(n)
-                for order in range(1, 7):
-                    pruned = _iter_paths_exact(g.rows, order, mask, prune=True)
-                    assert list(pruned) == list(_iter_paths_exact(g.rows, order, mask)), (
+                if not mask:
+                    continue
+                s = (mask & -mask).bit_length() - 1
+                unit = {v: 1 for v in range(n)}
+                for order in range(2, 7):
+                    firsts = []
+                    for o in range(order, n + 1):
+                        first = next(_walk(g.rows, mask, 1 << s, o), None)
+                        if first is None:
+                            break
+                        firsts.append(first)
+                    assert list(_walk(g.rows, mask, 1 << s, order, unit)) == firsts, (
                         graph6_encode(g), mask, order
                     )
+
+    def test_weighted_walk_yields_each_record(self):
+        # a path's value is its order plus weight - 1 at each end; the walk
+        # yields, in depth-first order, each path whose value reaches the
+        # target, raising it past that value, however it prunes
+        rng = random.Random(18)
+        for _ in range(150):
+            n = rng.randint(2, 8)
+            g = random_graph(rng, n, rng.random())
+            mask = rng.getrandbits(n) | rng.getrandbits(n)
+            weight = {v: rng.choice((1, 1, 2, 4)) for v in range(n)}
+            heavy = sum(1 << v for v in range(n) if weight[v] > 1)
+            for s in range(n):
+                if not mask >> s & 1:
+                    continue
+                paths = []
+
+                def grow(seq):
+                    for u in range(n):
+                        if mask >> u & 1 and u not in seq and g.has_edge(seq[-1], u):
+                            paths.append((*seq, u))
+                            grow([*seq, u])
+
+                grow([s])
+                for need in range(2, n + 8):
+                    want, target = [], need
+                    for p in paths:
+                        value = weight[p[0]] + weight[p[-1]] + len(p) - 2
+                        if value >= target:
+                            want.append(p)
+                            target = value + 1
+                    got = list(_walk(g.rows, mask, 1 << s, need, weight, heavy))
+                    assert got == want, (graph6_encode(g), mask, s, need)
 
     def test_path_deeper_than_the_recursion_limit(self):
         g = disjoint_union(path_graph(1600), complete_graph(3))

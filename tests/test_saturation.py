@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -18,7 +19,7 @@ from satforge.graphs import (
     join,
     path_graph,
 )
-from satforge.patterns import Witness, contains_join_k1
+from satforge.patterns import Witness, contains_join_k1, iter_cliques
 from satforge.saturation import (
     CONTAINS_MEMBER,
     MISSING_EDGE,
@@ -209,10 +210,12 @@ class TestCheckSaturated:
         # Pair tests are counted through _creates, chord_reach (one reach
         # row gives all of a vertex's chords) and the forest chord test; the
         # check's counts are those recorded when the scans still took a
-        # collect_all flag, and fewer than the gap's.  A scan's set-up, such
-        # as testing one copy per tree class, runs before the stream; of the
-        # tests made while reading it, none is above the first failure.  The
-        # hubs are labelled last, so g - h keeps g's labels
+        # collect_all flag, and fewer than the gap's, except the triangle
+        # table's, which fell from 194 once the test of one copy per tree
+        # class waited for the stream to reach a plain part: its first
+        # failure (0, 29) comes before any.  Of the tests made while reading
+        # the stream, none is above the first failure.  The hubs are
+        # labelled last, so g - h keeps g's labels
         tests = []
         creates, reach = saturation._creates, saturation.chord_reach
         monkeypatch.setattr(
@@ -245,7 +248,7 @@ class TestCheckSaturated:
         cases = [
             (tree, "K3,P7", "forest", (5, 8), 44, 54),
             (beside, "K3,P7", "forest", (0, 1), 0, 54),
-            (h0, "K3+P10", "triangle_table", (0, 29), 194, 383),
+            (h0, "K3+P10", "triangle_table", (0, 29), 4, 383),
             (kp, "K4", "generic", (0, 17), 17, 154),
             (join(tree, empty_graph(1)), "K1*[7]", "hub+forest", (5, 8), 44, 54),
             (star_hub, "K1*[2,2]", "hub+generic", (5, 6), 21, 23),
@@ -576,24 +579,52 @@ class TestScanEquivalence:
                 hits += home != tested
             assert hits, text
 
+    def test_many_triangles_take_the_table(self):
+        # the triangle table takes every K3+Pk check the detector passes,
+        # whatever the number of triangles: K12 beside 6 isolated vertices
+        # (220 triangles) and K7 beside two T1_10 (35) against the generic
+        # scan, and K9 beside two T1_10 (84) checked in under a second
+        t1 = make_t1k(10)
+        cases = (
+            (disjoint_union(complete_graph(12), empty_graph(6)), "K3+P10"),
+            (disjoint_union(complete_graph(7), t1, t1), "K3+P12"),
+        )
+        for g, text in cases:
+            fam = parse_family(text)
+            assert len(list(iter_cliques(g, 3))) > 24
+            assert check_saturated(g, fam).strategy == "triangle_table"
+            assert saturation_gap(g, fam) == list(saturation._scan_generic(g, fam)), text
+        g = disjoint_union(complete_graph(9), t1, t1)
+        start = time.perf_counter()
+        v = check_saturated(g, parse_family("K3+P12"))
+        assert time.perf_counter() - start < 1.0
+        assert v.strategy == "triangle_table" and v.missing_edge == (0, 9)
+
     def test_copy_classes_beside_a_k4_part_match_generic(self, monkeypatch):
         # plain copies beside a K4 with a pendant edge, which holds a Pk, go
         # through the triangle table's grouping: chords of the star K1,3
         # and of P3 close a triangle beside that Pk, while P4's long chord
-        # fails at k = 5
+        # fails at k = 5.  The gap groups; the check groups only when its
+        # stream reaches a plain vertex, the least one at or below the
+        # first failure's smaller end
         counts = self._clean_after_grouping(monkeypatch)
         k4 = build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
         star, p3, p4 = make_star(4), path_graph(3), path_graph(4)
         rng = random.Random(73)
         mixes = ((4, [star] * 3 + [p3] * 2, 5), (5, [star] * 2 + [p3] * 2 + [p4] * 3, 4))
+        checks_grouped = 0
         for k, trees, clean in mixes:
             for _ in range(3):
-                g, _ = self._copies([k4] + trees, rng)
+                g, labels = self._copies([k4] + trees, rng)
                 counts.clear()
-                self._assert_agrees(g, parse_family(f"K3+P{k}"), "triangle_table")
-                assert counts == [clean, clean]
+                v = self._assert_agrees(g, parse_family(f"K3+P{k}"), "triangle_table")
+                least_plain = min(min(vs) for vs in labels[1:])
+                grouped = v.missing_edge is None or least_plain <= v.missing_edge[0]
+                assert counts == [clean] * (1 + grouped)
+                checks_grouped += grouped
                 if k == 5:
                     assert check_saturated(g, parse_family("K3+P5")).status == MISSING_EDGE
+        assert 0 < checks_grouped < 6
 
 
 class TestChordReach:

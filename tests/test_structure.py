@@ -1,7 +1,7 @@
 """Source-level checks that each parallel or shard mechanism, the subtree
-matcher, the tree verdict and the breadth-first search over adjacency lists
-exist once, that the builders run no checker, and that no module keeps an
-import it never uses."""
+matcher, the path search, the tree verdict and the breadth-first search over
+adjacency lists exist once, that the builders run no checker, and that no
+module keeps an import it never uses."""
 
 import ast
 from pathlib import Path
@@ -153,10 +153,9 @@ def test_search_imports_no_subtree_contains():
 def test_one_subtree_matcher():
     # subtree containment is TreePattern's one memoised child matching:
     # subtree_contains only wraps it, and the only other recursion in
-    # patterns is the path search's
+    # patterns is the linear-forest search's placing of one path per part
     tree = _module("patterns")
     assert _calling_themselves(tree) == {
-        "_lp_component",
         "place",
         "TreePattern._fits",
         "TreePattern._augment",
@@ -172,6 +171,51 @@ def test_one_subtree_matcher():
     assert nested == []
     called = {node.func.id for node in ast.walk(wrapper) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert "TreePattern" in called
+
+
+def _backtracks_a_path(fn) -> bool:
+    """Whether fn clears a vertex popped off its path from a mask, as in
+    `used ^= 1 << seq.pop()`: the step back of a depth-first path search."""
+    return any(
+        isinstance(node, ast.AugAssign)
+        and isinstance(node.op, ast.BitXor)
+        and any(
+            isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute) and c.func.attr == "pop"
+            for c in ast.walk(node.value)
+        )
+        for node in ast.walk(fn)
+    )
+
+
+def test_one_path_search_in_patterns():
+    # one depth-first walk over simple paths: the linear-forest enumerator
+    # runs it unweighted, the block search weighted
+    tree = _module("patterns")
+    fns = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert {name for name, fn in fns.items() if _backtracks_a_path(fn)} == {"_walk"}
+    callers = {
+        name for name, fn in fns.items()
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_walk"
+    }
+    assert callers == {"_iter_paths_exact", "_lp_component"}
+
+
+def test_no_path_search_caps():
+    # the block search replaced the cycle-edge-deletion tier and the caps
+    # that guarded it: no cycle-rank cap, component-size cap or
+    # triangle-count cap is left
+    gone = ("MAX_CYCLE_RANK_FOR_DELETION", "MAX_DFS_COMPONENT", "_TRIANGLE_TABLE_CAP", "_find_cycle_edges")
+    found = {f"{path.stem}: {name}" for path in SOURCES for name in gone if name in path.read_text()}
+    assert found == set()
+
+
+def test_path_enumerator_takes_no_prune():
+    # the walk prunes only when weighted, so no caller picks a prune
+    owners = {
+        f"{module}.{fn.name}" for module, fn in _functions() if "prune" in _parameters(fn)
+    }
+    assert owners == set()
 
 
 def test_search_takes_one_tree_verdict_from_saturation():
