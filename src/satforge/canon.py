@@ -10,7 +10,8 @@ Components are listed by (order, code).  The same pass meets a generating
 set of the automorphism group: the maps between search leaves with equal
 codes, twin swaps, swaps of isomorphic components and, in trees, swaps of
 sibling subtrees with equal codes.  Their orbits are exact, and canonical
-augmentation can collect them as permutations to prune at the parent.
+augmentation can collect them as permutations to prune at the parent: the
+pass always runs whole, and a `sink` receives them on every call.
 """
 
 from __future__ import annotations
@@ -169,20 +170,13 @@ def _are_twins(rows: tuple[int, ...], u: int, v: int) -> bool:
     return rows[u] & ~(1 << v) == rows[v] & ~(1 << u)
 
 
-def _degree_cells(
-    rows: tuple[int, ...], verts: list[int], degs: list[int], mark: int = -1
-) -> list[tuple[int, ...]] | None:
+def _degree_cells(rows: tuple[int, ...], verts: list[int], degs: list[int]) -> list[tuple[int, ...]]:
     """The refined degree partition of a connected component, cells
-    ascending by degree.  The canonical last vertex lies in its last cell,
-    so a `mark` outside that cell cannot share its orbit: then None, and
-    before any refinement when mark lacks the component's largest degree."""
-    if mark >= 0 and rows[mark].bit_count() != max(degs):
-        return None
+    ascending by degree.  The canonical last vertex lies in its last cell."""
     degrees: dict[int, list[int]] = {}
     for v, d in zip(verts, degs):
         degrees.setdefault(d, []).append(v)
-    cells = _refine(rows, [tuple(degrees[d]) for d in sorted(degrees)])
-    return None if mark >= 0 and mark not in cells[-1] else cells
+    return _refine(rows, [tuple(degrees[d]) for d in sorted(degrees)])
 
 
 def _search_order(
@@ -235,47 +229,30 @@ def _search_order(
 # ---------------------------------------------------------------------------
 
 
-def _labelling(
-    g: Graph, mark: int = -1, sink: list | None = None
-) -> tuple[list[int], list[int]] | None:
+def _labelling(g: Graph, sink: list | None = None) -> tuple[list[int], list[int]]:
     """Canonical order of g's vertices (old ids, new order) and a union-find
     forest whose trees are the automorphism orbits.
 
-    With `mark` >= 0 the pass stops early with None once mark provably lies
-    outside the orbit of the canonical last vertex, which sits in a
-    component of the largest order.  A `sink` list receives the
-    automorphisms the pass meets, as bytes permutations (see _meet); when
-    the pass completes they generate the automorphism group of g.
+    A `sink` list receives the automorphisms the pass meets, as bytes
+    permutations (see _meet); they generate the automorphism group of g.
     """
     rows = g.rows
     orbit = list(range(g.n))
     comps = component_masks(g)
-    mine = next((c for c in comps if c >> mark & 1), 0) if mark >= 0 else 0
-    if mine and mine.bit_count() < max(map(int.bit_count, comps)):
-        return None
     parts = []
     for comp in comps:
-        m = mark if comp == mine else -1
         verts = list(iter_bits(comp)) if len(comps) > 1 else list(range(g.n))
         degs = [rows[v].bit_count() for v in verts]
         if sum(degs) == 2 * len(verts) - 2:
             order = _tree_order(rows, comp, orbit, sink)
-        elif (cells := _degree_cells(rows, verts, degs, m)) is None:
-            return None
         else:
-            order = _search_order(rows, cells, orbit, sink)
+            order = _search_order(rows, _degree_cells(rows, verts, degs), orbit, sink)
         parts.append((len(order), graph6_of(rows, order) if len(comps) > 1 else b"", order))
     parts.sort(key=lambda p: p[:2])  # stable: equal components keep their order
     for (na, ka, a), (nb, kb, b) in zip(parts, parts[1:]):
         if (na, ka) == (nb, kb):  # isomorphic components swap
             _meet(orbit, sink, a + b, b + a)
     return [v for p in parts for v in p[2]], orbit
-
-
-def _ends_in_orbit(found: tuple[list[int], list[int]] | None, v: int) -> bool:
-    """Whether a marked pass completed with v in the orbit of its last
-    vertex."""
-    return found is not None and _find(found[1], v) == _find(found[1], found[0][-1])
 
 
 def canonical_form(g: Graph) -> CanonicalCode:
@@ -287,26 +264,29 @@ def augmentation_code(g: Graph, v: int, sink: list | None = None) -> CanonicalCo
     """The canonical code of g when v shares the orbit of the canonical last
     vertex (g is then the canonical augmentation of g - v), else None.
 
-    A `sink` list receives the automorphisms of g that the pass meets, as
-    bytes permutations; they generate the group whenever the code is not
-    None.
+    A `sink` list receives, on every call, the automorphisms of g that the
+    pass meets, as bytes permutations; they generate the group.
     """
-    found = _labelling(g, v, sink)
-    return graph6_of(g.rows, found[0]) if _ends_in_orbit(found, v) else None
+    order, orbit = _labelling(g, sink)
+    if _find(orbit, v) != _find(orbit, order[-1]):
+        return None
+    return graph6_of(g.rows, order)
 
 
 def accepts(g: Graph, v: int) -> bool:
     """Whether v shares the orbit of the canonical last vertex, that is
-    augmentation_code(g, v) is not None, with no code and no generators.
+    augmentation_code(g, v) is not None, with no code and no generators
+    wherever a shortcut decides.
 
     When v's component is the unique largest one and not a tree, the
     canonical last vertex is that component's, and no automorphism moves
     the component, so the other components are never looked at.  Then v
-    is accepted when it alone has the component's largest degree; rejected
-    outside the last cell of the refined degree partition; accepted when
-    that cell is (v,), since every leaf of the search ends with it; and
-    otherwise decided by the search over those cells.  A tree component, or
-    one that ties for the largest order, takes the whole canonical pass.
+    is rejected when it lacks the component's largest degree; accepted when
+    it alone has it; rejected outside the last cell of the refined degree
+    partition; accepted when that cell is (v,), since every leaf of the
+    search ends with it; and otherwise decided by the search over those
+    cells.  A tree component, or one that ties for the largest order, takes
+    the whole canonical pass.
     """
     rows = g.rows
     comps = component_masks(g)
@@ -318,12 +298,14 @@ def accepts(g: Graph, v: int) -> bool:
     verts = list(iter_bits(mine))
     degs = [rows[u].bit_count() for u in verts]
     if sum(degs) == 2 * size - 2 or sizes.count(size) > 1:
-        return _ends_in_orbit(_labelling(g, v), v)
+        return augmentation_code(g, v) is not None
     top = max(degs)
-    if rows[v].bit_count() == top and degs.count(top) == 1:
+    if rows[v].bit_count() != top:
+        return False
+    if degs.count(top) == 1:
         return True
-    cells = _degree_cells(rows, verts, degs, v)
-    if cells is None:
+    cells = _degree_cells(rows, verts, degs)
+    if v not in cells[-1]:
         return False
     if cells[-1] == (v,):
         return True

@@ -8,14 +8,15 @@ come from canonical augmentation (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998): a child of a canonical parent is
 accepted when its new vertex sits in the orbit of its canonical last
 vertex.  The parent prunes before any child is built: from its components
-and degrees it skips the neighbourhoods whose child the canonical pass
-rejects on sight, and with the automorphisms its own canonical pass met it
-tries one neighbourhood per orbit, the least.  Two children left are never
-both accepted and isomorphic, so every class is produced exactly once
-across all parents with no code compared.  A level that becomes parents
-carries each child's automorphisms, packed as bytes permutations; the last
-level asks canon.accepts, which builds neither, and settles most children
-from degrees alone.  Both streams are deterministic.
+and degrees it skips the neighbourhoods whose new vertex cannot share the
+orbit of the canonical last one (_viable's rule), and with the
+automorphisms its own canonical pass met it tries one neighbourhood per
+orbit, the least.  Two children left are never both accepted and
+isomorphic, so every class is produced exactly once across all parents
+with no code compared.  A level that becomes parents carries each child's
+automorphisms, packed as bytes permutations; the last level asks
+canon.accepts, which builds neither, and settles most children from
+degrees alone.  Both streams are deterministic.
 
 The saturated-tree scan walks only the centre-rooted heights that hold the
 diameters it checks, and counts every other free tree exactly from the
@@ -309,14 +310,15 @@ def _augmented(parent: Graph, neighborhood: int) -> Graph:
 
 
 def _viable(parent: Graph) -> Iterator[int]:
-    """The neighbourhoods S of a new vertex, ascending, whose child the
-    canonical pass does not reject before any search.  The child's
-    canonical last vertex lies in a component of the largest order, and is
-    a leaf if that component is a tree with an edge, else of the
-    component's largest degree.  So S is skipped when the new vertex's component is smaller
-    than another one; when that component is a tree and |S| > 1; and when
-    it is not a tree and some vertex u outdoes |S|, where u counts as
-    deg(u) + 1 if it lies in S."""
+    """The neighbourhoods S of a new vertex, ascending, whose new vertex can
+    share the orbit of the child's canonical last vertex.  That vertex lies
+    in a component of the largest order, and is a leaf if that component is
+    a tree with an edge, else of the component's largest degree.  So S is
+    skipped when the new vertex's component is smaller than another one;
+    when that component is a tree and |S| > 1; and when it is not a tree
+    and some vertex u outdoes |S|, where u counts as deg(u) + 1 if it lies
+    in S.  The canonical pass itself has no early exit: this rule is the
+    only one applied before a child is built."""
     deg = [r.bit_count() for r in parent.rows]
     comps = []  # (mask, order, is a tree, largest degree)
     for c in component_masks(parent):
@@ -366,10 +368,10 @@ def _candidates(parent: Graph, gens: list[bytes]) -> Iterator[Graph]:
     """The children of a canonical parent that can be canonical, at most
     one per child class.  `gens` are permutations that span Aut(parent).
 
-    The neighbourhoods are walked in ascending order.  Those the canonical
-    pass would reject on sight are skipped unbuilt, and so is every one
-    that an automorphism of the parent maps from a smaller one: its child
-    is isomorphic to that one's, with the same new vertex, so it is
+    The neighbourhoods are walked in ascending order.  Those that _viable
+    rules out are skipped unbuilt, and so is every one that an automorphism
+    of the parent maps from a smaller one: its child is isomorphic to that
+    one's, with the same new vertex, so it is
     accepted or rejected alike and adds no class.  Two children left are
     never isomorphic with both accepted (McKay, 1998): the accepted ones
     need no per-parent deduplication.
@@ -564,9 +566,10 @@ def scan_saturated_trees(
     tree_is_saturated, from its parent array: the root's chords first, and
     the other vertices' only if those pass.  With threads > 1 the walked
     trees are dealt round-robin, over the stream of all the orders, into one
-    shard per thread, each run on a fresh pool of that many worker
-    processes; with threads == 1 the one shard runs inline.  The report is
-    the same for every thread count.
+    shard per thread, run on a fresh pool of as many worker processes, but
+    never more than os.cpu_count(): a larger count deals more shards, not
+    more processes.  With threads == 1 the one shard runs inline.  The
+    report is the same for every thread count.
     """
     if k < 5:
         raise ValueError("scan needs k >= 5")
@@ -587,7 +590,7 @@ def scan_saturated_trees(
     if shards == 1:
         parts = [_scan_shard(jobs[0])]
     else:
-        with ProcessPoolExecutor(max_workers=shards) as pool:
+        with ProcessPoolExecutor(max_workers=min(shards, os.cpu_count() or 1)) as pool:
             parts = list(pool.map(_scan_shard, jobs))
     return ScanReport(
         orders=orders,

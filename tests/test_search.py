@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import os
 import random
 
 import pytest
@@ -236,7 +237,8 @@ class TestAugmentation:
     pass and against orbits found by marking."""
 
     def test_early_rejection_matches_full_pass(self):
-        # every child of every parent of order <= 6
+        # every child of every parent of order <= 6: the code and the orbit
+        # test of augmentation_code against the answers of separate passes
         for k in range(1, 7):
             for parent in enumerate_graphs(k):
                 for subset in range(1 << k):
@@ -278,6 +280,20 @@ class TestAugmentation:
             g = disjoint_union(a, b)
             for v in range(8):
                 assert accepts(g, v) == (augmentation_code(g, v) is not None), (a, b, v)
+
+    def test_accepts_against_marked_oracle_at_order_7(self):
+        # every child the order-7 walk asks about, against canonical forms of
+        # marked copies, which read no orbit forest
+        asked = 0
+        for parent, gens in _graph_level(6):
+            for child in _candidates(parent, gens):
+                asked += 1
+                last = canonical_last_vertex(child)
+                same = last == 6 or canonical_form(marked(child, 6)) == canonical_form(
+                    marked(child, last)
+                )
+                assert accepts(child, 6) == same, child
+        assert asked == 1405
 
 
 def reference_children(parent):
@@ -327,9 +343,9 @@ def recorded_generators(g):
 
 
 class TestPruning:
-    """The walk of _children skips, unbuilt, the neighbourhoods that the
-    canonical pass would reject on sight and those an automorphism of the
-    parent maps from a smaller one, and yields what the full walk yields."""
+    """The walk of _children skips, unbuilt, the neighbourhoods that _viable
+    rules out and those an automorphism of the parent maps from a smaller
+    one, and yields what the full walk yields."""
 
     def test_pruned_children_match_reference(self):
         for k in range(1, 7):
@@ -612,6 +628,36 @@ class TestWindowedWalk:
             reports = [scan_saturated_trees(orders, k, threads=t) for t in (1, 2, 3)]
             assert reports[0].witnesses
             assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    def test_pool_capped_at_the_cpu_count(self, monkeypatch):
+        # 64 threads deal 64 shards onto at most os.cpu_count() processes;
+        # the stub pool runs them inline and starts none
+        from satforge import search
+
+        asked = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+        single = scan_saturated_trees(range(4, 11), 5)
+        assert single.witnesses
+        assert scan_saturated_trees(range(4, 11), 5, threads=64) == single
+        assert asked == [min(64, os.cpu_count() or 1)]
+        for cores, cap in [(2, 2), (None, 1)]:
+            monkeypatch.setattr(search.os, "cpu_count", lambda cores=cores: cores)
+            assert scan_saturated_trees(range(4, 11), 5, threads=64) == single
+            assert asked[-1] == cap
 
 
 ROOT_PASS_CASES = [(n, k) for n in range(4, 13) for k in (5, 6, 7)] + [(14, 8), (16, 9)]

@@ -1,7 +1,8 @@
 """Source-level checks that each parallel or shard mechanism, the subtree
 matcher, the path search, the tree verdict and the breadth-first search over
-adjacency lists exist once, that the builders run no checker, and that no
-module keeps an import it never uses."""
+adjacency lists exist once, that the builders run no checker, that the
+canonical pass takes no mark, and that no module keeps an import it never
+uses."""
 
 import ast
 from pathlib import Path
@@ -292,3 +293,14 @@ def test_constructions_are_closed_rules():
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert "check_saturated" not in names | attrs
+
+
+def test_canonical_pass_takes_no_mark():
+    # the pass always runs whole; augmentation_code and accepts make the
+    # one orbit test on its result, so no early exit is threaded through it
+    params = {
+        fn.name: _parameters(fn)
+        for module, fn in _functions()
+        if module == "canon" and fn.name in ("_labelling", "_degree_cells", "_ends_in_orbit")
+    }
+    assert params == {"_labelling": ["g", "sink"], "_degree_cells": ["rows", "verts", "degs"]}
