@@ -2,9 +2,11 @@
 it is checked at, and a runner that checks it case by case.
 
 `satforge verify <claim>` and the acceptance gate both run claims through
-`run_claim`.  A runner returns case dicts (`case`, `claim`, `expected`,
-`actual`, `pass`) in a deterministic order, so a report is the same for any
-thread count.
+`run_claim`.  A runner takes its points and the tree scan to run, a callable
+(orders, k) -> ScanReport, which only the tree claims call; how the scan is
+configured is the caller's.  It returns case dicts (`case`, `claim`,
+`expected`, `actual`, `pass`) in a deterministic order, so a report is the
+same for any configuration of the scan.
 """
 
 from __future__ import annotations
@@ -67,11 +69,11 @@ def _case(case_id: str, claim: str, expected, actual) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# runners: (points, threads, prefilter) -> cases
+# runners: (points, scan) -> cases
 # ---------------------------------------------------------------------------
 
 
-def _layered_trees(ks, threads, prefilter) -> list[dict]:
+def _layered_trees(ks, scan) -> list[dict]:
     cases = []
     for k in ks:
         fam = parse_family(f"K3,P{k}")
@@ -84,7 +86,7 @@ def _layered_trees(ks, threads, prefilter) -> list[dict]:
     return cases
 
 
-def _g0(pairs, threads, prefilter, lemma: bool) -> list[dict]:
+def _g0(pairs, scan, lemma: bool) -> list[dict]:
     """Theorem 1.1 (edges and formula) or Lemma 3.1 (components and edges)
     on the G0 witness; both check that it is saturated."""
     cases = []
@@ -113,7 +115,7 @@ def _g0(pairs, threads, prefilter, lemma: bool) -> list[dict]:
     return cases
 
 
-def _h0(pairs, threads, prefilter, with_bounds: bool) -> list[dict]:
+def _h0(pairs, scan, with_bounds: bool) -> list[dict]:
     """Lemma 3.2, and with the bracket Theorem 1.2's upper bound, on H0."""
     cases = []
     for n, k in pairs:
@@ -137,7 +139,7 @@ def _h0(pairs, threads, prefilter, with_bounds: bool) -> list[dict]:
     return cases
 
 
-def _hub_join(ns, threads, prefilter) -> list[dict]:
+def _hub_join(ns, scan) -> list[dict]:
     fam_join = parse_family("K1*[2,2]")
     fam_forest = parse_family("P2+P2")
     cases = []
@@ -172,12 +174,12 @@ def _hub_join(ns, threads, prefilter) -> list[dict]:
     return cases
 
 
-def _minimum_trees(ks, threads, prefilter) -> list[dict]:
+def _minimum_trees(ks, scan) -> list[dict]:
     cases = []
     for k in ks:
         orders, claimed = PROP_5_2[k]
         lo, hi = orders[0], orders[-1]
-        rep = scan_saturated_trees(orders, k, prefilter, threads)
+        rep = scan(orders, k)
         targets = dict(claimed_patterns(k))
         names = {canonical_form(g): name for name, g in targets.items()}
         trees = [graph6_decode(w.graph6) for w in rep.witnesses]
@@ -256,8 +258,8 @@ def _refutation(k: int, targets: dict, trees) -> dict:
     )
 
 
-def _order_20(points, threads, prefilter) -> list[dict]:
-    rep = scan_saturated_trees([20], 10, prefilter, threads)
+def _order_20(points, scan) -> list[dict]:
+    rep = scan([20], 10)
     bad = [
         w.graph6.decode("ascii") for w in rep.witnesses if not w.contains_any()
     ]
@@ -318,7 +320,7 @@ def _prop_5_2_ks(ks, ns) -> tuple:
 @dataclass(frozen=True)
 class Claim:
     statement: str
-    run: Callable[[tuple, int, bool], list[dict]]
+    run: Callable[[tuple, Callable], list[dict]]
     points: Callable[[list | None, list | None], tuple]  # --k, --n -> run's points
     options: tuple[str, ...]  # the options of --k / --n that points reads
 
@@ -365,11 +367,10 @@ def run_claim(
     claim_id: str,
     ks: list[int] | None = None,
     ns: list[int] | None = None,
-    threads: int = 1,
-    prefilter: bool = True,
+    scan: Callable = scan_saturated_trees,
 ) -> list[dict]:
     """The cases of one claim, at its default parameters unless ks or ns
-    are given."""
+    are given.  The tree claims call scan(orders, k)."""
     if claim_id not in CLAIMS:
         raise UsageError(
             f"unknown campaign {claim_id!r}; known: {', '.join(sorted(CLAIMS))}"
@@ -378,4 +379,4 @@ def run_claim(
     for name, given in (("k", ks), ("n", ns)):
         if given and name not in claim.options:
             raise UsageError(f"{claim_id} takes no --{name}")
-    return claim.run(claim.points(ks, ns), threads, prefilter)
+    return claim.run(claim.points(ks, ns), scan)

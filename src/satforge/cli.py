@@ -65,12 +65,17 @@ EXIT_BUDGET = 5
 
 
 def _parse_int_list(spec: str) -> list[int]:
-    """Accepts "10", "9,11,14" and "9..14"."""
+    """Accepts "10", "9,11,14" and "9..14"; a list with no value, such as
+    "," or "14..9", is refused."""
     spec = spec.strip()
     if ".." in spec:
         lo, _, hi = spec.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in spec.split(",") if tok.strip()]
+        values = list(range(int(lo), int(hi) + 1))
+    else:
+        values = [int(tok) for tok in spec.split(",") if tok.strip()]
+    if not values:
+        raise UsageError(f"the list {spec!r} holds no value")
+    return values
 
 
 def _thread_count(text: str) -> int:
@@ -235,11 +240,9 @@ def cmd_formula(args: argparse.Namespace) -> int:
 
 
 def _run_scan(orders, k: int, args):
-    """The tree scan under `verify`'s --threads and --no-prefilter options.
-
-    `verify` reaches the scan through `run_claim`; this helper is kept as the
-    benchmark's entry point to the scan as the command line configures it.
-    """
+    """The tree scan under `verify`'s --threads and --no-prefilter options:
+    the one place that turns them into a scan.  `verify` hands it to
+    `run_claim`, so every tree claim runs the scan through it."""
     return scan_saturated_trees(orders, k, not args.no_prefilter, args.threads)
 
 
@@ -247,10 +250,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     start = time.time()
     cases = run_claim(
         args.campaign,
-        _parse_int_list(args.k) if args.k else None,
-        _parse_int_list(args.n) if args.n else None,
-        args.threads,
-        not args.no_prefilter,
+        None if args.k is None else _parse_int_list(args.k),
+        None if args.n is None else _parse_int_list(args.n),
+        partial(_run_scan, args=args),
     )
     report = {
         "schema_version": 1,

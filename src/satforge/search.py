@@ -24,13 +24,14 @@ numbers of free trees by order and diameter (Riordan, "The enumeration of
 trees by height and diameter", IBM J. Res. Dev. 4, 1960), so its
 trees_scanned, the trees walked plus the trees counted, is every free tree
 of its orders.  It splits the walked stream of all its orders into shards by
-index, one per worker process; it owns the package's one process pool.
-Each tree's parent array, the last vertex one level up in preorder, goes
-with the generator's diameter to saturation.tree_is_saturated, the one
-verdict, which decides the root's chords first.  A saturated tree's
-containment flags come from its adjacency lists and diameter, against the
-claimed patterns prepared once per shard, so a Graph is built only for the
-graph6 of the saturated trees it reports.
+index, exactly one per worker process, so each worker walks the stream once;
+it owns the package's one process pool.  Each tree's parent array, the last
+vertex one level up in preorder, goes with the generator's diameter to
+saturation.tree_is_saturated, the one verdict, which decides the root's
+chords first.  A saturated tree's containment flags come from its adjacency
+lists and diameter, against the claimed patterns prepared once per shard, so
+a Graph is built from the parent array only for the graph6 of the saturated
+trees it reports.
 """
 
 from __future__ import annotations
@@ -275,27 +276,12 @@ def _parents(levels: Sequence[int]) -> list[int]:
     return parent
 
 
-def _levels_to_graph(levels: Sequence[int]) -> Graph:
-    """Preorder level sequence to a tree; vertex ids follow preorder.  Each
-    bit row is ORed straight from the level chain, as in _parents."""
-    n = len(levels)
-    rows = [0] * n
-    chain = [0] * (n + 1)
-    for i in range(1, n):
-        lvl = levels[i]
-        p = chain[lvl - 1]
-        rows[p] |= 1 << i
-        rows[i] = 1 << p
-        chain[lvl] = i
-    return Graph(n, tuple(rows))
-
-
 def enumerate_trees(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of free trees on n vertices,
-    in a deterministic order."""
+    in a deterministic order; vertex ids follow preorder."""
     _check_budget("trees", f"tree order {n}", n, n)
     for levels, _ in _iter_free_trees(n):
-        yield _levels_to_graph(levels)
+        yield build_graph(n, enumerate(_parents(levels)[1:], 1))
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +503,7 @@ def _scan_shard(job: tuple) -> tuple[int, int, int, list[TreeWitness]]:
     parent array with the generator's diameter; most fail at the root.  A
     saturated tree's containment flags come from its adjacency lists and
     diameter, against the claimed patterns prepared once per shard; only
-    its graph6 needs it built as a Graph."""
+    its graph6 needs it built as a Graph, from the parent array."""
     orders, k, prefilter, shards, shard = job
     heights = _window_heights(k) if prefilter else None
     patterns = [(name, TreePattern(pat)) for name, pat in claimed_patterns(k)]
@@ -546,7 +532,8 @@ def _scan_shard(job: tuple) -> tuple[int, int, int, list[TreeWitness]]:
             # witnesses share one tuple per distinct flag set, in memory
             # and through pickling
             flags = flag_sets.setdefault(flags, flags)
-            witnesses.append(TreeWitness(graph6_encode(_levels_to_graph(levels)), n, flags))
+            tree = build_graph(n, enumerate(parent[1:], 1))
+            witnesses.append(TreeWitness(graph6_encode(tree), n, flags))
     return walked, checked, saturated, witnesses
 
 
@@ -564,12 +551,12 @@ def scan_saturated_trees(
     tree of the orders.  An audit run with prefilter=False walks and checks
     every non-star tree.  Each checked tree gets one verdict,
     tree_is_saturated, from its parent array: the root's chords first, and
-    the other vertices' only if those pass.  With threads > 1 the walked
-    trees are dealt round-robin, over the stream of all the orders, into one
-    shard per thread, run on a fresh pool of as many worker processes, but
-    never more than os.cpu_count(): a larger count deals more shards, not
-    more processes.  With threads == 1 the one shard runs inline.  The
-    report is the same for every thread count.
+    the other vertices' only if those pass.  The walked trees are dealt
+    round-robin, over the stream of all the orders, into min(threads,
+    os.cpu_count()) shards, one per worker process of a fresh pool, so no
+    worker walks the stream twice and a larger thread count starts no more
+    processes.  One shard runs inline.  The report is the same for every
+    thread count.
     """
     if k < 5:
         raise ValueError("scan needs k >= 5")
@@ -585,12 +572,12 @@ def scan_saturated_trees(
         counted = sum(
             c for n in orders for d, c in enumerate(counts[n]) if _height_of(d) not in window
         )
-    shards = max(1, threads)
+    shards = min(max(1, threads), os.cpu_count() or 1)
     jobs = [(orders, k, prefilter, shards, s) for s in range(shards)]
     if shards == 1:
         parts = [_scan_shard(jobs[0])]
     else:
-        with ProcessPoolExecutor(max_workers=min(shards, os.cpu_count() or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=shards) as pool:
             parts = list(pool.map(_scan_shard, jobs))
     return ScanReport(
         orders=orders,

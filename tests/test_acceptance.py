@@ -19,6 +19,7 @@ case of its own.
 
 import json
 import time
+from functools import partial
 
 import pytest
 
@@ -28,7 +29,7 @@ from satforge.constructions import make_t0k, make_t1k, make_tk
 from satforge.formulas import order_constant
 from satforge.graphs import delete_vertex, diameter
 from satforge.saturation import parse_family
-from satforge.search import enumerate_graphs, sat_bruteforce
+from satforge.search import enumerate_graphs, sat_bruteforce, scan_saturated_trees
 
 
 def _report(num: int, detail: str) -> None:
@@ -138,7 +139,7 @@ def test_criterion_08_minimum_tree_catalogue(k, orders, claimed):
 @pytest.mark.slow
 def test_criterion_09_order20_scan():
     start = time.time()
-    cases = _passing("lem-2.3-k10", threads=2)
+    cases = _passing("lem-2.3-k10", scan=partial(scan_saturated_trees, threads=2))
     elapsed = time.time() - start
     assert elapsed < 3600.0
     _report(9, f"order-20 scan: {', '.join(c['claim'] for c in cases)} ({elapsed:.1f}s)")

@@ -373,6 +373,35 @@ class TestVerify:
             assert code == 2 and stdout == "", threads
             assert "--threads" in err
 
+    def test_empty_list_exit_two(self, capsys):
+        # a list with no value is refused, not read as "the default table"
+        for argv in (("lem-2.4", "--k", "14..9"), ("lem-2.4", "--k", ","),
+                     ("lem-2.4", "--k", ""), ("thm-1.1", "--n", ",")):
+            code, stdout, err = run(capsys, "verify", *argv)
+            assert code == 2 and stdout == "", argv
+            assert "holds no value" in err, argv
+
+    def test_no_prefilter(self, capsys, monkeypatch):
+        # the audit scan reaches the scan through _run_scan, finds the same
+        # cases, and the report records the flag
+        seen = []
+        scan = cli.scan_saturated_trees
+
+        def spy(orders, k, prefilter, threads):
+            seen.append(prefilter)
+            return scan(orders, k, prefilter, threads)
+
+        monkeypatch.setattr(cli, "scan_saturated_trees", spy)
+        args = ["verify", "prop-5.2", "--k", "5", "--no-timestamp"]
+        code1, out1, _ = run(capsys, *args)
+        code2, out2, _ = run(capsys, *args, "--no-prefilter")
+        assert code1 == code2 == 0
+        assert seen == [True, False]
+        plain, audit = json.loads(out1), json.loads(out2)
+        assert audit["cases"] == plain["cases"]
+        assert plain["inputs"]["no_prefilter"] is False
+        assert audit["inputs"]["no_prefilter"] is True
+
     def test_thread_count_invariance(self, capsys):
         args = ["verify", "thm-1.1", "--k", "10", "--n", "20,23", "--no-timestamp"]
         code1, out1, _ = run(capsys, *args, "--threads", "1")

@@ -347,12 +347,12 @@ class TestScanEquivalence:
         # the scan's verdict, given the generator's parent array and
         # diameter, agrees with the {K3, Pk} verdict, stars and trees that
         # hold Pk included
-        from satforge.search import _iter_free_trees, _levels_to_graph, _parents
+        from satforge.search import _iter_free_trees, _parents
 
         for n in range(1, 12):
             for levels, diam in _iter_free_trees(n):
-                tree = _levels_to_graph(levels)
                 parent = _parents(levels)
+                tree = build_graph(n, enumerate(parent[1:], 1))
                 for k in range(2, 13):
                     verdict = self._assert_agrees(tree, parse_family(f"K3,P{k}"), "forest")
                     assert tree_is_saturated(parent, diam, k) == verdict.is_saturated, (levels, k)

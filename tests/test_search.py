@@ -46,8 +46,8 @@ from satforge.search import (
     _graph_level,
     _height_of,
     _iter_free_trees,
-    _levels_to_graph,
     _parents,
+    _scan_shard,
     _trees_by_diameter,
     _viable,
     _window_heights,
@@ -104,6 +104,12 @@ def marked(g, v):
     edges = list(g.edges()) + [(v, c) for c in clique]
     edges += list(itertools.combinations(clique, 2))
     return build_graph(g.n + k, edges)
+
+
+def tree_of(levels):
+    """The tree of a preorder level sequence, built from its parent array
+    as enumerate_trees and the scan's witnesses build it."""
+    return build_graph(len(levels), enumerate(_parents(levels)[1:], 1))
 
 
 def prufer_tree(seq, n):
@@ -166,7 +172,7 @@ class TestEnumerateTrees:
     def test_yielded_diameter(self):
         for n in range(1, 15):
             for levels, diam in _iter_free_trees(n):
-                assert diam == diameter(_levels_to_graph(levels)), levels
+                assert diam == diameter(tree_of(levels)), levels
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -478,21 +484,22 @@ class TestScans:
 
     def test_graphs_built_only_for_witnesses(self, monkeypatch):
         # each checked tree is decided from its level sequence: a Graph is
-        # built only for the saturated ones, and check_saturated never runs
+        # built, from its parent array, only for the saturated ones, and
+        # check_saturated never runs
         from satforge import saturation, search
 
         calls = {"graph": 0, "check": 0}
-        build, check = search._levels_to_graph, saturation.check_saturated
+        build, check = search.build_graph, saturation.check_saturated
 
-        def counted_build(levels):
+        def counted_build(order, edges):
             calls["graph"] += 1
-            return build(levels)
+            return build(order, edges)
 
         def counted_check(g, fam):
             calls["check"] += 1
             return check(g, fam)
 
-        monkeypatch.setattr(search, "_levels_to_graph", counted_build)
+        monkeypatch.setattr(search, "build_graph", counted_build)
         monkeypatch.setattr(search, "check_saturated", counted_check)
         monkeypatch.setattr(saturation, "check_saturated", counted_check)
         # 6304 trees checked and none saturated at k = 9; 3 witnesses at k = 8
@@ -630,15 +637,16 @@ class TestWindowedWalk:
             assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_pool_capped_at_the_cpu_count(self, monkeypatch):
-        # 64 threads deal 64 shards onto at most os.cpu_count() processes;
-        # the stub pool runs them inline and starts none
+        # the scan deals min(threads, os.cpu_count()) shards, one job per
+        # worker, and runs one shard inline with no pool; the stub pool
+        # records (max_workers, jobs), runs them inline and starts no process
         from satforge import search
 
         asked = []
 
         class InlinePool:
             def __init__(self, max_workers):
-                asked.append(max_workers)
+                self.workers = max_workers
 
             def __enter__(self):
                 return self
@@ -647,17 +655,40 @@ class TestWindowedWalk:
                 return False
 
             def map(self, fn, jobs):
+                jobs = list(jobs)
+                asked.append((self.workers, len(jobs)))
                 return map(fn, jobs)
 
         monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
         single = scan_saturated_trees(range(4, 11), 5)
-        assert single.witnesses
-        assert scan_saturated_trees(range(4, 11), 5, threads=64) == single
-        assert asked == [min(64, os.cpu_count() or 1)]
-        for cores, cap in [(2, 2), (None, 1)]:
+        assert single.witnesses and asked == []
+        for cores, threads, want in [
+            (2, 64, [(2, 2)]), (8, 64, [(8, 8)]), (8, 3, [(3, 3)]),
+            (None, 64, []), (1, 64, []), (8, 1, []),
+        ]:
+            asked.clear()
             monkeypatch.setattr(search.os, "cpu_count", lambda cores=cores: cores)
-            assert scan_saturated_trees(range(4, 11), 5, threads=64) == single
-            assert asked[-1] == cap
+            assert scan_saturated_trees(range(4, 11), 5, threads=threads) == single
+            assert asked == want, (cores, threads)
+
+    def test_shards_run_directly_merge_to_one(self):
+        # _scan_shard with no pool, so 3-shard dealing is covered on any
+        # number of cores: the shards split the walked stream and their
+        # counts and witnesses add up to the one-shard run's
+        orders, k = tuple(range(4, 12)), 6
+        for prefilter in (True, False):
+            one = _scan_shard((orders, k, prefilter, 1, 0))
+            assert one[3]
+            for shards in (1, 2, 3):
+                parts = [_scan_shard((orders, k, prefilter, shards, s)) for s in range(shards)]
+                assert all(p[0] for p in parts)
+                assert [sum(p[i] for p in parts) for i in range(3)] == list(one[:3])
+                merged = [w for p in parts for w in p[3]]
+                assert sorted(merged, key=_witness_key) == sorted(one[3], key=_witness_key)
+
+
+def _witness_key(w):
+    return w.order, w.graph6
 
 
 ROOT_PASS_CASES = [(n, k) for n in range(4, 13) for k in (5, 6, 7)] + [(14, 8), (16, 9)]
@@ -669,7 +700,7 @@ class TestRootPass:
         # scan computes from the bit rows and a BFS
         for n, k in [(9, 6), (12, 7), (14, 8)]:
             for levels, _ in window_trees(n, k):
-                forest = _Forest(_levels_to_graph(levels), [(1 << n) - 1])
+                forest = _Forest(tree_of(levels), [(1 << n) - 1])
                 dist = [x - 1 for x in levels]
                 assert chord_reach(dist, _parents(levels), range(n)) == forest.reach_row(0)
                 assert forest.row(0) == dist
@@ -680,7 +711,7 @@ class TestRootPass:
             fam = parse_family(f"K3,P{k}")
             for levels, d in window_trees(n, k):
                 total += 1
-                verdict = check_saturated(_levels_to_graph(levels), fam).is_saturated
+                verdict = check_saturated(tree_of(levels), fam).is_saturated
                 assert tree_is_saturated(_parents(levels), d, k) == verdict, (levels, k)
                 saturated += verdict
         assert 0 < saturated < total
@@ -693,7 +724,7 @@ class TestRootPass:
             fam = parse_family(f"K3,P{k}")
             for n in range(5, 12):
                 for levels, d in window_trees(n, k):
-                    g = _levels_to_graph(levels)
+                    g = tree_of(levels)
                     failing = [
                         v for v in range(1, n)
                         if not g.has_edge(0, v) and contains_member(g.add_edge(0, v), fam) is None

@@ -1,8 +1,8 @@
 """Source-level checks that each parallel or shard mechanism, the subtree
 matcher, the path search, the tree verdict and the breadth-first search over
-adjacency lists exist once, that the builders run no checker, that the
-canonical pass takes no mark, and that no module keeps an import it never
-uses."""
+adjacency lists exist once, that the scan is configured in one place, that
+the builders run no checker, that the canonical pass takes no mark, and that
+no module keeps an import it never uses."""
 
 import ast
 from pathlib import Path
@@ -64,6 +64,62 @@ def test_no_shards_parameter_but_the_scan_shard():
         if "shards" in _parameters(fn):
             owners.add(f"{module}.{fn.name}")
     assert owners <= {"search._scan_shard"}
+
+
+def test_claims_take_a_scan_not_its_settings():
+    # each runner takes (points, scan) and run_claim takes the scan to hand
+    # on: no name in claims is a thread count or a prefilter switch
+    tree = _module("claims")
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.arg for node in ast.walk(tree) if isinstance(node, (ast.arg, ast.keyword))}
+    assert {"threads", "prefilter"} & names == set()
+    params = {fn.name: _parameters(fn) for module, fn in _functions() if module == "claims"}
+    assert params["run_claim"] == ["claim_id", "ks", "ns", "scan"]
+    for runner in ("_layered_trees", "_g0", "_h0", "_hub_join", "_minimum_trees", "_order_20"):
+        assert params[runner][1] == "scan", runner
+
+
+def test_verify_scans_only_through_run_scan():
+    # cmd_verify hands _run_scan to run_claim, and _run_scan is the one
+    # function of cli that calls the scan with --threads and --no-prefilter
+    tree = _module("cli")
+    fns = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def names(fn):
+        return {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+
+    assert {"run_claim", "_run_scan"} <= names(fns["cmd_verify"])
+    assert {name for name, fn in fns.items() if "scan_saturated_trees" in names(fn)} == {"_run_scan"}
+    assert {name for name, fn in fns.items() if "_run_scan" in names(fn)} == {"cmd_verify"}
+
+
+def test_scan_deals_one_job_per_worker():
+    # the jobs are range(shards) and the pool has max_workers=shards, so no
+    # worker takes a second shard and walks the stream twice
+    tree = _module("search")
+    (fn,) = (
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "scan_saturated_trees"
+    )
+    (pool,) = (
+        node for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ProcessPoolExecutor"
+    )
+    (workers,) = (kw.value for kw in pool.keywords if kw.arg == "max_workers")
+    (jobs,) = (
+        node.value for node in ast.walk(fn)
+        if isinstance(node, ast.Assign) and [ast.dump(t) for t in node.targets] == [ast.dump(ast.Name("jobs", ast.Store()))]
+    )
+    (gen,) = jobs.generators
+    assert isinstance(gen.iter, ast.Call) and gen.iter.func.id == "range"
+    assert [ast.dump(a) for a in gen.iter.args] == [ast.dump(workers)]
+    maps = [
+        node for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "map"
+    ]
+    assert [[ast.dump(a) for a in m.args] for m in maps] == [
+        [ast.dump(ast.Name("_scan_shard", ast.Load())), ast.dump(ast.Name("jobs", ast.Load()))]
+    ]
 
 
 def test_no_private_imports_across_modules():
