@@ -204,7 +204,7 @@ def _minimum_trees(ks, scan) -> list[dict]:
             _case(
                 f"k={k}/containment",
                 f"every saturated non-star tree of orders {lo}..{hi} "
-                f"contains one of {'/'.join(rep.pattern_names)}",
+                f"contains one of {'/'.join(targets)}",
                 [],
                 bad,
             )

@@ -240,10 +240,10 @@ def cmd_formula(args: argparse.Namespace) -> int:
 
 
 def _run_scan(orders, k: int, args):
-    """The tree scan under `verify`'s --threads and --no-prefilter options:
-    the one place that turns them into a scan.  `verify` hands it to
-    `run_claim`, so every tree claim runs the scan through it."""
-    return scan_saturated_trees(orders, k, not args.no_prefilter, args.threads)
+    """The tree scan under `verify`'s --threads option: the one place that
+    turns it into a scan.  `verify` hands it to `run_claim`, so every tree
+    claim runs the scan through it."""
+    return scan_saturated_trees(orders, k, threads=args.threads)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -255,14 +255,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         partial(_run_scan, args=args),
     )
     report = {
-        "schema_version": 1,
+        "schema_version": 2,
         "campaign": args.campaign,
         "tool_version": __version__,
-        "inputs": {
-            "k": args.k,
-            "n": args.n,
-            "no_prefilter": args.no_prefilter,
-        },
+        "inputs": {"k": args.k, "n": args.n},
         "cases": cases,
         "passed": all(c["pass"] for c in cases),
     }
@@ -332,7 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k")
     p.add_argument("--n")
     p.add_argument("--threads", type=_thread_count, default=max(1, os.cpu_count() or 1))
-    p.add_argument("--no-prefilter", action="store_true")
     p.add_argument("--no-timestamp", action="store_true")
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_verify)

@@ -306,6 +306,9 @@ def graph6_decode(data: bytes | str) -> Graph:
     vals = [b - 63 for b in data]
     if any(v < 0 or v > 63 for v in vals):
         raise ValueError("graph6 byte out of range")
+    if vals[:2] == [63, 63]:
+        # the 8-byte header, which the standard keeps for 258048 and up
+        raise ValueError("graph6 supports at most 258047 vertices here")
     if vals[0] == 63:
         if len(vals) < 4:
             raise ValueError("truncated graph6 header")

@@ -18,20 +18,21 @@ automorphisms, packed as bytes permutations; the last level asks
 canon.accepts, which builds neither, and settles most children from
 degrees alone.  Both streams are deterministic.
 
-The saturated-tree scan walks only the centre-rooted heights that hold the
-diameters it checks, and counts every other free tree exactly from the
-numbers of free trees by order and diameter (Riordan, "The enumeration of
-trees by height and diameter", IBM J. Res. Dev. 4, 1960), so its
-trees_scanned, the trees walked plus the trees counted, is every free tree
-of its orders.  It splits the walked stream of all its orders into shards by
-index, exactly one per worker process, so each worker walks the stream once;
-it owns the package's one process pool.  Each tree's parent array, the last
-vertex one level up in preorder, goes with the generator's diameter to
-saturation.tree_is_saturated, the one verdict, which decides the root's
-chords first.  A saturated tree's containment flags come from its adjacency
-lists and diameter, against the claimed patterns prepared once per shard, so
-a Graph is built from the parent array only for the graph6 of the saturated
-trees it reports.
+The saturated-tree scan checks only diameters k-3 and k-2, the only ones a
+saturated non-star tree can have (the lemma in _window_heights).  It walks
+only the centre-rooted heights that hold them, and counts every other free
+tree exactly from the numbers of free trees by order and diameter (Riordan,
+"The enumeration of trees by height and diameter", IBM J. Res. Dev. 4,
+1960), so its trees_scanned, the trees walked plus the trees counted, is
+every free tree of its orders.  It splits the walked stream of all its
+orders into shards by index, exactly one per worker process, so each worker
+walks the stream once; it owns the package's one process pool.  Each tree's
+parent array, the last vertex one level up in preorder, goes with the
+generator's diameter to saturation.tree_is_saturated, the one verdict, which
+decides the root's chords first.  A saturated tree's containment flags come
+from its adjacency lists and diameter, against the claimed patterns prepared
+once per shard, so a Graph is built from the parent array only for the
+graph6 of the saturated trees it reports.
 """
 
 from __future__ import annotations
@@ -458,12 +459,10 @@ class TreeWitness:
 class ScanReport:
     orders: tuple[int, ...]
     k: int
-    prefilter: bool
     trees_scanned: int
     trees_checked: int
-    saturated_count: int
+    saturated_count: int  # len(witnesses)
     witnesses: tuple[TreeWitness, ...]
-    pattern_names: tuple[str, ...]
 
 
 def claimed_patterns(k: int) -> list[tuple[str, Graph]]:
@@ -490,24 +489,37 @@ def claimed_patterns(k: int) -> list[tuple[str, Graph]]:
 def _window_heights(k: int) -> range:
     """The centre-rooted heights of the non-star trees of diameter k-3 or
     k-2: one when k is even, two when it is odd, except that at k = 5 the
-    stars leave only diameter 3."""
+    stars leave only diameter 3.
+
+    For k >= 5 no other non-star tree T is {K3, Pk}-saturated.  A diameter
+    of k-1 or more holds Pk.  Take 3 <= d <= k-4 and a longest path p0..pd;
+    by maximality a branch off p_i has depth at most min(i, d-i).  The
+    chord p0p3 closes a C4 and no triangle, and p0 is a leaf, so a path
+    through the chord either ends at p0 or runs p1 p0 p3.  In the second
+    case p1's side holds at most 4 vertices (p1, p2 and two below p2) and
+    p3's side at most d-2; if p3's side takes p2 instead, the two sides hold
+    at most 6 together, 5 when d = 3.  In the first, the rest is a path of T
+    from p3 with at most max(d-2, 4) vertices.  Either way the path has at
+    most d+3 < k vertices, so T + p0p3 holds no member and T is not
+    saturated.
+    """
     return range(_height_of(max(k - 3, 3)), _height_of(k - 2) + 1)
 
 
-def _scan_shard(job: tuple) -> tuple[int, int, int, list[TreeWitness]]:
-    """(walked, checked, saturated, witnesses) over the walked trees whose
-    index in the stream of all the orders is `shard` modulo `shards`.  With
-    the prefilter only the heights of the diameter window are walked.
+def _scan_shard(job: tuple) -> tuple[int, int, list[TreeWitness]]:
+    """(walked, checked, witnesses) over the trees of the window's heights
+    whose index in the stream of all the orders is `shard` modulo `shards`.
+    A walked tree is checked when its diameter is k-3 or k-2.
 
     Each checked tree goes to tree_is_saturated, the one verdict, as its
     parent array with the generator's diameter; most fail at the root.  A
     saturated tree's containment flags come from its adjacency lists and
     diameter, against the claimed patterns prepared once per shard; only
     its graph6 needs it built as a Graph, from the parent array."""
-    orders, k, prefilter, shards, shard = job
-    heights = _window_heights(k) if prefilter else None
+    orders, k, shards, shard = job
+    heights = _window_heights(k)
     patterns = [(name, TreePattern(pat)) for name, pat in claimed_patterns(k)]
-    walked = checked = saturated = 0
+    walked = checked = 0
     witnesses: list[TreeWitness] = []
     flag_sets: dict = {}
     index = 0
@@ -517,14 +529,12 @@ def _scan_shard(job: tuple) -> tuple[int, int, int, list[TreeWitness]]:
             if (index - 1) % shards != shard:
                 continue
             walked += 1
-            # stars (diameter <= 2) are saturated and never reported
-            if diam <= 2 or prefilter and diam not in (k - 3, k - 2):
+            if diam not in (k - 3, k - 2):
                 continue
             checked += 1
             parent = _parents(levels)
             if not tree_is_saturated(parent, diam, k):
                 continue
-            saturated += 1
             adj = tree_adjacency(parent)
             flags = tuple(
                 (name, pat.embedding(adj, diam) is not None) for name, pat in patterns
@@ -534,29 +544,26 @@ def _scan_shard(job: tuple) -> tuple[int, int, int, list[TreeWitness]]:
             flags = flag_sets.setdefault(flags, flags)
             tree = build_graph(n, enumerate(parent[1:], 1))
             witnesses.append(TreeWitness(graph6_encode(tree), n, flags))
-    return walked, checked, saturated, witnesses
+    return walked, checked, witnesses
 
 
-def scan_saturated_trees(
-    orders: Sequence[int], k: int, prefilter: bool = True, threads: int = 1
-) -> ScanReport:
+def scan_saturated_trees(orders: Sequence[int], k: int, *, threads: int = 1) -> ScanReport:
     """Saturation-scan every non-star free tree of the given orders against
     {triangle, k-path}; saturated trees are reported with containment flags
     against the claimed minimum trees, ordered by (order, graph6).
 
-    The prefilter checks only diameters k-3 and k-2, and walks only the
-    centre-rooted heights that hold them; the trees of the other heights are
-    counted exactly from their numbers by order and diameter, so
-    trees_scanned, the trees walked plus the trees counted, is every free
-    tree of the orders.  An audit run with prefilter=False walks and checks
-    every non-star tree.  Each checked tree gets one verdict,
-    tree_is_saturated, from its parent array: the root's chords first, and
-    the other vertices' only if those pass.  The walked trees are dealt
-    round-robin, over the stream of all the orders, into min(threads,
-    os.cpu_count()) shards, one per worker process of a fresh pool, so no
-    worker walks the stream twice and a larger thread count starts no more
-    processes.  One shard runs inline.  The report is the same for every
-    thread count.
+    Only diameters k-3 and k-2 are checked, since no other non-star tree is
+    saturated (_window_heights), and only the centre-rooted heights that
+    hold them are walked; the trees of the other heights are counted
+    exactly from their numbers by order and diameter, so trees_scanned, the
+    trees walked plus the trees counted, is every free tree of the orders.
+    Each checked tree gets one verdict, tree_is_saturated, from its parent
+    array: the root's chords first, and the other vertices' only if those
+    pass.  The walked trees are dealt round-robin, over the stream of all
+    the orders, into min(threads, os.cpu_count()) shards, one per worker
+    process of a fresh pool, so no worker walks the stream twice and a
+    larger thread count starts no more processes.  One shard runs inline.
+    The report is the same for every thread count.
     """
     if k < 5:
         raise ValueError("scan needs k >= 5")
@@ -565,29 +572,26 @@ def scan_saturated_trees(
         raise ValueError("scan needs at least one order")
     lo, hi = orders[0], orders[-1]
     _check_budget("trees", f"tree orders {lo}..{hi}", lo, hi)
-    counted = 0
-    if prefilter:
-        window = _window_heights(k)
-        counts = _trees_by_diameter(hi)
-        counted = sum(
-            c for n in orders for d, c in enumerate(counts[n]) if _height_of(d) not in window
-        )
+    window = _window_heights(k)
+    counts = _trees_by_diameter(hi)
+    counted = sum(
+        c for n in orders for d, c in enumerate(counts[n]) if _height_of(d) not in window
+    )
     shards = min(max(1, threads), os.cpu_count() or 1)
-    jobs = [(orders, k, prefilter, shards, s) for s in range(shards)]
+    jobs = [(orders, k, shards, s) for s in range(shards)]
     if shards == 1:
         parts = [_scan_shard(jobs[0])]
     else:
         with ProcessPoolExecutor(max_workers=shards) as pool:
             parts = list(pool.map(_scan_shard, jobs))
+    witnesses = tuple(
+        sorted((w for p in parts for w in p[2]), key=lambda w: (w.order, w.graph6))
+    )
     return ScanReport(
         orders=orders,
         k=k,
-        prefilter=prefilter,
         trees_scanned=counted + sum(p[0] for p in parts),
         trees_checked=sum(p[1] for p in parts),
-        saturated_count=sum(p[2] for p in parts),
-        witnesses=tuple(
-            sorted((w for p in parts for w in p[3]), key=lambda w: (w.order, w.graph6))
-        ),
-        pattern_names=tuple(name for name, _ in claimed_patterns(k)),
+        saturated_count=len(witnesses),
+        witnesses=witnesses,
     )

@@ -116,6 +116,14 @@ class TestCheck:
         assert code == 2 and stdout == ""
         assert err.startswith("error: ") and "absent.g6" in err
 
+    def test_eight_byte_graph6_header_exit_two(self, tmp_path, capsys):
+        # an order of 258048 or more is refused as input, with no traceback
+        out = tmp_path / "huge.g6"
+        out.write_bytes(b"~~" + b"?" * 6 + b"\n")
+        code, stdout, err = run(capsys, "check", "--family", "K3", str(out))
+        assert code == 2 and stdout == ""
+        assert "at most 258047 vertices" in err
+
     def test_two_graph6_lines_exit_two(self, tmp_path, capsys):
         # the second graph (K4) would give exit 3 if it were read
         out = tmp_path / "two.g6"
@@ -381,26 +389,12 @@ class TestVerify:
             assert code == 2 and stdout == "", argv
             assert "holds no value" in err, argv
 
-    def test_no_prefilter(self, capsys, monkeypatch):
-        # the audit scan reaches the scan through _run_scan, finds the same
-        # cases, and the report records the flag
-        seen = []
-        scan = cli.scan_saturated_trees
-
-        def spy(orders, k, prefilter, threads):
-            seen.append(prefilter)
-            return scan(orders, k, prefilter, threads)
-
-        monkeypatch.setattr(cli, "scan_saturated_trees", spy)
-        args = ["verify", "prop-5.2", "--k", "5", "--no-timestamp"]
-        code1, out1, _ = run(capsys, *args)
-        code2, out2, _ = run(capsys, *args, "--no-prefilter")
-        assert code1 == code2 == 0
-        assert seen == [True, False]
-        plain, audit = json.loads(out1), json.loads(out2)
-        assert audit["cases"] == plain["cases"]
-        assert plain["inputs"]["no_prefilter"] is False
-        assert audit["inputs"]["no_prefilter"] is True
+    def test_no_prefilter_refused(self, capsys):
+        # verify has no audit option: argparse refuses it before any
+        # campaign runs
+        code, stdout, err = run(capsys, "verify", "prop-5.2", "--k", "5", "--no-prefilter")
+        assert code == 2 and stdout == ""
+        assert "--no-prefilter" in err
 
     def test_thread_count_invariance(self, capsys):
         args = ["verify", "thm-1.1", "--k", "10", "--n", "20,23", "--no-timestamp"]
@@ -419,17 +413,18 @@ class TestVerify:
         assert json.loads(out.read_text())["passed"] is True
 
 
-# sha256 of `satforge verify <argv> --no-timestamp` stdout, recorded before
-# the tree scan took over its own sharding; every report keeps its bytes at
-# any --threads value
+# sha256 of `satforge verify <argv> --no-timestamp` stdout, recorded when
+# the report's schema_version became 2 and inputs.no_prefilter left it; the
+# cases are the bytes recorded before the tree scan took over its own
+# sharding, and every report keeps its bytes at any --threads value
 REPORT_SHA256 = {
-    ("lem-2.4",): "f9c77f6441175d50b616bd9739ca0fca45e2d081e3557cf5f63f92810512d45c",
-    ("thm-1.1",): "1ce33cd1991e4f5c30155177a2a6a7234e470db9de59a2e41e373d6bda6a97fb",
-    ("lem-3.1",): "021067e7a07357c890f34ee93d5f2ee56426a1ae9b9e736b74faef25c05b1d61",
-    ("lem-3.2",): "7495975f63fc05995667686bc3961933c9f58d0167d8057efa5f778323a5cd57",
-    ("thm-1.2-upper",): "d75f4a15f65d8092ea057ef4c3556e2a9e0ba27ea48c552ff721c337580d4a25",
-    ("thm-1.4",): "5d59a6b0e92d88b6bd98a589e17a20ae88724de46d0dace8f83fa2135497d3c3",
-    ("prop-5.2", "--k", "5,6"): "211be81e06f39f9145cf0477a61b387ff85ace6ac5021acc58684f257e089aba",
+    ("lem-2.4",): "2c5daef72af4389c3fa6933e60361150459dcb9831d9047b75a6dc018c7dabb3",
+    ("thm-1.1",): "afe63a67cd5723cd7ab106b38865ba9cae39b918b41b6e60fd66aa8fec5e55f7",
+    ("lem-3.1",): "058dfdf53f5deec83afc0c872df2eedf84fbfc86e03e30e12ac24339b7d4b40e",
+    ("lem-3.2",): "8c68efb2789c7e5bb768f996ef138e48102ea897aac415011b80a6a5f797307b",
+    ("thm-1.2-upper",): "aa116abe0eb076d8dfea7b72420581ddc7f362913c339db6d1c860117ba46936",
+    ("thm-1.4",): "93a2712170fac4f7c4b0a46cc23ad36ce162805b1bd37861445adab359d7b00c",
+    ("prop-5.2", "--k", "5,6"): "2a55fb7cff0f878d1bf25859fd4a106d32457acbbf3c91b2277fc607d6d29431",
 }
 
 

@@ -213,6 +213,19 @@ def test_graph6_malformed():
         graph6_decode(bytes([3 + 63, 200]))
 
 
+def test_graph6_eight_byte_header_refused():
+    # the standard writes order 258048 and up as ~~ and six bytes; the
+    # decoder refuses it with the encoder's error, not as a 4-byte header
+    with pytest.raises(ValueError) as encoded:
+        graph6_encode(empty_graph(258048))
+    for data in (b"~~" + b"?" * 6, b"~~"):
+        with pytest.raises(ValueError) as decoded:
+            graph6_decode(data)
+        assert str(decoded.value) == str(encoded.value) == (
+            "graph6 supports at most 258047 vertices here"
+        )
+
+
 def test_edgelist_round_trip():
     g = build_graph(5, [(0, 1), (1, 4), (2, 3)])
     text = write_edgelist(g)

@@ -23,6 +23,7 @@ from satforge.graphs import (
     graph6_encode,
     is_connected,
     is_tree,
+    longest_path_layers,
 )
 from satforge.saturation import (
     _Forest,
@@ -59,13 +60,13 @@ TREE_COUNTS = {
     12: 551, 13: 1301, 14: 3159,
 }
 SLOW_TREE_COUNTS = {15: 7741, 16: 19320, 17: 48629, 18: 123867}
-# (trees_scanned, trees_checked, saturated_count) of
-# scan_saturated_trees(orders, k, prefilter), keyed (k, prefilter), recorded
-# when every checked tree still went through check_saturated
+# (orders, (trees_scanned, trees_checked, saturated_count)) of
+# scan_saturated_trees(orders, k), keyed k, recorded when every checked tree
+# still went through check_saturated
 SCAN_COUNTS = {
-    (5, True): (92, 12, 11), (5, False): (92, 86, 11),
-    (6, True): (92, 42, 27), (6, False): (92, 86, 27),
-    (8, True): (428, 232, 3), (8, False): (428, 422, 3),
+    5: (range(4, 10), (92, 12, 11)),
+    6: (range(4, 10), (92, 42, 27)),
+    8: (range(6, 12), (428, 232, 3)),
 }
 # witnesses of scan_saturated_trees(range(6, 14), k), recorded with the
 # free-tree generator that WROM replaced: count, and sha256 of the graph6
@@ -462,25 +463,42 @@ class TestScans:
 
     def test_stars_excluded_by_default(self):
         # every star is saturated (leaf pairs close triangles), and none is
-        # reported, with or without the prefilter
-        for prefilter in (True, False):
-            rep = scan_saturated_trees(range(1, 9), 5, prefilter)
-            assert rep.witnesses
-            assert all(diameter(graph6_decode(w.graph6)) > 2 for w in rep.witnesses)
+        # reported
+        rep = scan_saturated_trees(range(1, 9), 5)
+        assert rep.witnesses
+        assert all(diameter(graph6_decode(w.graph6)) > 2 for w in rep.witnesses)
 
-    def test_prefilter_agrees_with_audit(self):
-        # the diameter window is a performance assumption; confirm it finds
-        # exactly the same saturated trees as the unfiltered audit sweep
-        for k, orders in [(5, range(4, 10)), (6, range(4, 10)), (8, range(6, 12))]:
-            fast = scan_saturated_trees(orders, k, prefilter=True)
-            audit = scan_saturated_trees(orders, k, prefilter=False)
-            assert fast.saturated_count == audit.saturated_count
-            assert [w.graph6 for w in fast.witnesses] == [
-                w.graph6 for w in audit.witnesses
-            ]
-            for rep in (fast, audit):
-                counts = (rep.trees_scanned, rep.trees_checked, rep.saturated_count)
-                assert counts == SCAN_COUNTS[k, rep.prefilter]
+    def test_counts_match_recorded(self):
+        for k, (orders, counts) in SCAN_COUNTS.items():
+            rep = scan_saturated_trees(orders, k)
+            assert (rep.trees_scanned, rep.trees_checked, rep.saturated_count) == counts
+            assert rep.saturated_count == len(rep.witnesses)
+
+    def test_no_saturated_tree_outside_the_window(self):
+        # the lemma of _window_heights: a non-star tree of diameter 3..k-4
+        # gains no member from the chord p0p3 of a longest path p0..pd, and
+        # one of diameter k-1 or more holds Pk
+        short = long = 0
+        for k in range(5, 11):
+            fam = parse_family(f"K3,P{k}")
+            for n in range(1, 14):
+                for levels, d in _iter_free_trees(n):
+                    if d >= k - 1:
+                        long += 1
+                    elif 3 <= d <= k - 4:
+                        short += 1
+                        t = tree_of(levels)
+                        layers = longest_path_layers(t.rows, (1 << n) - 1)
+                        assert len(layers) == d + 1
+                        p = layers[d] & -layers[d]
+                        for layer in reversed(layers[3:d]):  # back from pd to p3
+                            p = t.rows[p.bit_length() - 1] & layer
+                        p0, p3 = layers[0].bit_length() - 1, p.bit_length() - 1
+                        assert contains_member(t.add_edge(p0, p3), fam) is None, (levels, k)
+                    else:
+                        continue
+                    assert not tree_is_saturated(_parents(levels), d, k), (levels, k)
+        assert (short, long) == (2173, 7552)
 
     def test_graphs_built_only_for_witnesses(self, monkeypatch):
         # each checked tree is decided from its level sequence: a Graph is
@@ -607,28 +625,27 @@ class TestWindowedWalk:
 
         monkeypatch.setattr(search, "_iter_free_trees", counted)
         counts = _trees_by_diameter(15)
-        for prefilter in (True, False):
-            walked.clear()
-            rep = scan_saturated_trees(range(6, 16), 9, prefilter)
-            assert rep.trees_scanned == sum(sum(counts[n]) for n in range(6, 16))
-            heights = _window_heights(9) if prefilter else None
-            want = sum(
-                c for n in range(6, 16) for d, c in enumerate(counts[n])
-                if heights is None or _height_of(d) in heights
-            )
-            assert walked == {heights: want}
-        assert want == rep.trees_scanned  # the audit walks every tree
+        total = sum(sum(counts[n]) for n in range(6, 16))
+        rep = scan_saturated_trees(range(6, 16), 9)
+        assert rep.trees_scanned == total
+        heights = _window_heights(9)
+        want = sum(
+            c for n in range(6, 16) for d, c in enumerate(counts[n]) if _height_of(d) in heights
+        )
+        assert walked == {heights: want}
+        # the full walk, as enumerate_trees takes it, yields the Riordan total
+        walked.clear()
+        assert sum(1 for n in range(6, 16) for _ in enumerate_trees(n)) == total
+        assert walked == {None: total}
 
     def test_small_orders_and_a_window_above_every_tree(self):
         # orders 1..3 hold one star each; at k = 12 the window (diameters 9
         # and 10) is taller than every tree of orders 4..8, so all are counted
         for orders, k, total in [(range(1, 4), 5, 3), (range(4, 9), 12, 45)]:
             assert total == sum(TREE_COUNTS[n] for n in orders)
-            for prefilter in (True, False):
-                rep = scan_saturated_trees(orders, k, prefilter)
-                assert rep.trees_scanned == total
-                assert rep.witnesses == ()
-            assert scan_saturated_trees(orders, k).trees_checked == 0
+            rep = scan_saturated_trees(orders, k)
+            assert rep.trees_scanned == total
+            assert rep.witnesses == () and rep.trees_checked == 0
 
     def test_reports_equal_at_one_two_and_three_threads(self):
         for orders, k in [(range(4, 13), 7), (range(6, 14), 8)]:
@@ -676,15 +693,14 @@ class TestWindowedWalk:
         # number of cores: the shards split the walked stream and their
         # counts and witnesses add up to the one-shard run's
         orders, k = tuple(range(4, 12)), 6
-        for prefilter in (True, False):
-            one = _scan_shard((orders, k, prefilter, 1, 0))
-            assert one[3]
-            for shards in (1, 2, 3):
-                parts = [_scan_shard((orders, k, prefilter, shards, s)) for s in range(shards)]
-                assert all(p[0] for p in parts)
-                assert [sum(p[i] for p in parts) for i in range(3)] == list(one[:3])
-                merged = [w for p in parts for w in p[3]]
-                assert sorted(merged, key=_witness_key) == sorted(one[3], key=_witness_key)
+        one = _scan_shard((orders, k, 1, 0))
+        assert one[2]
+        for shards in (1, 2, 3):
+            parts = [_scan_shard((orders, k, shards, s)) for s in range(shards)]
+            assert all(p[0] for p in parts)
+            assert [sum(p[i] for p in parts) for i in range(2)] == list(one[:2])
+            merged = [w for p in parts for w in p[2]]
+            assert sorted(merged, key=_witness_key) == sorted(one[2], key=_witness_key)
 
 
 def _witness_key(w):

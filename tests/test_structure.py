@@ -1,13 +1,15 @@
 """Source-level checks that each parallel or shard mechanism, the subtree
 matcher, the path search, the tree verdict and the breadth-first search over
-adjacency lists exist once, that the scan is configured in one place, that
-the builders run no checker, that the canonical pass takes no mark, and that
-no module keeps an import it never uses."""
+adjacency lists exist once, that the scan has one mode and is configured in
+one place, that the builders run no checker, that the canonical pass takes
+no mark, and that no module keeps an import it never uses."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import satforge
+from satforge.search import ScanReport
 
 SOURCES = sorted(Path(satforge.__file__).parent.glob("*.py"))
 
@@ -68,7 +70,7 @@ def test_no_shards_parameter_but_the_scan_shard():
 
 def test_claims_take_a_scan_not_its_settings():
     # each runner takes (points, scan) and run_claim takes the scan to hand
-    # on: no name in claims is a thread count or a prefilter switch
+    # on: no name in claims is a thread count or a mode switch
     tree = _module("claims")
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.arg for node in ast.walk(tree) if isinstance(node, (ast.arg, ast.keyword))}
@@ -81,7 +83,7 @@ def test_claims_take_a_scan_not_its_settings():
 
 def test_verify_scans_only_through_run_scan():
     # cmd_verify hands _run_scan to run_claim, and _run_scan is the one
-    # function of cli that calls the scan with --threads and --no-prefilter
+    # function of cli that calls the scan with --threads
     tree = _module("cli")
     fns = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
@@ -91,6 +93,21 @@ def test_verify_scans_only_through_run_scan():
     assert {"run_claim", "_run_scan"} <= names(fns["cmd_verify"])
     assert {name for name, fn in fns.items() if "scan_saturated_trees" in names(fn)} == {"_run_scan"}
     assert {name for name, fn in fns.items() if "_run_scan" in names(fn)} == {"cmd_verify"}
+
+
+def test_scan_has_one_mode():
+    # the diameter window is a lemma (search._window_heights), so no switch
+    # walks every tree, threads is the scan's one setting, keyword-only, and
+    # the report leaves the pattern names to the claims
+    assert {p.stem for p in SOURCES if "prefilter" in p.read_text()} == set()
+    (fn,) = (
+        fn for module, fn in _functions()
+        if module == "search" and fn.name == "scan_saturated_trees"
+    )
+    assert [a.arg for a in fn.args.posonlyargs + fn.args.args] == ["orders", "k"]
+    assert [a.arg for a in fn.args.kwonlyargs] == ["threads"]
+    assert fn.args.vararg is None and fn.args.kwarg is None
+    assert "pattern_names" not in {f.name for f in fields(ScanReport)}
 
 
 def test_scan_deals_one_job_per_worker():
