@@ -262,12 +262,18 @@ def is_tree(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
+# The largest order a 4-byte graph6 header holds, and the largest order any
+# reader here accepts: the standard writes a larger one with an 8-byte
+# header, which neither graph6_decode nor parse_edgelist takes.
+MAX_ORDER = 258047
+
+
 def _g6_size_bytes(n: int) -> bytes:
     if n <= 62:
         return bytes([n + 63])
-    if n <= 258047:
+    if n <= MAX_ORDER:
         return bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    raise ValueError("graph6 supports at most 258047 vertices here")
+    raise ValueError(f"graph6 supports at most {MAX_ORDER} vertices here")
 
 
 def graph6_of(rows: Sequence[int], order: Sequence[int]) -> bytes:
@@ -307,8 +313,8 @@ def graph6_decode(data: bytes | str) -> Graph:
     if any(v < 0 or v > 63 for v in vals):
         raise ValueError("graph6 byte out of range")
     if vals[:2] == [63, 63]:
-        # the 8-byte header, which the standard keeps for 258048 and up
-        raise ValueError("graph6 supports at most 258047 vertices here")
+        # the 8-byte header, which the standard keeps for orders above MAX_ORDER
+        raise ValueError(f"graph6 supports at most {MAX_ORDER} vertices here")
     if vals[0] == 63:
         if len(vals) < 4:
             raise ValueError("truncated graph6 header")
@@ -340,11 +346,26 @@ def write_edgelist(g: Graph) -> str:
 
 
 def parse_edgelist(text: str) -> Graph:
-    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
-    if not rows or len(rows[0]) != 2:
+    """Inverse of write_edgelist; blank lines are skipped.  Raises
+    ValueError, naming the line, on a line that is not two integers, and on
+    an order above MAX_ORDER before anything is allocated."""
+    lines = [(i, ln.split()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines:
         raise ValueError("edge list must start with an 'n m' header line")
-    n, m = int(rows[0][0]), int(rows[0][1])
-    edges = [(int(a), int(b)) for a, b in rows[1:]]
+    n, m = _int_pair(*lines[0], "an 'n m' header")
+    if n > MAX_ORDER:
+        raise ValueError(f"line {lines[0][0]}: expected an order of at most {MAX_ORDER}, found {n}")
+    edges = [_int_pair(i, fields, "an edge 'u v'") for i, fields in lines[1:]]
     if len(edges) != m:
         raise ValueError(f"header promises {m} edges, found {len(edges)}")
     return build_graph(n, edges)
+
+
+def _int_pair(lineno: int, fields: list[str], expected: str) -> tuple[int, int]:
+    """The two integers of an edge-list line, or ValueError naming it."""
+    if len(fields) == 2:
+        try:
+            return int(fields[0]), int(fields[1])
+        except ValueError:
+            pass
+    raise ValueError(f"line {lineno}: expected {expected} of two integers, found {' '.join(fields)!r}")

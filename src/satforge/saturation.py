@@ -20,8 +20,11 @@ non-edge at a time:
   once: when none of one copy's chords fails, no copy's chord is tested.
   The tree scan's one verdict, tree_is_saturated, takes a free tree as its
   preorder parent array with its diameter and runs the same pass, chord_reach,
-  from the root first, straight off the parents, where most trees fail;
-  only a tree that passes there gets adjacency lists and a BFS per vertex.
+  from the root first, straight off the parents, where most trees fail.
+  A tree that passes there is decided by its chords at distance 3 alone, by
+  a lemma proved in the verdict's docstring, each in O(1) from its vertices'
+  longest arms, so the verdict runs no BFS and costs O(n) plus one step per
+  path on 4 vertices.
   A pair in two trees fails exactly when ecc(u) + ecc(v) + 2 < k, so one
   mask of the vertices of eccentricity at most t, per threshold t, gives
   all of u's failing partners at once.
@@ -63,7 +66,6 @@ from .graphs import (
     full_mask,
     iter_bits,
     longest_path_layers,
-    tree_adjacency,
 )
 from .patterns import (
     Witness,
@@ -370,13 +372,49 @@ def tree_is_saturated(parent: list[int], diameter: int, k: int) -> bool:
     for the tree's graph, from its preorder parent array (parent[0] == -1,
     parent[i] < i) and its diameter.
 
-    A tree of diameter k-1 or more holds Pk.  Any other fails exactly at a
-    non-edge uv at distance more than 2 whose longest path through uv has
-    fewer than k vertices.  The root's chords are tried first, straight from
-    the parents: a depth is its parent's plus one, and preorder puts each
-    parent before its children, so chord_reach needs no BFS.  Only a tree
-    that passes there gets adjacency lists, and each later vertex u one BFS
-    and one chord_reach pass for its chords to the vertices above u.
+    A tree of diameter k-1 or more holds Pk.  Any other is member-free, a
+    chord at distance 2 closes a triangle and one farther away closes none,
+    so the tree fails exactly at a chord at distance more than 2 whose
+    longest path has fewer than k vertices.  The root's chords are tried
+    first, straight from the parents: a depth is its parent's plus one, and
+    preorder puts each parent before its children, so chord_reach needs no
+    BFS.  Most trees fail there.  A tree that passes is decided by its
+    chords at distance 3 alone (_fails_at_distance_3), by this lemma.
+
+    Lemma.  Let T have diameter D <= k-2.  If a chord uv at distance
+    d >= 4 fails, so does some chord at distance 3.
+
+    Proof.  Let p0..pd be the path from u to v and h_j the depth of what
+    hangs at p_j off it (at p0 and pd, the rest of u's and v's sides).  A
+    path through uv runs from u along to some p_s and h_s down, and from v
+    back to some p_t, t > s, and h_t down, so uv fails iff
+    L(s, t) = s + h_s + d - t + h_t <= k-3 for all s < t.  The tree path
+    between the two bottoms has h_s + t - s + h_t <= D edges.  A chord
+    c_i = p_i p_{i+3} succeeds iff L' = |s-i| + h_s + |t-i-3| + h_t >= k-2
+    for a pair of ends p_s on p_i's side (s <= i+2) and p_t on p_{i+3}'s
+    (t >= i+1), s < t.  As uv fails, L' must exceed L(s, t), and:
+    - s and t in i..i+3: L' = L(s, t) - (d-3);
+    - s < i and t > i+3: L' = h_s + t - s + h_t - 3 <= D - 3;
+    - s in i..i+2, t > i+3: L' - L(s, t) = 2t - 2i - 3 - d;
+    - s < i, t in i+1..i+3: L' - L(s, t) = 2i - 2s + 3 - d.
+    So c_i succeeds only through a pair with 2t >= 2i + d + 4 or
+    2s <= 2i + 2 - d.  For odd d, c_i with i = (d-3)/2 has neither, since
+    0 <= s < t <= d, and fails.  For d = 2m, c_{m-2} has only t = d, and
+    c_{m-1} only s = 0; the other end is then p_m, as p_{m-1}, p_{m+1} and
+    the chord's own ends give L' <= D - 1.  If both succeed, then
+    L(m, d) = L(0, m) = k-3, so h_0 = h_d = a with a + m + h_m = k-3.
+    L(m-1, m) <= k-3 gives a >= m-1 + h_{m-1} >= 1, and L(1, m) <= k-3
+    gives h_1 <= a-1.  Let x be u's neighbour off the path on a branch of
+    depth a.  The chord x p2 at distance 3 has sides of depths a-1 (x),
+    at most a (u), h_1 <= a-1 (p1) and t-2 + h_t for some t >= 2 (p2), and
+    a + t + h_t <= D.  Its three pairs of adjacent sides each sum to at
+    most max(2a-1, D-3) < k-4, as 2a + d <= D.  So x p2 fails.
+
+    A chord xy at distance 3, on the path x q1 q2 y, has four sides: H_x,
+    x's depth away from q1; h1 and h2, what hangs at q1 and q2; and H_y.
+    By L with d = 3, it succeeds iff
+    max(H_x + h1, h1 + h2, h2 + H_y) >= k-4: the other three pairs of
+    sides end a tree path of at most D edges, so their L is at most D - 1.
     """
     if diameter >= k - 1:
         return False
@@ -387,13 +425,80 @@ def tree_is_saturated(parent: list[int], diameter: int, k: int) -> bool:
     reach = chord_reach(dist, parent, range(n))
     if any(d > 2 and r < k for d, r in zip(dist, reach)):
         return False
-    adj = tree_adjacency(parent)
-    for u in range(1, n - 1):  # the last vertex has no chord above it
-        dist, up, order = _bfs(adj, u)
-        reach = chord_reach(dist, up, order)
-        if any(d > 2 and r < k for d, r in zip(dist[u + 1 :], reach[u + 1 :])):
-            return False
-    return True
+    return not _fails_at_distance_3(parent, k)
+
+
+def _fails_at_distance_3(parent: list[int], k: int) -> bool:
+    """Whether some chord at distance 3 of a tree of diameter at most k-2
+    fails, by tree_is_saturated's test on every path x q1 q2 y.
+
+    An arm of v is the longest path that leaves v through one neighbour,
+    counted in edges.  A reverse sweep over the parents gives each vertex's
+    three longest arms through its children (a1 >= a2 >= a3, 0 when there
+    are fewer), and a forward sweep its arm through its parent (up).  Each
+    path is taken once, by its middle edge q1 = parent[q2] and q2, so y is
+    a child of q2 and x another neighbour of q1; all four sides are then
+    read off the arms, so each path costs O(1).
+    """
+    n = len(parent)
+    a1 = [0] * n
+    a2 = [0] * n
+    a3 = [0] * n
+    kids: list[list[int]] = [[] for _ in range(n)]
+    for v in range(n - 1, 0, -1):  # preorder: every child after its parent
+        p = parent[v]
+        kids[p].append(v)
+        h = a1[v] + 1
+        if h > a2[p]:
+            a3[p] = a2[p]
+            if h > a1[p]:
+                a2[p] = a1[p]
+                a1[p] = h
+            else:
+                a2[p] = h
+        elif h > a3[p]:
+            a3[p] = h
+    up = [0] * n  # 0 at the root, which has no parent
+    for v in range(1, n):
+        p = parent[v]
+        side = a2[p] if a1[v] + 1 == a1[p] else a1[p]
+        u = up[p]
+        up[v] = (u if u > side else side) + 1
+    top = k - 4
+    for q2 in range(1, n):
+        ys = kids[q2]
+        if not ys:
+            continue
+        q1 = parent[q2]
+        # q1's two longest arms but the one through q2, so h1 is r1, or r2
+        # when x's arm is r1; an arm's value names it, as equal arms are
+        # interchangeable
+        hq = a1[q2] + 1
+        if hq == a1[q1]:
+            c1, c2 = a2[q1], a3[q1]
+        elif hq == a2[q1]:
+            c1, c2 = a1[q1], a3[q1]
+        else:
+            c1, c2 = a1[q1], a2[q1]
+        u = up[q1]
+        if u > c1:
+            r1, r2 = u, c1
+        else:
+            r1, r2 = c1, (u if u > c2 else c2)
+        xs = [a1[x] + 1 for x in kids[q1] if x != q2]  # q1's arm through x
+        if q1:
+            xs.append(u)
+        b1, b2 = a1[q2], a2[q2]
+        for hx in xs:  # H_x = hx - 1
+            h1 = r2 if hx == r1 else r1
+            if hx + h1 > top:
+                continue
+            for y in ys:  # H_y = a1[y]
+                hy = a1[y] + 1
+                h2 = b2 if hy == b1 else b1
+                if h1 + h2 < top and h2 + hy <= top:
+                    return True
+    return False
 
 
 def _decide(g: Graph, fam: ForbiddenFamily) -> tuple[str, Witness | None, Iterator[tuple[int, int]]]:

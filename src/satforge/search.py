@@ -28,17 +28,17 @@ every free tree of its orders.  It splits the walked stream of all its
 orders into shards by index, exactly one per worker process, so each worker
 walks the stream once; it owns the package's one process pool.  Each tree's
 parent array, the last vertex one level up in preorder, goes with the
-generator's diameter to saturation.tree_is_saturated, the one verdict, which
-decides the root's chords first.  A saturated tree's containment flags come
-from its adjacency lists and diameter, against the claimed patterns prepared
-once per shard, so a Graph is built from the parent array only for the
-graph6 of the saturated trees it reports.
+generator's diameter to saturation.tree_is_saturated, the one verdict,
+which decides the root's chords first and then only the chords at distance
+3, since one of them fails whenever any chord does.  A saturated tree's
+containment flags come from its adjacency lists and diameter, against the
+claimed patterns prepared once per shard, so a Graph is built from the
+parent array only for the graph6 of the saturated trees it reports.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -558,11 +558,11 @@ def scan_saturated_trees(orders: Sequence[int], k: int, *, threads: int = 1) -> 
     exactly from their numbers by order and diameter, so trees_scanned, the
     trees walked plus the trees counted, is every free tree of the orders.
     Each checked tree gets one verdict, tree_is_saturated, from its parent
-    array: the root's chords first, and the other vertices' only if those
-    pass.  The walked trees are dealt round-robin, over the stream of all
-    the orders, into min(threads, os.cpu_count()) shards, one per worker
-    process of a fresh pool, so no worker walks the stream twice and a
-    larger thread count starts no more processes.  One shard runs inline.
+    array: the root's chords first, and the chords at distance 3 only if
+    those pass.  The walked trees are dealt round-robin, over the stream of
+    all the orders, into min(threads, os.cpu_count()) shards, one per
+    worker process of a fresh pool, so no worker walks the stream twice and
+    a larger thread count starts no more processes.  One shard runs inline.
     The report is the same for every thread count.
     """
     if k < 5:
@@ -582,6 +582,10 @@ def scan_saturated_trees(orders: Sequence[int], k: int, *, threads: int = 1) -> 
     if shards == 1:
         parts = [_scan_shard(jobs[0])]
     else:
+        # imported here, not at the top: the import is a large part of a
+        # fresh interpreter's start-up, and one shard needs no pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=shards) as pool:
             parts = list(pool.map(_scan_shard, jobs))
     witnesses = tuple(

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -123,6 +126,25 @@ class TestCheck:
         code, stdout, err = run(capsys, "check", "--family", "K3", str(out))
         assert code == 2 and stdout == ""
         assert "at most 258047 vertices" in err
+
+    def test_huge_edgelist_order_exit_two(self, tmp_path):
+        # the header is refused before any row is allocated, so even a child
+        # process limited to 1 GiB of address space exits 2 with no traceback
+        resource = pytest.importorskip("resource")
+        out = tmp_path / "huge.txt"
+        out.write_text("999999999 0\n")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from satforge.cli import main; sys.exit(main(sys.argv[1:]))",
+             "check", "--family", "K3", str(out)],
+            capture_output=True, text=True, timeout=60, preexec_fn=limit,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: line 1: expected an order of at most 258047, found 999999999\n"
 
     def test_two_graph6_lines_exit_two(self, tmp_path, capsys):
         # the second graph (K4) would give exit 3 if it were read

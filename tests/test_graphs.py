@@ -6,6 +6,7 @@ import pytest
 from satforge.constructions import make_tk
 from satforge.graphs import (
     INFINITE,
+    MAX_ORDER,
     build_graph,
     complete_graph,
     connected_components,
@@ -233,6 +234,20 @@ def test_edgelist_round_trip():
     assert parse_edgelist(text) == g
     with pytest.raises(ValueError):
         parse_edgelist("3 2\n0 1\n")
+
+
+def test_edgelist_errors_name_the_line():
+    # the order cap is graph6's, checked before any row is allocated
+    for text, message in (
+        (f"{MAX_ORDER + 1} 0\n", f"line 1: expected an order of at most {MAX_ORDER}, found {MAX_ORDER + 1}"),
+        ("3 2\n0 1 2\n1 2\n", "line 2: expected an edge 'u v' of two integers, found '0 1 2'"),
+        ("3 1\n\n0 x\n", "line 3: expected an edge 'u v' of two integers, found '0 x'"),
+        ("3 two\n", "line 1: expected an 'n m' header of two integers, found '3 two'"),
+    ):
+        with pytest.raises(ValueError) as err:
+            parse_edgelist(text)
+        assert str(err.value) == message
+    assert parse_edgelist(f"{MAX_ORDER} 0\n").n == MAX_ORDER
 
 
 def test_induced_subgraph():

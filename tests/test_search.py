@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import itertools
 import os
@@ -24,6 +25,7 @@ from satforge.graphs import (
     is_connected,
     is_tree,
     longest_path_layers,
+    tree_adjacency,
 )
 from satforge.saturation import (
     _Forest,
@@ -676,7 +678,9 @@ class TestWindowedWalk:
                 asked.append((self.workers, len(jobs)))
                 return map(fn, jobs)
 
-        monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+        # the scan imports the pool class when it needs one, so the stub
+        # goes where that import finds it
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         single = scan_saturated_trees(range(4, 11), 5)
         assert single.witnesses and asked == []
         for cores, threads, want in [
@@ -733,9 +737,11 @@ class TestRootPass:
         assert 0 < saturated < total
 
     def test_rejects_exactly_the_failing_root_chords(self, monkeypatch):
-        # a tree is decided by its first chord_reach pass, the root's,
-        # exactly when the member detector finds a failing chord from the root
-        calls = _count_chord_reach(monkeypatch)
+        # every tree makes one chord_reach call, the root's, and skips the
+        # distance-3 stage exactly when the member detector finds a failing
+        # chord from the root
+        calls = _spy(monkeypatch, "chord_reach", lambda dist, parent, order: order[0])
+        stage = _spy(monkeypatch, "_fails_at_distance_3", lambda parent, k: len(parent))
         for k in (6, 7):
             fam = parse_family(f"K3,P{k}")
             for n in range(5, 12):
@@ -746,33 +752,78 @@ class TestRootPass:
                         if not g.has_edge(0, v) and contains_member(g.add_edge(0, v), fam) is None
                     ]
                     calls.clear()
+                    stage.clear()
                     verdict = tree_is_saturated(_parents(levels), d, k)
-                    assert (not verdict and calls == [0]) == bool(failing), levels
+                    assert calls == [0], levels
+                    assert stage == ([] if failing else [n]), levels
+                    assert not (failing and verdict), levels
 
     def test_root_pass_decides_most_window_trees(self, monkeypatch):
-        # each checked tree's verdict opens with the root's pass; most cost
-        # that one chord_reach call and no other
-        calls = _count_chord_reach(monkeypatch)
+        # each checked tree's verdict makes one chord_reach call, the
+        # root's, and most trees never reach the distance-3 stage
+        calls = _spy(monkeypatch, "chord_reach", lambda dist, parent, order: order[0])
+        stage = _spy(monkeypatch, "_fails_at_distance_3", lambda parent, k: len(parent))
         rep = scan_saturated_trees(range(6, 16), 9)
         assert rep.saturated_count == 0
-        starts = [i for i, root in enumerate(calls) if root == 0] + [len(calls)]
-        assert starts[0] == 0 and len(starts) - 1 == rep.trees_checked
-        at_root = sum(1 for a, b in zip(starts, starts[1:]) if b - a == 1)
+        assert calls == [0] * rep.trees_checked
+        at_root = rep.trees_checked - len(stage)
         assert rep.trees_checked / 2 < at_root < rep.trees_checked
 
 
-def _count_chord_reach(monkeypatch) -> list[int]:
-    """Patch saturation.chord_reach to record the root of each pass, the
-    first vertex of its order."""
-    calls: list[int] = []
-    real = saturation.chord_reach
+def _spy(monkeypatch, name, key) -> list:
+    """Patch saturation.<name> to record key(*args) for each call."""
+    calls: list = []
+    real = getattr(saturation, name)
 
-    def counted(dist, parent, order):
-        calls.append(order[0])
-        return real(dist, parent, order)
+    def spied(*args):
+        calls.append(key(*args))
+        return real(*args)
 
-    monkeypatch.setattr(saturation, "chord_reach", counted)
+    monkeypatch.setattr(saturation, name, spied)
     return calls
+
+
+def _fails(parent, k, distance):
+    """Whether a chord at the given distance (None: any distance above 2)
+    has no path of order k, from a BFS and a chord_reach pass per vertex."""
+    adj = tree_adjacency(parent)
+    for u in range(len(parent)):
+        dist, up, order = saturation._bfs(adj, u)
+        for d, r in zip(dist, chord_reach(dist, up, order)):
+            if r < k and (d > 2 if distance is None else d == distance):
+                return True
+    return False
+
+
+class TestDistanceThreeLemma:
+    # tree_is_saturated's lemma: a tree of diameter at most k-2 is saturated
+    # iff no chord at distance 3 fails, with the per-vertex oracle on both
+    # sides; _fails_at_distance_3 must agree with the oracle's right side
+
+    def _saturated(self, parent, k) -> bool:
+        near = _fails(parent, k, 3)
+        assert _fails(parent, k, None) == near, (parent, k)
+        assert saturation._fails_at_distance_3(parent, k) == near, (parent, k)
+        return not near
+
+    def test_every_tree_to_order_13(self):
+        verdicts = [
+            self._saturated(_parents(levels), k)
+            for n in range(1, 14)
+            for levels, diam in _iter_free_trees(n)
+            for k in range(max(5, diam + 2), 11)
+        ]
+        assert any(verdicts) and not all(verdicts)
+
+    def test_window_trees_of_orders_14_to_16(self):
+        verdicts = [
+            self._saturated(_parents(levels), k)
+            for n in (14, 15, 16)
+            for levels, diam in _iter_free_trees(n)
+            for k in (diam + 2, diam + 3)
+            if diam > 2 and 5 <= k <= 11
+        ]
+        assert any(verdicts) and not all(verdicts)
 
 
 class TestK8Counterexample:

@@ -335,6 +335,28 @@ def test_one_breadth_first_search_in_saturation():
     assert {name for name, fn in fns.items() if _walks_a_growing_list(fn)} == {"_bfs"}
 
 
+def test_tree_verdict_runs_no_bfs():
+    # tree_is_saturated reads depths and arms off the parent array: of the
+    # module's functions it reaches only chord_reach, from the root, and the
+    # distance-3 stage, never _bfs or per-vertex adjacency lists
+    fns = {
+        node.name: node for node in _module("saturation").body
+        if isinstance(node, ast.FunctionDef)
+    }
+    reached, todo = set(), ["tree_is_saturated"]
+    while todo:
+        name = todo.pop()
+        if name in fns and name not in reached:
+            reached.add(name)
+            todo += [
+                node.func.id for node in ast.walk(fns[name])
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            ]
+    assert reached == {"tree_is_saturated", "chord_reach", "_fails_at_distance_3"}
+    names = {node.id for name in reached for node in ast.walk(fns[name]) if isinstance(node, ast.Name)}
+    assert not names & {"_bfs", "tree_adjacency"}
+
+
 def test_no_unused_imports():
     # every name a module imports is read somewhere in it; __init__
     # imports only to re-export
