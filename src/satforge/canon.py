@@ -90,13 +90,6 @@ def _subtree_codes(rows: Sequence[int], root: int) -> tuple[dict[int, str], dict
     return code, kids
 
 
-def tree_code(rows: Sequence[int]) -> str:
-    """Centre-rooted AHU code of the tree whose rows, over vertices
-    0..len(rows)-1, are given: equal for two trees iff they are isomorphic."""
-    work, root = _centre_rooted(rows, (1 << len(rows)) - 1)
-    return _subtree_codes(work, root)[0][root]
-
-
 def _tree_order(rows: tuple[int, ...], alive: int, orbit: list[int], sink: list | None) -> list[int]:
     """Vertices of a tree in a canonical DFS order (old ids, new order)."""
     work, root = _centre_rooted(rows, alive)

@@ -39,6 +39,7 @@ from .formulas import (
     sat_pk,
 )
 from .graphs import (
+    MAX_ORDER,
     Graph,
     connected_components,
     diameter,
@@ -89,7 +90,10 @@ def _load_graph(path: str, fmt: str | None) -> Graph:
     with open(path, "rb") as fh:
         data = fh.read()
     if fmt == "edgelist":
-        return parse_edgelist(data.decode("ascii"))
+        try:
+            return parse_edgelist(data.decode("ascii"))
+        except UnicodeDecodeError:
+            raise UsageError(f"{path}: not ASCII text") from None
     if fmt != "graph6":
         text = data.decode("ascii", errors="replace")
         first = text.splitlines()[0].split() if text.strip() else []
@@ -116,19 +120,21 @@ def _write_graph(g: Graph, path: str | None, fmt: str) -> None:
 # construct
 # ---------------------------------------------------------------------------
 
-# kind -> (builder, the options it needs, in the builder's argument order)
+# kind -> (builder, the options it needs, in the builder's argument order,
+# and, for a layered tree, the order constant that gives its order from k;
+# any other kind has order --n, or a handful of vertices)
 _CONSTRUCT = {
-    "tk": (make_tk, ("k",)),
-    "t0k": (make_t0k, ("k",)),
-    "t1k": (make_t1k, ("k",)),
-    "t1": (lambda: make_small_tree("T1"), ()),
-    "t2": (lambda: make_small_tree("T2"), ()),
-    "t3": (lambda: make_small_tree("T3"), ()),
-    "star": (make_star, ("n",)),
-    "erdos": (make_erdos_kp, ("n", "p")),
-    "sattree": (saturated_tree_of_order, ("n", "k")),
-    "g0": (make_g0, ("n", "k")),
-    "h0": (make_h0, ("n", "k")),
+    "tk": (make_tk, ("k",), "A"),
+    "t0k": (make_t0k, ("k",), "A0"),
+    "t1k": (make_t1k, ("k",), "A1"),
+    "t1": (lambda: make_small_tree("T1"), (), None),
+    "t2": (lambda: make_small_tree("T2"), (), None),
+    "t3": (lambda: make_small_tree("T3"), (), None),
+    "star": (make_star, ("n",), None),
+    "erdos": (make_erdos_kp, ("n", "p"), None),
+    "sattree": (saturated_tree_of_order, ("n", "k"), None),
+    "g0": (make_g0, ("n", "k"), None),
+    "h0": (make_h0, ("n", "k"), None),
 }
 
 
@@ -143,8 +149,13 @@ def _need(args: argparse.Namespace, name: str) -> int | str:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    build, needs = _CONSTRUCT[args.kind]
-    g = build(*[_need(args, name) for name in needs])
+    """Refuses an order above MAX_ORDER before the builder allocates."""
+    build, needs, constant = _CONSTRUCT[args.kind]
+    values = [_need(args, name) for name in needs]
+    order = order_constant(constant, *values) if constant else (args.n if "n" in needs else 0)
+    if order > MAX_ORDER:
+        raise UsageError(f"construct {args.kind}: expected an order of at most {MAX_ORDER}, found {order}")
+    g = build(*values)
     _write_graph(g, args.out, args.format)
     d = diameter(g)
     fields = {

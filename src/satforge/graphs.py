@@ -347,15 +347,22 @@ def write_edgelist(g: Graph) -> str:
 
 def parse_edgelist(text: str) -> Graph:
     """Inverse of write_edgelist; blank lines are skipped.  Raises
-    ValueError, naming the line, on a line that is not two integers, and on
-    an order above MAX_ORDER before anything is allocated."""
+    ValueError, naming the line, on a line that is not two integers, on an
+    edge that is a self-loop or leaves 0..n-1, and on an order above
+    MAX_ORDER before anything is allocated."""
     lines = [(i, ln.split()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("edge list must start with an 'n m' header line")
     n, m = _int_pair(*lines[0], "an 'n m' header")
     if n > MAX_ORDER:
         raise ValueError(f"line {lines[0][0]}: expected an order of at most {MAX_ORDER}, found {n}")
-    edges = [_int_pair(i, fields, "an edge 'u v'") for i, fields in lines[1:]]
+    edges = []
+    for i, fields in lines[1:]:
+        u, v = _int_pair(i, fields, "an edge 'u v'")
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"line {i}: expected an edge 'u v' of two distinct vertices of 0..{n - 1}, "
+                             f"found '{u} {v}'")
+        edges.append((u, v))
     if len(edges) != m:
         raise ValueError(f"header promises {m} edges, found {len(edges)}")
     return build_graph(n, edges)

@@ -13,24 +13,25 @@ Two structure-aware scans decide whole components at once instead of one
 non-edge at a time:
 
 * "forest": a forest against {Pk} or {K3, Pk} is member-free exactly when
-  every component has diameter below k-1.  One pass from a tree vertex u
-  gives the longest path through every chord from u, so a tree of order m
-  costs O(m^2), its rows kept per component and computed on first use.
-  Isomorphic trees, found by their AHU codes, have their chords decided
-  once: when none of one copy's chords fails, no copy's chord is tested.
-  The tree scan's one verdict, tree_is_saturated, takes a free tree as its
-  preorder parent array with its diameter and runs the same pass, chord_reach,
-  from the root first, straight off the parents, where most trees fail.
-  A tree that passes there is decided by its chords at distance 3 alone, by
-  a lemma proved in the verdict's docstring, each in O(1) from its vertices'
-  longest arms, so the verdict runs no BFS and costs O(n) plus one step per
-  path on 4 vertices.
+  every component has diameter below k-1.  One BFS per tree gives every
+  vertex's longest arms (_arms), and from them its eccentricity and the
+  tree's diameter.  A tree none of whose chords fails is found from its
+  chords at distance 3, and at distance 2 against {Pk}, each in O(1) from
+  the arms, by a lemma proved in tree_is_saturated's docstring; so its
+  chords are never tested one by one.  In any other tree one pass from a
+  vertex u, chord_reach, gives the longest path through every chord from
+  u, computed on first use, so such a tree of order m costs O(m^2).  The
+  tree scan's one verdict, tree_is_saturated, takes a free tree as its
+  preorder parent array with its diameter and runs chord_reach from the
+  root first, straight off the parents, where most trees fail; a tree that
+  passes takes the same distance-3 test, so the verdict runs no BFS and
+  costs O(n) plus one step per path on 4 vertices.
   A pair in two trees fails exactly when ecc(u) + ecc(v) + 2 < k, so one
   mask of the vertices of eccentricity at most t, per threshold t, gives
   all of u's failing partners at once.
 * "triangle_table": against the single member K3 u Pk, the same
-  arithmetic decides every pair between trees that hold no Pk, again once
-  per isomorphism class of such trees.  Only pairs that touch another
+  arithmetic decides every pair between trees that hold no Pk, and clears
+  such a tree by the same arm test.  Only pairs that touch another
   component go through per-triangle tables built over those components
   alone.  The K3 u Pk detector itself looks for Pk only in the components,
   left by each triangle, that have order at least k and, for a tree,
@@ -58,7 +59,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .canon import tree_code
 from .graphs import (
     Graph,
     component_masks,
@@ -415,6 +415,10 @@ def tree_is_saturated(parent: list[int], diameter: int, k: int) -> bool:
     By L with d = 3, it succeeds iff
     max(H_x + h1, h1 + h2, h2 + H_y) >= k-4: the other three pairs of
     sides end a tree path of at most D edges, so their L is at most D - 1.
+
+    The lemma reads only path lengths and D <= k-2, not what a chord at
+    distance 2 closes, so it holds against {Pk} as well, where a chord at
+    distance 2 can fail too; _fails_at_distance_3 then tests those.
     """
     if diameter >= k - 1:
         return False
@@ -425,27 +429,27 @@ def tree_is_saturated(parent: list[int], diameter: int, k: int) -> bool:
     reach = chord_reach(dist, parent, range(n))
     if any(d > 2 and r < k for d, r in zip(dist, reach)):
         return False
-    return not _fails_at_distance_3(parent, k)
+    return not _fails_at_distance_3(parent, _arms(parent, range(n)), k, True)
 
 
-def _fails_at_distance_3(parent: list[int], k: int) -> bool:
-    """Whether some chord at distance 3 of a tree of diameter at most k-2
-    fails, by tree_is_saturated's test on every path x q1 q2 y.
+def _arms(parent: list[int], order: Sequence[int]):
+    """Per vertex of a tree, its three longest arms through its children
+    (a1 >= a2 >= a3, 0 when there are fewer), its arm through its parent
+    (up, 0 at the root) and its children, from each vertex's parent (-1 at
+    the root) and the vertices in an order that starts at the root and puts
+    each parent before its children, as chord_reach takes them.
 
     An arm of v is the longest path that leaves v through one neighbour,
-    counted in edges.  A reverse sweep over the parents gives each vertex's
-    three longest arms through its children (a1 >= a2 >= a3, 0 when there
-    are fewer), and a forward sweep its arm through its parent (up).  Each
-    path is taken once, by its middle edge q1 = parent[q2] and q2, so y is
-    a child of q2 and x another neighbour of q1; all four sides are then
-    read off the arms, so each path costs O(1).
+    counted in edges.  A reverse sweep gives the arms through children and
+    a forward sweep the arm through the parent.
     """
     n = len(parent)
     a1 = [0] * n
     a2 = [0] * n
     a3 = [0] * n
     kids: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n - 1, 0, -1):  # preorder: every child after its parent
+    below = order[1:]  # every vertex but the root
+    for v in reversed(below):
         p = parent[v]
         kids[p].append(v)
         h = a1[v] + 1
@@ -458,14 +462,50 @@ def _fails_at_distance_3(parent: list[int], k: int) -> bool:
                 a2[p] = h
         elif h > a3[p]:
             a3[p] = h
-    up = [0] * n  # 0 at the root, which has no parent
-    for v in range(1, n):
+    up = [0] * n
+    for v in below:
         p = parent[v]
         side = a2[p] if a1[v] + 1 == a1[p] else a1[p]
         u = up[p]
         up[v] = (u if u > side else side) + 1
+    return a1, a2, a3, up, kids
+
+
+def _fails_at_distance_3(parent: list[int], arms, k: int, closes_two: bool) -> bool:
+    """Whether some chord at distance 3 of a tree of diameter at most k-2
+    fails, by tree_is_saturated's test on every path x q1 q2 y, from the
+    parents and _arms of the tree rooted at vertex 0; and, unless a chord at
+    distance 2 closes a member (closes_two), whether one at distance 2
+    fails.  By tree_is_saturated's lemma, the tree has a failing chord
+    exactly when this is true.
+
+    Each path x q1 q2 y is taken once, by its middle edge q1 = parent[q2]
+    and q2, so y is a child of q2 and x another neighbour of q1; all four
+    sides are read off the arms, so each path costs O(1).
+
+    A chord xy at distance 2 through q, where q's arms through x and y have
+    lengths A_x and A_y and its longest other arm h (0 for none), fails iff
+    max(A_x + h, A_y + h, A_x + A_y - 2) <= k-3: a path through xy ends at
+    x's and y's far ends, or turns at q into its other arm.  With q's arms
+    sorted as A, two pairs give the least of this: a pair that leaves out
+    A[-1] has h = A[-1] and costs at least A[1] + A[-1], which (A[0], A[1])
+    costs; a pair that holds A[-1] but not A[-2] has h >= A[-2] and costs
+    at least A[-2] + A[-1], which (A[-2], A[-1]), with h = A[-3], does not
+    exceed.  So (A[0], A[-1]) is never needed.
+    """
+    a1, a2, a3, up, kids = arms
+    if not closes_two:
+        top = k - 3
+        for q, ys in enumerate(kids):
+            at_q = sorted([a1[y] + 1 for y in ys] + ([up[q]] if q else []))
+            m = len(at_q)
+            if m > 1 and (
+                max(at_q[-1] + (at_q[-3] if m > 2 else 0), at_q[-2] + at_q[-1] - 2) <= top
+                or m > 2 and at_q[1] + at_q[-1] <= top
+            ):
+                return True
     top = k - 4
-    for q2 in range(1, n):
+    for q2 in range(1, len(kids)):
         ys = kids[q2]
         if not ys:
             continue
@@ -671,27 +711,25 @@ class _Forest:
     """Vertex-disjoint parts of a graph g, each inducing a tree.
 
     Each part is kept as its ascending vertex list and, per position, the
-    ascending positions of its neighbours, read from g's bit rows; a double
-    sweep finds each part's diameter.
+    ascending positions of its neighbours, read from g's bit rows.  One BFS
+    from the part's least vertex gives its parents and, by _arms, every
+    vertex's longest arms: a vertex's eccentricity is its longest arm, and
+    the part's diameter the largest eccentricity.
 
-    A BFS row holds the distances from one vertex to the vertices of its
-    part, indexed by position in the part's ascending vertex list, and a
-    reach row, from one pass over the part, the order of the longest path
-    through each chord from that vertex.  Both are computed on first use.
-    So memory and time follow the part sizes and the vertices a scan
-    reaches, never the order of the whole graph squared.  In a tree every
-    vertex is farthest from one end of a longest path, so the rows of the
-    two ends give the part's diameter and every eccentricity.
-
-    Many parts are often copies of one tree.  skip_clean_copies tests the
-    chords of one part per isomorphism class, once later() is first called,
-    and later() then lists nothing in the parts of a class where none fails,
-    so those parts never build the rows of their inner vertices.
+    A reach row, from one pass over the part, holds the order of the
+    longest path through each chord from one vertex, indexed by position in
+    the part's ascending vertex list.  It is computed on first use, so
+    memory and time follow the part sizes and the vertices a scan reaches,
+    never the order of the whole graph squared.  later() first decides
+    whether any chord of the part fails, by the rule chord_fails set, from
+    the arms alone; a part where none fails lists no partners and never
+    builds a reach row.
     """
 
     def __init__(self, g: Graph, parts: list[int]):
         n = g.n
         self.n = n
+        self.rows = rows = g.rows
         self.parts = parts
         self.verts = verts = [list(iter_bits(m)) for m in parts]
         self.comp_of = comp_of = [-1] * n
@@ -700,7 +738,6 @@ class _Forest:
             for i, v in enumerate(vs):
                 comp_of[v] = ci
                 index[v] = i
-        rows = g.rows
         self.adj = adj = []  # the bit loop is inline for speed
         for m, vs in zip(parts, verts):
             part = []
@@ -713,13 +750,21 @@ class _Forest:
                     x ^= low
                 part.append(nbrs)
             adj.append(part)
-        self._rows: list[list[int] | None] = [None] * n
-        self._reach: list[list[int] | None] = [None] * n
-        self.diameters = [max(self.row(self._far(vs[0]))) for vs in verts]
+        self.ecc = ecc = [-1] * n  # per vertex, its eccentricity in its part
+        self.trees = []  # per part, its parents by position and their arms
+        self.diameters = []
+        for vs, nbrs in zip(verts, adj):
+            _, parent, order = _bfs(nbrs, 0)
+            arms = _arms(parent, order)
+            self.trees.append((parent, arms))
+            part_ecc = list(map(max, arms[0], arms[3]))  # a1 and up
+            for v, e in zip(vs, part_ecc):
+                ecc[v] = e
+            self.diameters.append(max(part_ecc))
         self.diameter = max(self.diameters, default=0)
-        self.clean = [False] * len(parts)
-        # (fails, among) for skip_clean_copies, run on the first later() call
-        self.grouping = None
+        self._reach: list[list[int] | None] = [None] * n
+        self.clean: list[bool | None] = [None] * len(parts)
+        self.rule: tuple[int, bool, bool] | None = None
 
     @classmethod
     def of(cls, g: Graph) -> "_Forest | None":
@@ -731,92 +776,45 @@ class _Forest:
             return None
         return cls(g, comps)
 
-    def row(self, v: int) -> list[int]:
-        """Distances from v, by position in its part."""
-        r = self._rows[v]
-        if r is None:
-            r = self._rows[v] = self._bfs(v)[0]
-        return r
-
     def _bfs(self, v: int) -> tuple[list[int], list[int], list[int]]:
         """_bfs from v over its part, by position in the part."""
         return _bfs(self.adj[self.comp_of[v]], self.index[v])
 
-    def _far(self, v: int) -> int:
-        """The least vertex of v's part farthest from v."""
-        r = self.row(v)
-        return self.verts[self.comp_of[v]][r.index(max(r))]
-
-    def eccentricities(self) -> list[int]:
-        """Per vertex, its eccentricity in its part (-1 outside the parts)."""
-        ecc = [-1] * self.n
-        for vs in self.verts:
-            a = self._far(vs[0])
-            b = self._far(a)
-            for w, x, y in zip(vs, self.row(a), self.row(b)):
-                ecc[w] = x if x > y else y
-        return ecc
-
     def later(self, u: int) -> list[int]:
         """The non-neighbours of u in its part above u, ascending; none in
-        a part that skip_clean_copies found clean.  The first call runs
-        skip_clean_copies on the grouping a scan set, so a scan that fails
-        before it reads any part groups nothing."""
-        if self.grouping is not None:
-            fails, among = self.grouping
-            self.grouping = None
-            self.skip_clean_copies(fails, among)
+        a part where no chord fails by the rule chord_fails set, decided on
+        the part's first call."""
         c = self.comp_of[u]
-        if self.clean[c]:
+        clean = self.clean[c]
+        if clean is None:
+            clean = self.clean[c] = self._clean(c)
+        if clean:
             return []
         vs = self.verts[c]
         s = self.index[u]
         near = set(self.adj[c][s])
         return [vs[j] for j in range(s + 1, len(vs)) if j not in near]
 
-    def skip_clean_copies(self, fails, among) -> None:
-        """Mark clean the parts, among the given ones, whose isomorphism
-        class has several parts and no chord u < v that fails(u, v).
-
-        fails must depend only on the part up to isomorphism.  Parts are
-        keyed by AHU tree code, computed only for parts that have a chord
-        and share (order, diameter) with another part, and the chords of one
-        part per class are tested.  A class with a failing chord is left to
-        the scan, so the failures it finds do not change.
-        """
-        shapes: dict[tuple[int, int], list[int]] = {}
-        for c in among:
-            if self.diameters[c] > 1:
-                shapes.setdefault((len(self.verts[c]), self.diameters[c]), []).append(c)
-        classes: dict[str, list[int]] = {}
-        for same in shapes.values():
-            if len(same) > 1:
-                for c in same:
-                    rows = [sum(1 << j for j in nbrs) for nbrs in self.adj[c]]
-                    classes.setdefault(tree_code(rows), []).append(c)
-        for same in classes.values():
-            if len(same) > 1 and not any(
-                fails(u, v) for u in self.verts[same[0]] for v in self.later(u)
-            ):
-                for c in same:
-                    self.clean[c] = True
+    def _clean(self, c: int) -> bool:
+        """Whether no chord of part c fails by the rule.  By path length,
+        for a part of diameter at most k-2, that is _fails_at_distance_3's
+        test; otherwise every chord fails but, when closes_two, those at
+        distance 2, so the part is clean iff it has no other chord."""
+        k, closes_two, by_path = self.rule
+        if not by_path:
+            return self.diameters[c] <= (2 if closes_two else 1)
+        parent, arms = self.trees[c]
+        return not _fails_at_distance_3(parent, arms, k, closes_two)
 
     def reach_row(self, u: int) -> list[int]:
         """Per position in u's part, the order of the longest path through a
-        new chord from u to that vertex, computed on first use (entries for
-        u and its neighbours are not chords and mean nothing)."""
+        new chord from u to that vertex, from one chord_reach pass computed
+        on first use (entries for u and its neighbours are not chords and
+        mean nothing)."""
         r = self._reach[u]
         if r is None:
-            r = self._reach[u] = self._chord_reach(u)
+            r = self._reach[u] = chord_reach(*self._bfs(u))
         return r
-
-    def _chord_reach(self, u: int) -> list[int]:
-        """Every chord from u in one pass over its part (chord_reach), which
-        also stores u's BFS row."""
-        dist, parent, order = self._bfs(u)
-        if self._rows[u] is None:
-            self._rows[u] = dist
-        return chord_reach(dist, parent, order)
 
     def reach(self, u: int, v: int) -> int:
         """Order of the longest path through a new chord uv of one part."""
@@ -824,15 +822,16 @@ class _Forest:
 
     def chord_fails(self, k: int, closes_two: bool, by_path: bool):
         """fails(u, v) for a chord inside one part: it succeeds at distance
-        2 when closes_two, and else, when by_path, when the longest path
-        through it has order >= k."""
+        2 (a common neighbour in the part) when closes_two, and else, when
+        by_path, when the longest path through it has order >= k.  The rule
+        is kept for later()."""
+        self.rule = k, closes_two, by_path
+        rows, parts, comp_of = self.rows, self.parts, self.comp_of
 
         def fails(u: int, v: int) -> bool:
-            j = self.index[v]
-            if not by_path:
-                return not (closes_two and self.row(u)[j] == 2)
-            reach = self.reach_row(u)  # stores u's BFS row too
-            return not (closes_two and self._rows[u][j] == 2) and reach[j] < k
+            if closes_two and rows[u] & rows[v] & parts[comp_of[u]]:
+                return False
+            return not by_path or self.reach(u, v) < k
 
         return fails
 
@@ -873,11 +872,8 @@ def _scan_forest(f: _Forest, k: int, closes_two: bool) -> Iterator[tuple[int, in
     k-3-ecc(u), one mask per threshold.
     """
     fails = f.chord_fails(k, closes_two, True)
-    cross: list[int] = []
-    if len(f.parts) > 1:
-        f.grouping = (fails, range(len(f.parts)))
-        ecc = f.eccentricities()
-        cross = _at_most(ecc, range(f.n), k - 3, f.n)
+    ecc = f.ecc
+    cross = _at_most(ecc, range(f.n), k - 3, f.n) if len(f.parts) > 1 else []
 
     def partners(u: int):
         failing = 0
@@ -914,9 +910,8 @@ def _scan_k3_cup_pk(g: Graph, k: int) -> Iterator[tuple[int, int]]:
     comps = component_masks(g)
     trees = [m for m in comps if _is_tree(g, m)]
     forest = _Forest(g, trees)
-    ecc = forest.eccentricities()
-    plain = [ci for ci, d in enumerate(forest.diameters) if d < k - 1]
-    plain_vs = [v for ci in plain for v in forest.verts[ci]]
+    ecc = forest.ecc
+    plain_vs = [v for vs, d in zip(forest.verts, forest.diameters) if d < k - 1 for v in vs]
     rest = full_mask(n) & ~_mask(plain_vs, n)
     home = {v: m for m in comps if m & rest for v in iter_bits(m)}
     pk = [m for m, d in zip(trees, forest.diameters) if d >= k - 1]
@@ -930,7 +925,7 @@ def _scan_k3_cup_pk(g: Graph, k: int) -> Iterator[tuple[int, int]]:
         is_tree = [_is_tree(g, m) for m in parts]
         tf = _Forest(g, [m for m, t in zip(parts, is_tree) if t])
         others = [m for m, t in zip(parts, is_tree) if not t]
-        tables.append((tmask, tf, tf.eccentricities(), others))
+        tables.append((tmask, tf, tf.ecc, others))
 
     def part(tf: _Forest, others: list[int], x: int) -> int:
         c = tf.comp_of[x]
@@ -980,7 +975,6 @@ def _scan_k3_cup_pk(g: Graph, k: int) -> Iterator[tuple[int, int]]:
     le = _at_most(ecc, plain_vs, k - 2, n)
     np_ge = [_mask((u for u in th if th[u] >= e), n) for e in range(k - 1)]
     plain_fails = forest.chord_fails(k, bool(pk), bool(tables))
-    forest.grouping = (plain_fails, plain)
 
     def non_plain_fails(u: int, v: int) -> bool:
         return not creates(u, v)

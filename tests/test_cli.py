@@ -27,6 +27,22 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_limited(*argv):
+    """The CLI on argv in a child process limited to 1 GiB of address space
+    (resource.setrlimit in that child alone), as a CompletedProcess."""
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from satforge.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+
+
 class TestConstruct:
     def test_t1k_summary_and_file(self, tmp_path, capsys):
         out = tmp_path / "t.g6"
@@ -55,6 +71,24 @@ class TestConstruct:
         )
         assert code == 0
         assert "components=5" in stdout and "edges=95" in stdout
+
+    @pytest.mark.parametrize("argv", [
+        ("erdos", "--n", "999999999", "--p", "3"),
+        ("star", "--n", "999999999"),
+        ("sattree", "--n", "999999999", "--k", "10"),
+        ("g0", "--n", "999999999", "--k", "10"),
+        ("tk", "--k", "40"),
+    ])
+    def test_huge_order_exit_two(self, argv):
+        # refused before the builder allocates, so even a child process
+        # limited to 1 GiB of address space exits 2 with no traceback (tk at
+        # k = 40 has order A(40) = 1572862)
+        proc = run_limited("construct", *argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        found = 1572862 if argv[0] == "tk" else 999999999
+        assert proc.stderr == (
+            f"error: construct {argv[0]}: expected an order of at most 258047, found {found}\n"
+        )
 
     def test_out_of_range_exits_2(self, capsys):
         code, _, err = run(capsys, "construct", "t1k", "--k", "7")
@@ -130,21 +164,18 @@ class TestCheck:
     def test_huge_edgelist_order_exit_two(self, tmp_path):
         # the header is refused before any row is allocated, so even a child
         # process limited to 1 GiB of address space exits 2 with no traceback
-        resource = pytest.importorskip("resource")
         out = tmp_path / "huge.txt"
         out.write_text("999999999 0\n")
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from satforge.cli import main; sys.exit(main(sys.argv[1:]))",
-             "check", "--family", "K3", str(out)],
-            capture_output=True, text=True, timeout=60, preexec_fn=limit,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-        )
+        proc = run_limited("check", "--family", "K3", str(out))
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == "error: line 1: expected an order of at most 258047, found 999999999\n"
+
+    def test_non_ascii_edgelist_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "binary.txt"
+        out.write_bytes(b"3 1\n0 \xff\n")
+        code, stdout, err = run(capsys, "check", "--family", "K3", "--format", "edgelist", str(out))
+        assert code == 2 and stdout == ""
+        assert err == f"error: {out}: not ASCII text\n"
 
     def test_two_graph6_lines_exit_two(self, tmp_path, capsys):
         # the second graph (K4) would give exit 3 if it were read

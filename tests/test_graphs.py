@@ -237,12 +237,16 @@ def test_edgelist_round_trip():
 
 
 def test_edgelist_errors_name_the_line():
-    # the order cap is graph6's, checked before any row is allocated
+    # the order cap is graph6's, checked before any row is allocated; a
+    # self-loop or an endpoint outside 0..n-1 is named by its line too
     for text, message in (
         (f"{MAX_ORDER + 1} 0\n", f"line 1: expected an order of at most {MAX_ORDER}, found {MAX_ORDER + 1}"),
         ("3 2\n0 1 2\n1 2\n", "line 2: expected an edge 'u v' of two integers, found '0 1 2'"),
         ("3 1\n\n0 x\n", "line 3: expected an edge 'u v' of two integers, found '0 x'"),
         ("3 two\n", "line 1: expected an 'n m' header of two integers, found '3 two'"),
+        ("3 1\n0 0\n", "line 2: expected an edge 'u v' of two distinct vertices of 0..2, found '0 0'"),
+        ("3 1\n\n0 5\n", "line 3: expected an edge 'u v' of two distinct vertices of 0..2, found '0 5'"),
+        ("3 1\n0 -1\n", "line 2: expected an edge 'u v' of two distinct vertices of 0..2, found '0 -1'"),
     ):
         with pytest.raises(ValueError) as err:
             parse_edgelist(text)

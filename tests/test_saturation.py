@@ -172,24 +172,21 @@ class TestCheckSaturated:
         assert v.is_saturated and v.strategy == "forest"
 
     def test_copies_cost_no_more_chord_arithmetic(self, monkeypatch):
-        # ten times the copies of T1_10 make no more reach rows: one copy
-        # per class has its chords decided
+        # a saturated forest is cleared part by part from its arms, so it
+        # builds no reach row at all; h0's plain copies of T1_10 likewise,
+        # and ten times the copies make no more rows
         calls = []
-        chord_reach = saturation._Forest._chord_reach
-
-        def counted(forest, u):
-            calls.append(u)
-            return chord_reach(forest, u)
-
-        monkeypatch.setattr(saturation._Forest, "_chord_reach", counted)
+        chord_reach = saturation.chord_reach
+        monkeypatch.setattr(saturation, "chord_reach", lambda *a: calls.append(None) or chord_reach(*a))
 
         def count(g, text):
             calls.clear()
             assert check_saturated(g, parse_family(text)).is_saturated
             return len(calls)
 
-        assert count(make_g0(2010, 10), "K3,P10") == count(make_g0(20010, 10), "K3,P10") > 0
-        assert count(make_h0(1210, 10), "K3+P10") == count(make_h0(12010, 10), "K3+P10") > 0
+        assert count(make_g0(2010, 10), "K3,P10") == count(make_g0(20010, 10), "K3,P10") == 0
+        assert count(make_tk(12), "P12") == count(join(empty_graph(1), make_tk(11)), "K1*[11]") == 0
+        assert count(make_h0(1210, 10), "K3+P10") == count(make_h0(12010, 10), "K3+P10")
 
     def test_generic_scan_stops_at_first_failure(self):
         # the scan tests non-edges lazily: C2000 has about two million, and
@@ -210,12 +207,12 @@ class TestCheckSaturated:
         # Pair tests are counted through _creates, chord_reach (one reach
         # row gives all of a vertex's chords) and the forest chord test; the
         # check's counts are those recorded when the scans still took a
-        # collect_all flag, and fewer than the gap's, except the triangle
-        # table's, which fell from 194 once the test of one copy per tree
-        # class waited for the stream to reach a plain part: its first
-        # failure (0, 29) comes before any.  Of the tests made while reading
-        # the stream, none is above the first failure.  The hubs are
-        # labelled last, so g - h keeps g's labels
+        # collect_all flag, and fewer than the gap's.  Against {K3, P7} the
+        # gap builds no reach row for a vertex whose later chords all close
+        # a triangle, and the triangle table's gap tests no chord of the
+        # plain copies of T1_10, which their arms clear.  Of the tests made
+        # while reading the stream, none is above the first failure.  The
+        # hubs are labelled last, so g - h keeps g's labels
         tests = []
         creates, reach = saturation._creates, saturation.chord_reach
         monkeypatch.setattr(
@@ -246,9 +243,9 @@ class TestCheckSaturated:
         star = join(empty_graph(5), empty_graph(1))
         star_hub = join(disjoint_union(star, empty_graph(2)), empty_graph(1))
         cases = [
-            (tree, "K3,P7", "forest", (5, 8), 44, 54),
-            (beside, "K3,P7", "forest", (0, 1), 0, 54),
-            (h0, "K3+P10", "triangle_table", (0, 29), 4, 383),
+            (tree, "K3,P7", "forest", (5, 8), 44, 53),
+            (beside, "K3,P7", "forest", (0, 1), 0, 53),
+            (h0, "K3+P10", "triangle_table", (0, 29), 4, 193),
             (kp, "K4", "generic", (0, 17), 17, 154),
             (join(tree, empty_graph(1)), "K1*[7]", "hub+forest", (5, 8), 44, 54),
             (star_hub, "K1*[2,2]", "hub+generic", (5, 6), 21, 23),
@@ -511,7 +508,8 @@ class TestScanEquivalence:
         assert calls == []
 
     # copies of a few tree classes, relabelled at random: the forest and
-    # triangle-table scans decide each class of copies once
+    # triangle-table scans clear each part whose chords all create a member
+    # from its arms, part by part, when the stream first reaches it
 
     def _copies(self, parts, rng):
         """The disjoint union of the given graphs, relabelled at random, and
@@ -526,42 +524,78 @@ class TestScanEquivalence:
             off += h.n
         return build_graph(n, edges), labels
 
-    def _clean_after_grouping(self, monkeypatch):
-        """Per _Forest.skip_clean_copies call, how many parts it left clean."""
-        counts = []
-        skip = saturation._Forest.skip_clean_copies
+    def _forests(self, monkeypatch):
+        """The _Forest of each scan, in order, as its chord_fails call sets
+        the rule; a part's clean entry stays None until the scan reaches
+        it, and then says whether the part's arms cleared it."""
+        forests = []
+        chord_fails = saturation._Forest.chord_fails
 
-        def spy(forest, fails, among):
-            skip(forest, fails, among)
-            counts.append(sum(forest.clean))
+        def spy(forest, *rule):
+            forests.append(forest)
+            return chord_fails(forest, *rule)
 
-        monkeypatch.setattr(saturation._Forest, "skip_clean_copies", spy)
-        return counts
+        monkeypatch.setattr(saturation._Forest, "chord_fails", spy)
+        return forests
+
+    @staticmethod
+    def _cleared(forest) -> int:
+        return sum(c is True for c in forest.clean)
+
+    def test_clean_parts_match_generic_on_every_tree(self):
+        # _Forest._clean under each (closes_two, by_path) rule against the
+        # generic scan on every tree of order <= 12, for the family the rule
+        # stands for: {K3, Pk} and {Pk} for k >= diameter + 2, {K3} (a chord
+        # fails unless it closes a triangle) and {K4} (every chord fails).
+        # Order 12 holds the least tree whose one failing chord is a
+        # distance-2 pair of short arms beside three longest ones (two
+        # leaves and three cherries on one vertex, against P6)
+        from satforge.search import _iter_free_trees, _parents
+
+        cleared = total = 0
+        for n in range(1, 13):
+            for levels, diam in _iter_free_trees(n):
+                tree = build_graph(n, enumerate(_parents(levels)[1:], 1))
+                rules = [(0, True, False, "K3"), (0, False, False, "K4")]
+                rules += [
+                    (k, closes_two, True, f"K3,P{k}" if closes_two else f"P{k}")
+                    for k in range(max(2, diam + 2), 13)
+                    for closes_two in (True, False)
+                ]
+                for k, closes_two, by_path, text in rules:
+                    forest = saturation._Forest(tree, [(1 << n) - 1])
+                    forest.chord_fails(k, closes_two, by_path)
+                    want = next(saturation._scan_generic(tree, parse_family(text)), None) is None
+                    assert forest._clean(0) == want, (levels, text)
+                    cleared += want
+                    total += 1
+        assert 0 < cleared < total
 
     def test_clean_copy_classes_match_generic(self, monkeypatch):
-        # classes whose chords all create a member; two of each family's
-        # classes share order and diameter, so only their codes tell them apart
+        # classes whose chords all create a member, cleared copy by copy;
+        # two of each family's classes share order and diameter
         clean = {
             "K3,P5": ("Eia?", "Eka?", "Dk_"),  # orders 6, 6, 5; diameter 3
             "P5": ("Eia?", "GiQCC?", "GiaCC?"),  # orders 6, 8, 8; diameter 3
         }
-        counts = self._clean_after_grouping(monkeypatch)
+        forests = self._forests(monkeypatch)
         rng = random.Random(67)
         for text, codes in clean.items():
             trees = [graph6_decode(c) for c in codes]
             for _ in range(3):
                 g, _ = self._copies([t for t, m in zip(trees, (3, 2, 2)) for _ in range(m)], rng)
-                counts.clear()
+                forests.clear()
                 self._assert_agrees(g, parse_family(text), "forest")
-                assert counts and counts[-1] == 7, text
+                assert forests and self._cleared(forests[-1]) == 7, text
 
     def test_failing_copy_class_matches_generic(self, monkeypatch):
         # one chord of each failing class fails: P4's long chord against
         # {K3,P5}, and against {P5} the triangle-closing chord of the double
         # star Eka?, which shares order and diameter with the clean Eia?.
-        # The smallest failure must at times come from a copy other than the
-        # one with the class's lowest label, which is the copy grouping tests
-        counts = self._clean_after_grouping(monkeypatch)
+        # The gap, _assert_agrees's first scan, clears the two clean copies
+        # alone.  The smallest failure comes at times from a copy other than
+        # the least-labelled one of its class
+        forests = self._forests(monkeypatch)
         clean = graph6_decode("Eia?")
         rng = random.Random(71)
         for text, failing in (("K3,P5", path_graph(4)), ("P5", graph6_decode("Eka?"))):
@@ -569,14 +603,15 @@ class TestScanEquivalence:
             hits = 0
             for _ in range(12):
                 g, labels = self._copies([failing] * 3 + [clean] * 2, rng)
-                counts.clear()
+                forests.clear()
                 self._assert_agrees(g, fam, "forest")
-                assert counts[-1] == 2  # the two clean copies
+                assert self._cleared(forests[0]) == 2
+                assert forests[0].clean.count(False) == 3
                 u, v = check_saturated(g, fam).missing_edge
                 home = next(i for i, vs in enumerate(labels) if u in vs)
                 assert v in labels[home] and home < 3
-                tested = min(range(3), key=lambda i: min(labels[i]))
-                hits += home != tested
+                least = min(range(3), key=lambda i: min(labels[i]))
+                hits += home != least
             assert hits, text
 
     def test_many_triangles_take_the_table(self):
@@ -602,29 +637,31 @@ class TestScanEquivalence:
 
     def test_copy_classes_beside_a_k4_part_match_generic(self, monkeypatch):
         # plain copies beside a K4 with a pendant edge, which holds a Pk, go
-        # through the triangle table's grouping: chords of the star K1,3
+        # through the triangle table's clean test: chords of the star K1,3
         # and of P3 close a triangle beside that Pk, while P4's long chord
-        # fails at k = 5.  The gap groups; the check groups only when its
-        # stream reaches a plain vertex, the least one at or below the
-        # first failure's smaller end
-        counts = self._clean_after_grouping(monkeypatch)
+        # fails at k = 5.  The gap decides every plain copy; the check, its
+        # stream read to the first failure, decides the copies whose least
+        # vertex is at or below that failure's smaller end, and no other
+        forests = self._forests(monkeypatch)
         k4 = build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
         star, p3, p4 = make_star(4), path_graph(3), path_graph(4)
         rng = random.Random(73)
         mixes = ((4, [star] * 3 + [p3] * 2, 5), (5, [star] * 2 + [p3] * 2 + [p4] * 3, 4))
-        checks_grouped = 0
+        reached = []
         for k, trees, clean in mixes:
             for _ in range(3):
                 g, labels = self._copies([k4] + trees, rng)
-                counts.clear()
+                forests.clear()
                 v = self._assert_agrees(g, parse_family(f"K3+P{k}"), "triangle_table")
-                least_plain = min(min(vs) for vs in labels[1:])
-                grouped = v.missing_edge is None or least_plain <= v.missing_edge[0]
-                assert counts == [clean] * (1 + grouped)
-                checks_grouped += grouped
+                gap, check = forests
+                assert self._cleared(gap) == clean and None not in gap.clean
+                top = g.n if v.missing_edge is None else v.missing_edge[0]
+                decided = [c is not None for c in check.clean]
+                assert decided == [min(vs) <= top for vs in check.verts]
+                reached.append(sum(decided))
                 if k == 5:
                     assert check_saturated(g, parse_family("K3+P5")).status == MISSING_EDGE
-        assert 0 < checks_grouped < 6
+        assert 0 in reached and max(reached) > 0
 
 
 class TestChordReach:
@@ -709,20 +746,17 @@ class TestChordReach:
                         assert row[forest.index[v]] == best, (graph6_encode(tree), u, v)
 
     def test_one_reach_row_per_vertex(self):
-        # a saturated tree of order 382 has its 72390 chords decided from at
-        # most one reach row per vertex: a count, so no timing is needed
+        # T_16, of order 382, is {P16}-saturated and fails against {P17}:
+        # that gap decides its 72390 chords from at most one reach row per
+        # vertex, each keyed by the root of its pass: a count, so no timing
+        # is needed
         calls = []
-        chord_reach = saturation._Forest._chord_reach
-
-        def counted(forest, u):
-            calls.append(u)
-            return chord_reach(forest, u)
-
+        chord_reach = saturation.chord_reach
         g = make_tk(16)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(saturation._Forest, "_chord_reach", counted)
-            v = check_saturated(g, parse_family("P16"))
-        assert v.is_saturated and v.strategy == "forest"
+            mp.setattr(saturation, "chord_reach", lambda *a: calls.append(a[2][0]) or chord_reach(*a))
+            gap = saturation_gap(g, parse_family("P17"))
+        assert gap and check_saturated(g, parse_family("P17")).strategy == "forest"
         assert 0 < len(calls) == len(set(calls)) <= g.n
 
     def test_layered_trees_at_k_16_and_18(self):

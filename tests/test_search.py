@@ -717,13 +717,14 @@ ROOT_PASS_CASES = [(n, k) for n in range(4, 13) for k in (5, 6, 7)] + [(14, 8), 
 class TestRootPass:
     def test_reach_row_matches_the_forest_bfs(self):
         # the root's reach row from the depths equals the one the forest
-        # scan computes from the bit rows and a BFS
+        # scan computes from the bit rows and a BFS, whose distances are the
+        # depths
         for n, k in [(9, 6), (12, 7), (14, 8)]:
             for levels, _ in window_trees(n, k):
                 forest = _Forest(tree_of(levels), [(1 << n) - 1])
                 dist = [x - 1 for x in levels]
                 assert chord_reach(dist, _parents(levels), range(n)) == forest.reach_row(0)
-                assert forest.row(0) == dist
+                assert forest._bfs(0)[0] == dist
 
     def test_verdict_matches_check_saturated(self):
         saturated = total = 0
@@ -741,7 +742,7 @@ class TestRootPass:
         # distance-3 stage exactly when the member detector finds a failing
         # chord from the root
         calls = _spy(monkeypatch, "chord_reach", lambda dist, parent, order: order[0])
-        stage = _spy(monkeypatch, "_fails_at_distance_3", lambda parent, k: len(parent))
+        stage = _spy(monkeypatch, "_fails_at_distance_3", lambda parent, *rest: len(parent))
         for k in (6, 7):
             fam = parse_family(f"K3,P{k}")
             for n in range(5, 12):
@@ -762,7 +763,7 @@ class TestRootPass:
         # each checked tree's verdict makes one chord_reach call, the
         # root's, and most trees never reach the distance-3 stage
         calls = _spy(monkeypatch, "chord_reach", lambda dist, parent, order: order[0])
-        stage = _spy(monkeypatch, "_fails_at_distance_3", lambda parent, k: len(parent))
+        stage = _spy(monkeypatch, "_fails_at_distance_3", lambda parent, *rest: len(parent))
         rep = scan_saturated_trees(range(6, 16), 9)
         assert rep.saturated_count == 0
         assert calls == [0] * rep.trees_checked
@@ -803,7 +804,8 @@ class TestDistanceThreeLemma:
     def _saturated(self, parent, k) -> bool:
         near = _fails(parent, k, 3)
         assert _fails(parent, k, None) == near, (parent, k)
-        assert saturation._fails_at_distance_3(parent, k) == near, (parent, k)
+        arms = saturation._arms(parent, range(len(parent)))
+        assert saturation._fails_at_distance_3(parent, arms, k, True) == near, (parent, k)
         return not near
 
     def test_every_tree_to_order_13(self):

@@ -1,6 +1,6 @@
 """Source-level checks that each parallel or shard mechanism, the subtree
-matcher, the path search, the tree verdict and the breadth-first search over
-adjacency lists exist once, that the scan has one mode and is configured in
+matcher, the path search, the tree verdict, the tree chord test and the
+breadth-first search over adjacency lists exist once, that the scan has one mode and is configured in
 one place, that the builders run no checker, that the canonical pass takes
 no mark, and that no module keeps an import it never uses."""
 
@@ -352,9 +352,25 @@ def test_tree_verdict_runs_no_bfs():
                 node.func.id for node in ast.walk(fns[name])
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             ]
-    assert reached == {"tree_is_saturated", "chord_reach", "_fails_at_distance_3"}
+    assert reached == {"tree_is_saturated", "chord_reach", "_arms", "_fails_at_distance_3"}
     names = {node.id for name in reached for node in ast.walk(fns[name]) if isinstance(node, ast.Name)}
     assert not names & {"_bfs", "tree_adjacency"}
+
+
+def test_one_tree_chord_test():
+    # the tree verdict and the forest scans clear a tree by the same arm
+    # test, so saturation keeps no isomorphism-class grouping: it imports
+    # nothing from canon, and _Forest keeps no grouping or BFS rows
+    tree = _module("saturation")
+    sources = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "canon" not in sources
+    forest = next(
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Forest"
+    )
+    methods = {item.name for item in forest.body if isinstance(item, ast.FunctionDef)}
+    attrs = {node.attr for node in ast.walk(forest) if isinstance(node, ast.Attribute)}
+    assert not (methods | attrs) & {"skip_clean_copies", "grouping", "row", "_rows", "_far"}
+    assert "_fails_at_distance_3" in {node.id for node in ast.walk(forest) if isinstance(node, ast.Name)}
 
 
 def test_no_unused_imports():
