@@ -149,9 +149,20 @@ def _need(args: argparse.Namespace, name: str) -> int | str:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    """Refuses an order above MAX_ORDER before the builder allocates."""
+    """Refuses an order above MAX_ORDER before the builder allocates.
+
+    Every kind that takes k builds a graph of order at least one of k's
+    order constants, and each of them is at least 2^(k//2 - 4) (the least
+    is A1 = 9 * 2^(k//2 - 4) + 2 at even k).  So a k with k//2 - 4 at or
+    above MAX_ORDER's bit length is refused from that exponent, before a
+    constant of about k/2 bits is built."""
     build, needs, constant = _CONSTRUCT[args.kind]
     values = [_need(args, name) for name in needs]
+    if "k" in needs and args.k // 2 - 4 >= MAX_ORDER.bit_length():
+        raise UsageError(
+            f"construct {args.kind}: expected an order of at most {MAX_ORDER}, "
+            f"found one of at least 2^{args.k // 2 - 4}"
+        )
     order = order_constant(constant, *values) if constant else (args.n if "n" in needs else 0)
     if order > MAX_ORDER:
         raise UsageError(f"construct {args.kind}: expected an order of at most {MAX_ORDER}, found {order}")

@@ -20,10 +20,18 @@ class SatBounds:
             raise ValueError(f"lower bound {self.lower} exceeds upper {self.upper}")
 
 
+# the largest k whose order constants are computed: each has about k/2
+# bits, so the bound keeps them small enough to build and to print
+MAX_K = 10_000
+
+
 def order_constant(kind: str, k: int) -> int:
     """Order of the layered tree family member: A for the fully branching
-    tree, A0 for the short variant, A1 for the sparse variant."""
+    tree, A0 for the short variant, A1 for the sparse variant.  Refused for
+    k above MAX_K, before the power of 2 is built."""
     kind = kind.upper()
+    if k > MAX_K:
+        raise ValueError(f"{kind} is computed for k <= {MAX_K}, got {k}")
     t = k // 2
     if kind == "A":
         if k < 6:

@@ -22,10 +22,9 @@ non-edge at a time:
   vertex u, chord_reach, gives the longest path through every chord from
   u, computed on first use, so such a tree of order m costs O(m^2).  The
   tree scan's one verdict, tree_is_saturated, takes a free tree as its
-  preorder parent array with its diameter and runs chord_reach from the
-  root first, straight off the parents, where most trees fail; a tree that
-  passes takes the same distance-3 test, so the verdict runs no BFS and
-  costs O(n) plus one step per path on 4 vertices.
+  preorder parent array with its diameter and runs the same distance-3
+  test straight off the parents, so the verdict runs no BFS and costs O(n)
+  plus one step per path on 4 vertices.
   A pair in two trees fails exactly when ecc(u) + ecc(v) + 2 < k, so one
   mask of the vertices of eccentricity at most t, per threshold t, gives
   all of u's failing partners at once.
@@ -57,6 +56,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .graphs import (
@@ -91,6 +91,10 @@ class Clique:
     def __str__(self) -> str:
         return f"K{self.p}"
 
+    @property
+    def order(self) -> int:
+        return self.p
+
 
 @dataclass(frozen=True)
 class Path:
@@ -98,6 +102,10 @@ class Path:
 
     def __str__(self) -> str:
         return f"P{self.k}"
+
+    @property
+    def order(self) -> int:
+        return self.k
 
 
 @dataclass(frozen=True)
@@ -107,6 +115,10 @@ class DisjointUnion:
     def __str__(self) -> str:
         return "+".join(str(p) for p in self.parts)
 
+    @cached_property
+    def order(self) -> int:
+        return sum(p.order for p in self.parts)
+
 
 @dataclass(frozen=True)
 class JoinK1:
@@ -114,6 +126,10 @@ class JoinK1:
 
     def __str__(self) -> str:
         return "K1*[" + ",".join(str(o) for o in self.orders) + "]"
+
+    @cached_property
+    def order(self) -> int:
+        return 1 + sum(self.orders)
 
 
 Member = Clique | Path | DisjointUnion | JoinK1
@@ -260,6 +276,10 @@ def _path_hosts(g: Graph, free: int, k: int) -> int:
 
 
 def find_member(g: Graph, member: Member) -> Witness | None:
+    """A copy of the member in g, or None; a member with more vertices than
+    g has none, and is not searched for."""
+    if member.order > g.n:
+        return None
     if isinstance(member, Clique):
         return has_clique(g, member.p)
     if isinstance(member, Path):
@@ -375,11 +395,10 @@ def tree_is_saturated(parent: list[int], diameter: int, k: int) -> bool:
     A tree of diameter k-1 or more holds Pk.  Any other is member-free, a
     chord at distance 2 closes a triangle and one farther away closes none,
     so the tree fails exactly at a chord at distance more than 2 whose
-    longest path has fewer than k vertices.  The root's chords are tried
-    first, straight from the parents: a depth is its parent's plus one, and
-    preorder puts each parent before its children, so chord_reach needs no
-    BFS.  Most trees fail there.  A tree that passes is decided by its
-    chords at distance 3 alone (_fails_at_distance_3), by this lemma.
+    longest path has fewer than k vertices.  By this lemma its chords at
+    distance 3 alone decide it (_fails_at_distance_3), from arms read off
+    the parents: preorder puts each parent before its children, so the
+    verdict needs no BFS.
 
     Lemma.  Let T have diameter D <= k-2.  If a chord uv at distance
     d >= 4 fails, so does some chord at distance 3.
@@ -422,14 +441,7 @@ def tree_is_saturated(parent: list[int], diameter: int, k: int) -> bool:
     """
     if diameter >= k - 1:
         return False
-    n = len(parent)
-    dist = [0] * n
-    for i in range(1, n):
-        dist[i] = dist[parent[i]] + 1
-    reach = chord_reach(dist, parent, range(n))
-    if any(d > 2 and r < k for d, r in zip(dist, reach)):
-        return False
-    return not _fails_at_distance_3(parent, _arms(parent, range(n)), k, True)
+    return not _fails_at_distance_3(parent, _arms(parent, range(len(parent))), k, True)
 
 
 def _arms(parent: list[int], order: Sequence[int]):

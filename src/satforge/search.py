@@ -24,13 +24,15 @@ only the centre-rooted heights that hold them, and counts every other free
 tree exactly from the numbers of free trees by order and diameter (Riordan,
 "The enumeration of trees by height and diameter", IBM J. Res. Dev. 4,
 1960), so its trees_scanned, the trees walked plus the trees counted, is
-every free tree of its orders.  It splits the walked stream of all its
-orders into shards by index, exactly one per worker process, so each worker
-walks the stream once; it owns the package's one process pool.  Each tree's
+every free tree of its orders.  It splits the walk into shards, exactly
+one per worker process: the generator deals the groups of trees that share
+a first subtree round-robin, and passes the other shards' groups by the
+jump it already takes past the rootings off the centre, so no worker walks
+another's trees; the scan owns the package's one process pool.  Each tree's
 parent array, the last vertex one level up in preorder, goes with the
 generator's diameter to saturation.tree_is_saturated, the one verdict,
-which decides the root's chords first and then only the chords at distance
-3, since one of them fails whenever any chord does.  A saturated tree's
+which decides the tree from its chords at distance 3 alone, since one of
+them fails whenever any chord does.  A saturated tree's
 containment flags come from its adjacency lists and diameter, against the
 claimed patterns prepared once per shard, so a Graph is built from the
 parent array only for the graph6 of the saturated trees it reports.
@@ -120,10 +122,12 @@ def _next_rooted(levels: list[int], p: int) -> list[int]:
     return levels[:p] + (block * (tail // len(block) + 1))[:tail]
 
 
-def _iter_free_trees(n: int, heights: range | None = None) -> Iterator[tuple[list[int], int]]:
+def _iter_free_trees(
+    n: int, heights: range | None = None, shards: int = 1, shard: int = 0
+) -> Iterator[tuple[list[int], int]]:
     """(level sequence, diameter) per free tree on n vertices, or, given
     heights, per free tree whose centre-rooted height (its largest level) is
-    in that range.
+    in that range; of those, only the trees of shard `shard` of `shards`.
 
     Wright, Richmond, Odlyzko and McKay, "Constant time generation of free
     trees" (SIAM J. Comput. 15, 1986).  It walks the canonical rooted level
@@ -135,6 +139,14 @@ def _iter_free_trees(n: int, heights: range | None = None) -> Iterator[tuple[lis
     than the rest, and is no greater in lex order when they tie.  From any
     other sequence the walk jumps past every sequence that shares its first
     subtree.
+
+    The sequences that share a first subtree are consecutive, so the walk
+    meets its groups of centre rootings one after another.  It counts them,
+    and takes the same jump past every group whose count is not `shard`
+    modulo `shards`; every shard counts the same groups, so the shards split
+    the trees between them, each tree to one.  The last group is the star's,
+    whose first subtree is one vertex: no jump leaves it, and the walk ends.
+    The one tree of order 1 is shard 0's.
 
     The height never rises along the walk.  So a bounded walk starts at the
     lex-largest rooted sequence of the top height, [1..h] and then h
@@ -153,13 +165,16 @@ def _iter_free_trees(n: int, heights: range | None = None) -> Iterator[tuple[lis
     if n < 1 or top < low:
         return
     if n == 1:
-        yield [1], 0
+        if shard == 0:
+            yield [1], 0
         return
     if top == peak:
         # the path rooted at its centre
         levels = list(range(1, peak + 1)) + list(range(2, (n + 1) // 2 + 1))
     else:
         levels = list(range(1, top + 1)) + [top] * (n - top)
+    group = -1  # the count of the groups met, less one
+    fresh = True  # whether levels's first subtree starts a group not yet met
     while True:
         try:
             m = levels.index(2, 2)
@@ -172,13 +187,20 @@ def _iter_free_trees(n: int, heights: range | None = None) -> Iterator[tuple[lis
         bicentral = rest == h - 1
         if bicentral:
             first, other = _halves(levels, m)
-        if rest < h - 1 or bicentral and (
+        off_centre = rest < h - 1 or bicentral and (
             len(first) > len(other) or len(first) == len(other) and first > other
-        ):
-            # not rooted at the generator's centre; when the first subtree
-            # stays tall, the next candidate's rest ends in a branch as deep
-            # as that subtree
+        )
+        if fresh and not off_centre:
+            group += 1
+            fresh = False
+        if off_centre or group % shards != shard:
+            # not rooted at the generator's centre, or another shard's
+            # group: jump past every sequence that shares this first
+            # subtree; when it stays tall, the next candidate's rest ends in
+            # a branch as deep as that subtree
             p = m - 1
+            if levels[p] <= 2:
+                return
             jumped = _next_rooted(levels, p)
             if levels[p] > 3:
                 try:
@@ -188,6 +210,7 @@ def _iter_free_trees(n: int, heights: range | None = None) -> Iterator[tuple[lis
                 depth = max(jumped[1:m]) - 1
                 jumped[n - depth :] = range(2, depth + 2)
             levels = jumped
+            fresh = True
             continue
         if not bicentral:
             yield levels, 2 * (h - 1)
@@ -200,6 +223,7 @@ def _iter_free_trees(n: int, heights: range | None = None) -> Iterator[tuple[lis
             p -= 1
             if p == 0:
                 return
+        fresh = p < m
         levels = _next_rooted(levels, p)
 
 
@@ -508,26 +532,23 @@ def _window_heights(k: int) -> range:
 
 def _scan_shard(job: tuple) -> tuple[int, int, list[TreeWitness]]:
     """(walked, checked, witnesses) over the trees of the window's heights
-    whose index in the stream of all the orders is `shard` modulo `shards`.
-    A walked tree is checked when its diameter is k-3 or k-2.
+    that the generator deals to shard `shard` of `shards` at each order:
+    every `shards`-th group of trees with one first subtree.  A walked tree
+    is checked when its diameter is k-3 or k-2.
 
     Each checked tree goes to tree_is_saturated, the one verdict, as its
-    parent array with the generator's diameter; most fail at the root.  A
-    saturated tree's containment flags come from its adjacency lists and
-    diameter, against the claimed patterns prepared once per shard; only
-    its graph6 needs it built as a Graph, from the parent array."""
+    parent array with the generator's diameter.  A saturated tree's
+    containment flags come from its adjacency lists and diameter, against
+    the claimed patterns prepared once per shard; only its graph6 needs it
+    built as a Graph, from the parent array."""
     orders, k, shards, shard = job
     heights = _window_heights(k)
     patterns = [(name, TreePattern(pat)) for name, pat in claimed_patterns(k)]
     walked = checked = 0
     witnesses: list[TreeWitness] = []
     flag_sets: dict = {}
-    index = 0
     for n in orders:
-        for levels, diam in _iter_free_trees(n, heights):
-            index += 1
-            if (index - 1) % shards != shard:
-                continue
+        for levels, diam in _iter_free_trees(n, heights, shards, shard):
             walked += 1
             if diam not in (k - 3, k - 2):
                 continue
@@ -558,12 +579,13 @@ def scan_saturated_trees(orders: Sequence[int], k: int, *, threads: int = 1) -> 
     exactly from their numbers by order and diameter, so trees_scanned, the
     trees walked plus the trees counted, is every free tree of the orders.
     Each checked tree gets one verdict, tree_is_saturated, from its parent
-    array: the root's chords first, and the chords at distance 3 only if
-    those pass.  The walked trees are dealt round-robin, over the stream of
-    all the orders, into min(threads, os.cpu_count()) shards, one per
-    worker process of a fresh pool, so no worker walks the stream twice and
-    a larger thread count starts no more processes.  One shard runs inline.
-    The report is the same for every thread count.
+    array: its chords at distance 3 decide it.  The walk is dealt into
+    min(threads, os.cpu_count()) shards, one per worker process of a fresh
+    pool: at each order the generator deals its groups of trees that share
+    a first subtree round-robin and jumps past the other shards' groups, so
+    no worker walks the trees of another and a larger thread count starts
+    no more processes.  One shard runs inline.  The report is the same for
+    every thread count.
     """
     if k < 5:
         raise ValueError("scan needs k >= 5")

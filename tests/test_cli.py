@@ -90,6 +90,24 @@ class TestConstruct:
             f"error: construct {argv[0]}: expected an order of at most 258047, found {found}\n"
         )
 
+    @pytest.mark.parametrize("argv", [
+        ("tk", "--k", "99999999999"),
+        ("g0", "--n", "100", "--k", "99999999999"),
+        ("sattree", "--n", "100", "--k", "99999999999"),
+        ("tk", "--k", "44"),
+    ])
+    def test_huge_k_exit_two(self, argv):
+        # every order constant of k is at least 2^(k//2 - 4), so k is
+        # refused from that exponent before a constant of k/2 bits is built,
+        # even in a child process limited to 1 GiB of address space
+        proc = run_limited("construct", *argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        bits = int(argv[-1]) // 2 - 4
+        assert proc.stderr == (
+            f"error: construct {argv[0]}: expected an order of at most 258047, "
+            f"found one of at least 2^{bits}\n"
+        )
+
     def test_out_of_range_exits_2(self, capsys):
         code, _, err = run(capsys, "construct", "t1k", "--k", "7")
         assert code == 2 and "k >= 8" in err
@@ -253,6 +271,23 @@ class TestBruteforce:
         assert code == 0
         assert json.loads(stdout)["value"] == 8
 
+    def test_member_larger_than_the_graphs_is_not_searched(self, capsys, monkeypatch):
+        # K3+P3+P4 has 10 vertices, so no graph of order 8 holds it or gains
+        # it from an edge: K8, with no non-edge, is the one saturated class,
+        # and find_member answers every question without a search
+        from satforge import saturation
+
+        def refuse(*args):
+            raise AssertionError("searched for a member larger than the graph")
+
+        monkeypatch.setattr(saturation, "_find_union", refuse)
+        code, stdout, _ = run(capsys, "bruteforce", "--n", "8", "--family", "K3+P3+P4")
+        assert code == 0
+        assert stdout == (
+            '{"classes_examined": 12346, "family": "K3+P3+P4", "n": 8, "value": 28, '
+            '"witnesses": ["G~~~~{"]}\n'
+        )
+
     def test_budget_exit_two(self, capsys):
         code, _, err = run(capsys, "bruteforce", "--n", "9", "--family", "K3")
         assert code == 2 and "budget" in err
@@ -371,6 +406,14 @@ class TestFormula:
     def test_out_of_range_exit_two(self, capsys):
         code, _, _ = run(capsys, "formula", "sat-pk", "--n", "10", "--k", "5")
         assert code == 2
+
+    @pytest.mark.parametrize("name", ["a", "a0", "a1"])
+    def test_huge_k_exit_two(self, name):
+        # refused with its bound before 2^(k/2) is built, even in a child
+        # process limited to 1 GiB of address space
+        proc = run_limited("formula", name, "--k", "99999999999")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: {name.upper()} is computed for k <= 10000, got 99999999999\n"
 
 
 class TestVerify:

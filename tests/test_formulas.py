@@ -24,6 +24,14 @@ class TestOrderConstant:
         assert order_constant("A", 10) == 46
         assert order_constant("A", 9) == 30
 
+    def test_refused_above_max_k(self):
+        # each constant has about k/2 bits, so a huge k is refused before
+        # the power of 2 is built
+        assert order_constant("A1", 10_000).bit_length() == 5000
+        for kind in ("A", "A0", "A1"):
+            with pytest.raises(ValueError, match=f"{kind} is computed for k <= 10000, got 10001"):
+                order_constant(kind, 10_001)
+
     def test_matches_constructions(self):
         for k in range(6, 17):
             assert order_constant("A", k) == make_tk(k).n

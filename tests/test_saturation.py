@@ -97,6 +97,21 @@ class TestContainsMember:
         w = contains_member(g, parse_family("K3,P3"))
         assert w.kind == "clique"
 
+    def test_member_larger_than_the_graph_is_not_searched(self, monkeypatch):
+        # find_member answers None for a member with more vertices than the
+        # graph before any detector runs; the order is kept on the member
+        def refuse(*args, **kwargs):
+            raise AssertionError("searched for a member larger than the graph")
+
+        for name in ("has_clique", "has_path_of_order", "_find_union", "contains_join_k1"):
+            monkeypatch.setattr(saturation, name, refuse)
+        for text, order in {"K5": 5, "P6": 6, "K3+P3": 6, "K1*[2,3]": 6}.items():
+            (member,) = parse_family(text).members
+            assert member.order == order, text
+            assert saturation.find_member(complete_graph(order - 1), member) is None, text
+        union = DisjointUnion((Clique(3), Path(4)))
+        assert union.order == 7 and vars(union)["order"] == 7
+
     def test_union_witnesses_match_recorded(self):
         from satforge.search import enumerate_graphs
 

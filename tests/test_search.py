@@ -620,8 +620,8 @@ class TestWindowedWalk:
         walked = {}
         walk = search._iter_free_trees
 
-        def counted(n, heights=None):
-            for tree in walk(n, heights):
+        def counted(n, heights=None, shards=1, shard=0):
+            for tree in walk(n, heights, shards, shard):
                 walked[heights] = walked.get(heights, 0) + 1
                 yield tree
 
@@ -711,6 +711,59 @@ def _witness_key(w):
     return w.order, w.graph6
 
 
+class TestDealtWalk:
+    # _iter_free_trees deals its groups of trees with one first subtree
+    # round-robin over the shards, and a scan shard walks only its own
+
+    def test_shards_partition_the_walk(self):
+        # the shards split the unsharded walk, tree for tree with diameters,
+        # each in the walk's own order, whole and in every scan window
+        for n in range(1, 17):
+            for heights in [None] + [_window_heights(k) for k in range(5, 12)]:
+                full = list(_iter_free_trees(n, heights))
+                for shards in (1, 2, 3):
+                    parts = [list(_iter_free_trees(n, heights, shards, s)) for s in range(shards)]
+                    assert sum(map(len, parts)) == len(full), (n, heights, shards)
+                    assert sorted(t for p in parts for t in p) == sorted(full), (n, heights, shards)
+                    for part in parts:
+                        walk = iter(full)
+                        assert all(t in walk for t in part), (n, heights, shards)
+
+    def test_every_shard_walks_a_tree_from_order_8(self):
+        for n in range(8, 17):
+            for shards in (2, 3):
+                for s in range(shards):
+                    assert next(_iter_free_trees(n, None, shards, s), None), (n, shards, s)
+        # the one tree of order 1 is shard 0's
+        assert list(_iter_free_trees(1, None, 2, 0)) == [([1], 0)]
+        assert list(_iter_free_trees(1, None, 2, 1)) == []
+
+    def test_order_20_at_k10_from_shards_run_directly(self):
+        # lem-2.3-k10's scan with each of two shards run by _scan_shard and
+        # no pool: every free tree is walked or counted, every window tree
+        # is checked once, and the one witness is T1_10
+        counts = _trees_by_diameter(20)
+        heights = _window_heights(10)
+        parts = [_scan_shard(((20,), 10, 2, s)) for s in range(2)]
+        assert all(p[0] for p in parts)
+        counted = sum(c for d, c in enumerate(counts[20]) if _height_of(d) not in heights)
+        assert counted + sum(p[0] for p in parts) == 823065
+        assert sum(p[1] for p in parts) == 264143
+        (w,) = [w for p in parts for w in p[2]]
+        assert w.graph6 == b"ShCa?E??G?_@?C?G??K????C??G??_??C"
+        assert w.contains == (("T0_10", False), ("T1_10", True))
+        assert canonical_form(graph6_decode(w.graph6)) == canonical_form(make_t1k(10))
+
+    @pytest.mark.parametrize("k", sorted(SCAN_GOLDEN))
+    def test_shards_run_directly_keep_the_recorded_witnesses(self, k):
+        count, digest = SCAN_GOLDEN[k]
+        for shards in (2, 3):
+            parts = [_scan_shard((tuple(range(6, 14)), k, shards, s)) for s in range(shards)]
+            merged = sorted((w for p in parts for w in p[2]), key=_witness_key)
+            joined = b" ".join(w.graph6 for w in merged)
+            assert (len(merged), hashlib.sha256(joined).hexdigest()) == (count, digest)
+
+
 ROOT_PASS_CASES = [(n, k) for n in range(4, 13) for k in (5, 6, 7)] + [(14, 8), (16, 9)]
 
 
@@ -737,38 +790,33 @@ class TestRootPass:
                 saturated += verdict
         assert 0 < saturated < total
 
-    def test_rejects_exactly_the_failing_root_chords(self, monkeypatch):
-        # every tree makes one chord_reach call, the root's, and skips the
-        # distance-3 stage exactly when the member detector finds a failing
-        # chord from the root
-        calls = _spy(monkeypatch, "chord_reach", lambda dist, parent, order: order[0])
-        stage = _spy(monkeypatch, "_fails_at_distance_3", lambda parent, *rest: len(parent))
+    def test_rejects_every_tree_with_a_failing_root_chord(self):
+        # a tree with a chord from the root that the member detector finds
+        # failing is never saturated, though the verdict reads no root chord
+        rejected = 0
         for k in (6, 7):
             fam = parse_family(f"K3,P{k}")
             for n in range(5, 12):
                 for levels, d in window_trees(n, k):
                     g = tree_of(levels)
-                    failing = [
-                        v for v in range(1, n)
-                        if not g.has_edge(0, v) and contains_member(g.add_edge(0, v), fam) is None
-                    ]
-                    calls.clear()
-                    stage.clear()
-                    verdict = tree_is_saturated(_parents(levels), d, k)
-                    assert calls == [0], levels
-                    assert stage == ([] if failing else [n]), levels
-                    assert not (failing and verdict), levels
+                    failing = any(
+                        not g.has_edge(0, v) and contains_member(g.add_edge(0, v), fam) is None
+                        for v in range(1, n)
+                    )
+                    if failing:
+                        rejected += 1
+                        assert not tree_is_saturated(_parents(levels), d, k), levels
+        assert rejected
 
-    def test_root_pass_decides_most_window_trees(self, monkeypatch):
-        # each checked tree's verdict makes one chord_reach call, the
-        # root's, and most trees never reach the distance-3 stage
+    def test_each_checked_tree_makes_one_distance_3_call(self, monkeypatch):
+        # the verdict is the distance-3 test alone: one call per checked
+        # tree, on the whole tree, and no chord_reach pass
         calls = _spy(monkeypatch, "chord_reach", lambda dist, parent, order: order[0])
         stage = _spy(monkeypatch, "_fails_at_distance_3", lambda parent, *rest: len(parent))
         rep = scan_saturated_trees(range(6, 16), 9)
         assert rep.saturated_count == 0
-        assert calls == [0] * rep.trees_checked
-        at_root = rep.trees_checked - len(stage)
-        assert rep.trees_checked / 2 < at_root < rep.trees_checked
+        assert calls == []
+        assert len(stage) == rep.trees_checked == 6304
 
 
 def _spy(monkeypatch, name, key) -> list:

@@ -60,12 +60,22 @@ def test_saturation_takes_no_collect_all():
 
 
 def test_no_shards_parameter_but_the_scan_shard():
-    # the tree scan deals its own shards; no public signature takes them
+    # the tree scan deals its own shards, through the free-tree generator's
+    # walk; no public signature takes them
     owners = set()
     for module, fn in _functions():
         if "shards" in _parameters(fn):
             owners.add(f"{module}.{fn.name}")
-    assert owners <= {"search._scan_shard"}
+    assert owners <= {"search._scan_shard", "search._iter_free_trees"}
+
+
+def test_the_walk_deals_the_scan_shards():
+    # _scan_shard hands its shard to the free-tree generator, which deals
+    # the groups of its walk, and deals no tree by index: it holds no modulo
+    (fn,) = (fn for module, fn in _functions() if module == "search" and fn.name == "_scan_shard")
+    assert not any(
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod) for node in ast.walk(fn)
+    )
 
 
 def test_claims_take_a_scan_not_its_settings():
@@ -336,9 +346,9 @@ def test_one_breadth_first_search_in_saturation():
 
 
 def test_tree_verdict_runs_no_bfs():
-    # tree_is_saturated reads depths and arms off the parent array: of the
-    # module's functions it reaches only chord_reach, from the root, and the
-    # distance-3 stage, never _bfs or per-vertex adjacency lists
+    # tree_is_saturated reads arms off the parent array: of the module's
+    # functions it reaches only _arms and the distance-3 test, never
+    # chord_reach, _bfs or per-vertex adjacency lists
     fns = {
         node.name: node for node in _module("saturation").body
         if isinstance(node, ast.FunctionDef)
@@ -352,7 +362,7 @@ def test_tree_verdict_runs_no_bfs():
                 node.func.id for node in ast.walk(fns[name])
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             ]
-    assert reached == {"tree_is_saturated", "chord_reach", "_arms", "_fails_at_distance_3"}
+    assert reached == {"tree_is_saturated", "_arms", "_fails_at_distance_3"}
     names = {node.id for name in reached for node in ast.walk(fns[name]) if isinstance(node, ast.Name)}
     assert not names & {"_bfs", "tree_adjacency"}
 
