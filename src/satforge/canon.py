@@ -124,13 +124,26 @@ def _rooted_order(rows, root: int, orbit: list[int], sink: list | None) -> list[
 # ---------------------------------------------------------------------------
 
 
-def _refine(rows: tuple[int, ...], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _refine(
+    rows: tuple[int, ...], cells: list[tuple[int, ...]], splitters: list[int] | None = None
+) -> list[tuple[int, ...]]:
     """Equitable refinement of an ordered partition (stable, deterministic).
-    A cell splits in place, so cells keep their relative order."""
-    while True:
-        masks = [_cell_mask(c) for c in cells]
+    A cell splits in place, so cells keep their relative order.
+
+    The first pass keys each vertex by its neighbours in every cell, or in
+    the given splitter masks when only those can tell the vertices of a
+    cell apart.  After a pass, the vertices of each cell have equal counts
+    in every cell of the partition before it, so the next pass counts only
+    in the pieces of the cells that just split, less the last piece of
+    each, whose count follows from the cell's total.  The entries dropped
+    are equal across a cell, and never the first place where two keys of
+    the full count differ, so both the grouping and the sorted order of
+    the groups stay as the full count gives them.
+    """
+    masks = [_cell_mask(c) for c in cells] if splitters is None else splitters
+    while masks:
         new_cells: list[tuple[int, ...]] = []
-        changed = False
+        split: list[int] = []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
@@ -143,12 +156,11 @@ def _refine(rows: tuple[int, ...], cells: list[tuple[int, ...]]) -> list[tuple[i
             if len(groups) == 1:
                 new_cells.append(cell)
                 continue
-            changed = True
-            for key in sorted(groups):
-                new_cells.append(tuple(groups[key]))
-        cells = new_cells
-        if not changed:
-            return cells
+            pieces = [tuple(groups[key]) for key in sorted(groups)]
+            new_cells += pieces
+            split += [_cell_mask(piece) for piece in pieces[:-1]]
+        cells, masks = new_cells, split
+    return cells
 
 
 def _cell_mask(cell: tuple[int, ...]) -> int:
@@ -211,7 +223,8 @@ def _search_order(
                 continue
             tried.append(v)
             rest = tuple(u for u in cell if u != v)
-            walk(_refine(rows, cells[:split] + [(v,), rest] + cells[split + 1 :]))
+            # cells was equitable, so only the new cell (v,) can split one
+            walk(_refine(rows, cells[:split] + [(v,), rest] + cells[split + 1 :], [1 << v]))
 
     walk(cells)
     return best[1]

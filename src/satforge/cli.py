@@ -55,7 +55,7 @@ from .saturation import (
     check_saturated,
     parse_family,
 )
-from .search import BudgetExceededError, sat_bruteforce, scan_saturated_trees
+from .search import BudgetExceededError, ScanWorkerError, sat_bruteforce, scan_saturated_trees
 
 EXIT_OK = 0
 EXIT_CAMPAIGN_FAIL = 1
@@ -63,6 +63,7 @@ EXIT_USAGE = 2
 EXIT_CONTAINS = 3
 EXIT_MISSING = 4
 EXIT_BUDGET = 5
+EXIT_WORKER = 6
 
 
 def _parse_int_list(spec: str) -> list[int]:
@@ -370,6 +371,9 @@ def main(argv: list[str] | None = None) -> int:
     except PathSearchBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except ScanWorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 if __name__ == "__main__":

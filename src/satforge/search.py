@@ -24,18 +24,19 @@ only the centre-rooted heights that hold them, and counts every other free
 tree exactly from the numbers of free trees by order and diameter (Riordan,
 "The enumeration of trees by height and diameter", IBM J. Res. Dev. 4,
 1960), so its trees_scanned, the trees walked plus the trees counted, is
-every free tree of its orders.  It splits the walk into shards, exactly
-one per worker process: the generator deals the groups of trees that share
-a first subtree round-robin, and passes the other shards' groups by the
-jump it already takes past the rootings off the centre, so no worker walks
-another's trees; the scan owns the package's one process pool.  Each tree's
-parent array, the last vertex one level up in preorder, goes with the
-generator's diameter to saturation.tree_is_saturated, the one verdict,
-which decides the tree from its chords at distance 3 alone, since one of
-them fails whenever any chord does.  A saturated tree's
-containment flags come from its adjacency lists and diameter, against the
-claimed patterns prepared once per shard, so a Graph is built from the
-parent array only for the graph6 of the saturated trees it reports.
+every free tree of its orders.  It splits the walk into shards: the
+generator deals the groups of trees that share a first subtree
+round-robin, and passes the other shards' groups by the jump it already
+takes past the rootings off the centre, so no shard walks another's trees.
+The calling process walks shard 0 and forks one child per other shard,
+the package's only processes, each sending its result back on a pipe.
+Each tree's parent array, the last vertex one level up in preorder, goes
+with the generator's diameter to saturation.tree_is_saturated, the one
+verdict, which decides the tree from its chords at distance 3 alone, since
+one of them fails whenever any chord does.  A saturated tree's containment
+flags come from its adjacency lists and diameter, against the claimed
+patterns prepared once per shard, so a Graph is built from the parent
+array only for the graph6 of the saturated trees it reports.
 """
 
 from __future__ import annotations
@@ -67,6 +68,18 @@ class BudgetExceededError(ValueError):
 
 class NoSaturatedGraphError(RuntimeError):
     """No saturated graph of the requested order exists."""
+
+
+class ScanWorkerError(RuntimeError):
+    """A tree scan's child process ended before it sent its shard's result,
+    as when the kernel kills it for memory."""
+
+    def __init__(self, shard: int, exitcode: int | None):
+        super().__init__(
+            f"tree scan shard {shard} ended with exit code {exitcode} before sending its result"
+        )
+        self.shard = shard
+        self.exitcode = exitcode
 
 
 def _env_budget(key: str) -> int:
@@ -568,6 +581,19 @@ def _scan_shard(job: tuple) -> tuple[int, int, list[TreeWitness]]:
     return walked, checked, witnesses
 
 
+def _shard_child(job: tuple, sender) -> None:
+    """A forked child's work: one shard of the scan, sent back as (True,
+    result), or as (False, (the exception, its traceback as text)) when it
+    raises."""
+    try:
+        message = True, _scan_shard(job)
+    except BaseException as exc:
+        import traceback
+
+        message = False, (exc, traceback.format_exc())
+    sender.send(message)
+
+
 def scan_saturated_trees(orders: Sequence[int], k: int, *, threads: int = 1) -> ScanReport:
     """Saturation-scan every non-star free tree of the given orders against
     {triangle, k-path}; saturated trees are reported with containment flags
@@ -580,12 +606,15 @@ def scan_saturated_trees(orders: Sequence[int], k: int, *, threads: int = 1) -> 
     trees walked plus the trees counted, is every free tree of the orders.
     Each checked tree gets one verdict, tree_is_saturated, from its parent
     array: its chords at distance 3 decide it.  The walk is dealt into
-    min(threads, os.cpu_count()) shards, one per worker process of a fresh
-    pool: at each order the generator deals its groups of trees that share
-    a first subtree round-robin and jumps past the other shards' groups, so
-    no worker walks the trees of another and a larger thread count starts
-    no more processes.  One shard runs inline.  The report is the same for
-    every thread count.
+    min(threads, os.cpu_count()) shards: at each order the generator deals
+    its groups of trees that share a first subtree round-robin and jumps
+    past the other shards' groups, so no shard walks the trees of another.
+    The caller walks shard 0 and forks one child per other shard (so two
+    or more shards need a platform with fork), and a larger thread count
+    starts no more processes; one shard starts none.  A child's exception
+    is raised again here, and a child that ends without a result raises
+    ScanWorkerError; no child outlives the call.  The report is the same
+    for every thread count.
     """
     if k < 5:
         raise ValueError("scan needs k >= 5")
@@ -605,11 +634,39 @@ def scan_saturated_trees(orders: Sequence[int], k: int, *, threads: int = 1) -> 
         parts = [_scan_shard(jobs[0])]
     else:
         # imported here, not at the top: the import is a large part of a
-        # fresh interpreter's start-up, and one shard needs no pool
-        from concurrent.futures import ProcessPoolExecutor
+        # fresh interpreter's start-up, and one shard needs no child.
+        # "fork" by name: a child starts from this process's memory, with
+        # no import and no pickled job
+        import multiprocessing
 
-        with ProcessPoolExecutor(max_workers=shards) as pool:
-            parts = list(pool.map(_scan_shard, jobs))
+        fork = multiprocessing.get_context("fork")
+        children = []
+        try:
+            for job in jobs[1:]:
+                receiver, sender = fork.Pipe(duplex=False)
+                child = fork.Process(target=_shard_child, args=(job, sender), daemon=True)
+                child.start()
+                sender.close()
+                children.append((child, receiver))
+            parts = [_scan_shard(jobs[0])]
+            # every result is read before any child is joined: a child
+            # whose result outgrows the pipe's buffer exits only once read
+            for shard, (child, receiver) in enumerate(children, 1):
+                try:
+                    ok, value = receiver.recv()
+                except EOFError:
+                    child.join()
+                    raise ScanWorkerError(shard, child.exitcode) from None
+                if not ok:
+                    error, trace = value
+                    raise error from RuntimeError(f"in the child of shard {shard}:\n{trace}")
+                parts.append(value)
+        finally:
+            for child, receiver in children:
+                if child.is_alive():
+                    child.terminate()
+                child.join()
+                receiver.close()
     witnesses = tuple(
         sorted((w for p in parts for w in p[2]), key=lambda w: (w.order, w.graph6))
     )

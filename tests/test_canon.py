@@ -4,6 +4,7 @@ import time
 
 from satforge.canon import (
     _labelling,
+    _refine,
     canonical_form,
     canonical_last_vertex,
     same_orbit,
@@ -260,3 +261,48 @@ def test_long_path_canonical_form():
     assert time.perf_counter() - start < 10
     g = graph6_decode(code)
     assert is_tree(g) and max(g.degree_sequence()) == 2
+
+
+def full_refine(rows, cells):
+    """Equitable refinement that keys every vertex by its neighbours in
+    every cell on every pass, the count _refine trims."""
+    while True:
+        masks = [sum(1 << v for v in c) for c in cells]
+        new_cells = []
+        for cell in cells:
+            groups = {}
+            for v in cell:
+                groups.setdefault(tuple((rows[v] & m).bit_count() for m in masks), []).append(v)
+            new_cells += [tuple(groups[key]) for key in sorted(groups)]
+        if new_cells == cells:
+            return cells
+        cells = new_cells
+
+
+def test_refine_matches_the_full_count():
+    # counting only in the pieces that just split keeps every cell and its
+    # place: on the degree partition of every graph of order <= 7, on each
+    # partition that individualises one vertex of a refined cell (with that
+    # vertex as the one splitter, as the search refines), and on random
+    # partitions of random graphs
+    def degree_cells(rows):
+        degrees = {}
+        for v, r in enumerate(rows):
+            degrees.setdefault(r.bit_count(), []).append(v)
+        return [tuple(degrees[d]) for d in sorted(degrees)]
+
+    cases = [(g.rows, degree_cells(g.rows)) for n in range(1, 8) for g in enumerate_graphs(n)]
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(2, 16)
+        g = build_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.3])
+        labels = [rng.randrange(3) for _ in range(n)]
+        cells = [tuple(v for v in range(n) if labels[v] == c) for c in range(3)]
+        cases.append((g.rows, [c for c in cells if c]))
+    for rows, cells in cases:
+        refined = _refine(rows, cells)
+        assert refined == full_refine(rows, cells), (rows, cells)
+        for i, cell in enumerate(refined):
+            for v in cell if len(cell) > 1 else ():
+                parted = refined[:i] + [(v,), tuple(u for u in cell if u != v)] + refined[i + 1 :]
+                assert _refine(rows, parted, [1 << v]) == full_refine(rows, parted), (rows, v)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from satforge import claims, cli
+from satforge import claims, cli, search
 from satforge.cli import main
 from satforge.constructions import make_tk
 from satforge.graphs import (
@@ -491,6 +491,24 @@ class TestVerify:
         code, stdout, err = run(capsys, "verify", "prop-5.2", "--k", "5", "--no-prefilter")
         assert code == 2 and stdout == ""
         assert "--no-prefilter" in err
+
+    def test_dead_scan_child_exit_six(self, capsys, monkeypatch):
+        # a scan child that ends before sending its result, as one the
+        # kernel kills for memory, exits 6 with no traceback, naming the
+        # shard and its exit code; the fork carries the patch into shard 1
+        real = search._scan_shard
+
+        def shard(job):
+            if job[3] == 1:
+                os._exit(9)
+            return real(job)
+
+        monkeypatch.setattr(search, "_scan_shard", shard)
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+        code, stdout, err = run(capsys, "verify", "prop-5.2", "--threads", "2")
+        assert code == cli.EXIT_WORKER == 6 and stdout == ""
+        assert "shard 1 ended with exit code 9" in err
+        assert "Traceback" not in err
 
     def test_thread_count_invariance(self, capsys):
         args = ["verify", "thm-1.1", "--k", "10", "--n", "20,23", "--no-timestamp"]

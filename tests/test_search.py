@@ -1,12 +1,13 @@
-import concurrent.futures
 import hashlib
 import itertools
+import multiprocessing
 import os
 import random
+import time
 
 import pytest
 
-from satforge import canon, saturation
+from satforge import canon, saturation, search
 from satforge.canon import (
     _labelling,
     accepts,
@@ -37,6 +38,7 @@ from satforge.saturation import (
 )
 from satforge.search import (
     BudgetExceededError,
+    ScanWorkerError,
     enumerate_graphs,
     enumerate_trees,
     sat_bruteforce,
@@ -655,42 +657,81 @@ class TestWindowedWalk:
             assert reports[0].witnesses
             assert reports[1] == reports[0] and reports[2] == reports[0]
 
-    def test_pool_capped_at_the_cpu_count(self, monkeypatch):
-        # the scan deals min(threads, os.cpu_count()) shards, one job per
-        # worker, and runs one shard inline with no pool; the stub pool
-        # records (max_workers, jobs), runs them inline and starts no process
-        from satforge import search
+    def test_children_capped_at_the_cpu_count(self, monkeypatch):
+        # the scan deals min(threads, os.cpu_count()) shards, the jobs
+        # range(shards): the caller walks shard 0 after starting one child
+        # per other shard, and one shard starts no process.  The stub fork
+        # context runs a child's target in this process when it starts,
+        # through an in-memory pipe, so the spy sees where each shard ran
+        ran = []  # (shards, shard, whether it ran in a child)
+        in_child = []
+        real = search._scan_shard
 
-        asked = []
+        def spy(job):
+            ran.append((job[2], job[3], bool(in_child)))
+            return real(job)
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                self.workers = max_workers
+        class InlineChild:
+            def __init__(self, target, args, daemon):
+                assert daemon is True
+                self.target, self.args = target, args
 
-            def __enter__(self):
-                return self
+            def start(self):
+                in_child.append(True)
+                try:
+                    self.target(*self.args)
+                finally:
+                    in_child.pop()
 
-            def __exit__(self, *exc):
+            def is_alive(self):
                 return False
 
-            def map(self, fn, jobs):
-                jobs = list(jobs)
-                asked.append((self.workers, len(jobs)))
-                return map(fn, jobs)
+            def join(self):
+                pass
 
-        # the scan imports the pool class when it needs one, so the stub
-        # goes where that import finds it
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        class InlinePipe:
+            def __init__(self):
+                self.sent = []
+
+            def send(self, message):
+                self.sent.append(message)
+
+            def recv(self):
+                return self.sent.pop(0)
+
+            def close(self):
+                pass
+
+        class InlineFork:
+            Process = InlineChild
+
+            def Pipe(self, duplex):
+                assert duplex is False
+                pipe = InlinePipe()
+                return pipe, pipe
+
+        contexts = []
+
+        def get_context(method):
+            contexts.append(method)
+            return InlineFork()
+
+        # the scan imports multiprocessing when it needs children, so the
+        # stub goes where that import finds it
+        monkeypatch.setattr(multiprocessing, "get_context", get_context)
+        monkeypatch.setattr(search, "_scan_shard", spy)
         single = scan_saturated_trees(range(4, 11), 5)
-        assert single.witnesses and asked == []
-        for cores, threads, want in [
-            (2, 64, [(2, 2)]), (8, 64, [(8, 8)]), (8, 3, [(3, 3)]),
-            (None, 64, []), (1, 64, []), (8, 1, []),
+        assert single.witnesses and ran == [(1, 0, False)] and contexts == []
+        for cores, threads, shards in [
+            (2, 64, 2), (8, 64, 8), (8, 3, 3), (None, 64, 1), (1, 64, 1), (8, 1, 1),
         ]:
-            asked.clear()
+            ran.clear()
+            contexts.clear()
             monkeypatch.setattr(search.os, "cpu_count", lambda cores=cores: cores)
             assert scan_saturated_trees(range(4, 11), 5, threads=threads) == single
-            assert asked == want, (cores, threads)
+            children = [(shards, s, True) for s in range(1, shards)]
+            assert ran == children + [(shards, 0, False)], (cores, threads)
+            assert contexts == (["fork"] if shards > 1 else []), (cores, threads)
 
     def test_shards_run_directly_merge_to_one(self):
         # _scan_shard with no pool, so 3-shard dealing is covered on any
@@ -762,6 +803,80 @@ class TestDealtWalk:
             merged = sorted((w for p in parts for w in p[2]), key=_witness_key)
             joined = b" ".join(w.graph6 for w in merged)
             assert (len(merged), hashlib.sha256(joined).hexdigest()) == (count, digest)
+
+
+class TestForkedShards:
+    # the caller walks shard 0 and forks one child per other shard.  With
+    # os.cpu_count patched to 3 the scans fork real children on any machine,
+    # and no child is left once a scan returns or raises
+
+    @pytest.fixture(autouse=True)
+    def three_cores(self, monkeypatch):
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+
+    def test_two_and_three_shards_leave_no_child(self, monkeypatch):
+        # each shard but 0 runs in a process other than the caller's
+        caller = os.getpid()
+        real = search._scan_shard
+
+        def spy(job):
+            assert (os.getpid() == caller) == (job[3] == 0), job
+            return real(job)
+
+        monkeypatch.setattr(search, "_scan_shard", spy)
+        one = scan_saturated_trees(range(4, 12), 6, threads=1)
+        for threads in (2, 3):
+            assert scan_saturated_trees(range(4, 12), 6, threads=threads) == one
+            assert multiprocessing.active_children() == []
+
+    def test_a_childs_error_reaches_the_caller(self, monkeypatch):
+        # with its type and message
+        real = search._scan_shard
+
+        def shard(job):
+            if job[3] == 1:
+                raise ValueError("boom")
+            return real(job)
+
+        monkeypatch.setattr(search, "_scan_shard", shard)
+        for threads in (2, 3):
+            with pytest.raises(ValueError, match="^boom$") as err:
+                scan_saturated_trees(range(4, 12), 6, threads=threads)
+            # with the child's traceback as its cause
+            cause = str(err.value.__cause__)
+            assert cause.startswith("in the child of shard 1:") and 'raise ValueError("boom")' in cause
+            assert multiprocessing.active_children() == []
+
+    def test_an_error_in_the_callers_shard_ends_the_children(self, monkeypatch):
+        # the children are still walking, as a minute's sleep, when shard 0
+        # raises in the caller; they are terminated, not waited for
+        def shard(job):
+            if job[3] == 0:
+                raise RuntimeError("shard 0")
+            time.sleep(60)
+
+        monkeypatch.setattr(search, "_scan_shard", shard)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="shard 0"):
+            scan_saturated_trees(range(4, 12), 6, threads=3)
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_that_dies_raises_scan_worker_error(self, monkeypatch):
+        # a child that exits without a result, as one the kernel kills for
+        # memory, names its shard and exit code; the fork carries the patch
+        real = search._scan_shard
+
+        def shard(job):
+            if job[3] == 1:
+                os._exit(9)
+            return real(job)
+
+        monkeypatch.setattr(search, "_scan_shard", shard)
+        with pytest.raises(ScanWorkerError, match="shard 1 ended with exit code 9") as err:
+            scan_saturated_trees(range(4, 12), 6, threads=3)
+        assert (err.value.shard, err.value.exitcode) == (1, 9)
+        assert multiprocessing.active_children() == []
 
 
 ROOT_PASS_CASES = [(n, k) for n in range(4, 13) for k in (5, 6, 7)] + [(14, 8), (16, 9)]

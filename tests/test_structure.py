@@ -27,17 +27,23 @@ def _parameters(fn) -> list[str]:
     return [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
 
 
-def test_process_pool_only_in_the_tree_scan():
+def test_processes_start_only_in_the_tree_scan():
+    # search.scan_saturated_trees is the one function that reads
+    # multiprocessing and starts a Process; no module keeps a process pool,
+    # a subprocess or a bare fork
     users = {
         f"{module}.{fn.name}"
         for module, fn in _functions()
         for node in ast.walk(fn)
-        if isinstance(node, ast.Name) and node.id == "ProcessPoolExecutor"
+        if isinstance(node, ast.Name) and node.id == "multiprocessing"
+        or isinstance(node, ast.Attribute) and node.attr == "Process"
     }
     assert users == {"search.scan_saturated_trees"}
     # and nowhere else: not at module level, not through an alias
-    mentions = {p.stem for p in SOURCES if "ProcessPoolExecutor" in p.read_text()}
+    mentions = {p.stem for p in SOURCES if "multiprocessing" in p.read_text()}
     assert mentions == {"search"}
+    for word in ("concurrent", "ProcessPool", "subprocess", "os.fork"):
+        assert {p.stem for p in SOURCES if word in p.read_text()} == set(), word
 
 
 def test_saturation_takes_no_threads():
@@ -121,32 +127,45 @@ def test_scan_has_one_mode():
 
 
 def test_scan_deals_one_job_per_worker():
-    # the jobs are range(shards) and the pool has max_workers=shards, so no
-    # worker takes a second shard and walks the stream twice
+    # the jobs are range(shards); the caller runs jobs[0] itself and starts
+    # one child for each job of jobs[1:], so no process takes a second
+    # shard and walks the stream twice
     tree = _module("search")
     (fn,) = (
         node for node in tree.body
         if isinstance(node, ast.FunctionDef) and node.name == "scan_saturated_trees"
     )
-    (pool,) = (
-        node for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ProcessPoolExecutor"
-    )
-    (workers,) = (kw.value for kw in pool.keywords if kw.arg == "max_workers")
+
+    def dump(source):
+        return ast.dump(ast.parse(source, mode="eval").body)
+
     (jobs,) = (
         node.value for node in ast.walk(fn)
         if isinstance(node, ast.Assign) and [ast.dump(t) for t in node.targets] == [ast.dump(ast.Name("jobs", ast.Store()))]
     )
     (gen,) = jobs.generators
-    assert isinstance(gen.iter, ast.Call) and gen.iter.func.id == "range"
-    assert [ast.dump(a) for a in gen.iter.args] == [ast.dump(workers)]
-    maps = [
+    assert ast.dump(gen.iter) == dump("range(shards)")
+    shard_calls = [
         node for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "map"
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_scan_shard"
     ]
-    assert [[ast.dump(a) for a in m.args] for m in maps] == [
-        [ast.dump(ast.Name("_scan_shard", ast.Load())), ast.dump(ast.Name("jobs", ast.Load()))]
+    # one shard inline, and the caller's shard 0 beside the children
+    assert [[ast.dump(a) for a in c.args] for c in shard_calls] == [[dump("jobs[0]")]] * 2
+    starts = [
+        node for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "Process"
     ]
+    assert len(starts) == 1
+    (loop,) = (
+        node for node in ast.walk(fn)
+        if isinstance(node, ast.For) and any(n is starts[0] for n in ast.walk(node))
+    )
+    assert ast.dump(loop.iter) == dump("jobs[1:]")
+    assert ast.dump(loop.target) == ast.dump(ast.Name("job", ast.Store()))
+    kwargs = {kw.arg: ast.dump(kw.value) for kw in starts[0].keywords}
+    assert kwargs["target"] == dump("_shard_child")
+    assert kwargs["args"] == dump("(job, sender)")
+    assert kwargs["daemon"] == dump("True")
 
 
 def test_no_private_imports_across_modules():
