@@ -3,7 +3,8 @@ runs, and claim-verification campaigns with machine-readable reports.
 
 Exit codes: 0 ok/saturated, 1 campaign failure, 2 usage or input error
 (including an unreadable or missing input file), 3 graph contains a member,
-4 missing edge found, 5 path-search budget exceeded.
+4 missing edge found, 5 path-search budget exceeded, 6 a tree scan's child
+process ended before sending its result.
 """
 
 from __future__ import annotations
@@ -68,13 +69,16 @@ EXIT_WORKER = 6
 
 def _parse_int_list(spec: str) -> list[int]:
     """Accepts "10", "9,11,14" and "9..14"; a list with no value, such as
-    "," or "14..9", is refused."""
+    "," or "14..9", or with a value that is not an integer, is refused."""
     spec = spec.strip()
-    if ".." in spec:
-        lo, _, hi = spec.partition("..")
-        values = list(range(int(lo), int(hi) + 1))
-    else:
-        values = [int(tok) for tok in spec.split(",") if tok.strip()]
+    try:
+        if ".." in spec:
+            lo, _, hi = spec.partition("..")
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(tok) for tok in spec.split(",") if tok.strip()]
+    except ValueError:
+        raise UsageError(f"the list {spec!r} holds a value that is not an integer") from None
     if not values:
         raise UsageError(f"the list {spec!r} holds no value")
     return values

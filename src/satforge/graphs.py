@@ -348,12 +348,14 @@ def write_edgelist(g: Graph) -> str:
 def parse_edgelist(text: str) -> Graph:
     """Inverse of write_edgelist; blank lines are skipped.  Raises
     ValueError, naming the line, on a line that is not two integers, on an
-    edge that is a self-loop or leaves 0..n-1, and on an order above
-    MAX_ORDER before anything is allocated."""
+    edge that is a self-loop or leaves 0..n-1, and on a negative order or
+    one above MAX_ORDER before anything is allocated."""
     lines = [(i, ln.split()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("edge list must start with an 'n m' header line")
     n, m = _int_pair(*lines[0], "an 'n m' header")
+    if n < 0:
+        raise ValueError(f"line {lines[0][0]}: expected an order of at least 0, found {n}")
     if n > MAX_ORDER:
         raise ValueError(f"line {lines[0][0]}: expected an order of at most {MAX_ORDER}, found {n}")
     edges = []

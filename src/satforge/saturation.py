@@ -32,9 +32,11 @@ non-edge at a time:
   arithmetic decides every pair between trees that hold no Pk, and clears
   such a tree by the same arm test.  Only pairs that touch another
   component go through per-triangle tables built over those components
-  alone.  The K3 u Pk detector itself looks for Pk only in the components,
-  left by each triangle, that have order at least k and, for a tree,
-  diameter at least k-1.
+  alone.  A chord whose ends have a common neighbour w searches for a Pk
+  avoiding u, v and w only when no Pk copy found so far in the scan
+  avoids them.  The K3 u Pk detector itself looks for Pk only in the
+  components, left by each triangle, that have order at least k and, for
+  a tree, diameter at least k-1.
 
 Everything else goes through the "generic" scan, one lazy loop that asks,
 per non-edge in turn, whether a member uses it: a clique through the new
@@ -917,6 +919,11 @@ def _scan_k3_cup_pk(g: Graph, k: int) -> Iterator[tuple[int, int]]:
     ecc(v), and more is better, so one probe per eccentricity gives u's
     threshold; chords between components become mask lookups as in the
     forest scan.
+
+    A new triangle uvw needs an old Pk avoiding u, v and w.  The scan keeps
+    the vertex set of each Pk its searches find, and searches only when
+    none of them avoids u, v and w; a kept copy is a Pk of g, so the answer
+    is the search's.
     """
     n, rows = g.n, g.rows
     comps = component_masks(g)
@@ -943,6 +950,8 @@ def _scan_k3_cup_pk(g: Graph, k: int) -> Iterator[tuple[int, int]]:
         c = tf.comp_of[x]
         return tf.parts[c] if c >= 0 else next(m for m in others if m >> x & 1)
 
+    copies: list[int] = []  # the Pk copies that creates' searches found
+
     def creates(u: int, v: int) -> bool:
         """u not plain; v plain or not."""
         pv = forest.comp_of[v]
@@ -966,8 +975,7 @@ def _scan_k3_cup_pk(g: Graph, k: int) -> Iterator[tuple[int, int]]:
             if any(not m >> u & 1 for m in pk):
                 return True
             for w in iter_bits(common):
-                mask = home[u] & ~((1 << u) | (1 << v) | (1 << w))
-                if find_path_of_order(g, k, mask=mask) is not None:
+                if _holds_pk(g, k, home[u] & ~((1 << u) | (1 << v) | (1 << w)), copies):
                     return True
         return False
 
@@ -1003,6 +1011,19 @@ def _scan_k3_cup_pk(g: Graph, k: int) -> Iterator[tuple[int, int]]:
         return tested, non_plain_fails, le[th[u]] if th[u] >= 0 else 0
 
     return _ascending_failures(n, partners)
+
+
+def _holds_pk(g: Graph, k: int, mask: int, copies: list[int]) -> bool:
+    """Whether g restricted to mask holds a Pk.  copies holds the vertex
+    masks of Pk copies of g found so far: one inside mask answers without
+    a search, and a search that finds a path adds its first k vertices."""
+    if any(not c & ~mask for c in copies):
+        return True
+    path = find_path_of_order(g, k, mask=mask)
+    if path is None:
+        return False
+    copies.append(_mask(path[:k], g.n))
+    return True
 
 
 # ---------------------------------------------------------------------------

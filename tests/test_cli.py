@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -485,6 +486,13 @@ class TestVerify:
             assert code == 2 and stdout == "", argv
             assert "holds no value" in err, argv
 
+    def test_non_integer_list_value_exit_two(self, capsys):
+        # named by the tool, not by int()'s own message
+        for argv in (("lem-2.4", "--k", "3,x"), ("thm-1.1", "--n", "x..9")):
+            code, stdout, err = run(capsys, "verify", *argv)
+            assert code == 2 and stdout == "", argv
+            assert err == f"error: the list {argv[2]!r} holds a value that is not an integer\n", argv
+
     def test_no_prefilter_refused(self, capsys):
         # verify has no audit option: argparse refuses it before any
         # campaign runs
@@ -550,3 +558,48 @@ def test_report_bytes_pinned(capsys, argv, threads):
     )
     assert code == 0
     assert hashlib.sha256(stdout.encode()).hexdigest() == REPORT_SHA256[argv]
+
+
+def test_seeded_fuzz_exits_with_a_documented_code(tmp_path):
+    # malformed families, edge lists and graph6 lines and out-of-range
+    # numbers over every subcommand, each in a child limited to 1 GiB of
+    # address space: a documented exit code, no traceback, and nothing on
+    # standard output when the input is refused
+    rng = random.Random(30)
+    ints = ("-1", "0", "1", "2", "3", "7", "99999999999", str(-(2**40)))
+    lists = ("-1", "0", "x", ",", "3,x", "9..3", "99999999999")
+    atoms = ("K3", "P4", "P1", "K0", "K99999999999", "K1*[2,3]", "K1*[]", "K1*[1", "+", ",", "*", "x")
+    graph = tmp_path / "p4.g6"
+    graph.write_bytes(graph6_encode(path_graph(4)) + b"\n")
+    runs = []
+    for i in range(5):
+        family = "".join(rng.choice(atoms) + rng.choice(("", "+", ",")) for _ in range(rng.randrange(1, 4)))
+        runs.append(("check", str(graph), "--family", family))
+        if i % 2:
+            runs.append(("bruteforce", "--n", rng.choice(("-1", "0", "4", "9")), "--family", family))
+    for i in range(5):
+        header = f"{rng.choice(('-1', '0', '3', '999999999', 'x'))} {rng.choice(('0', '1', '2'))}"
+        lines = rng.choices(("0 1", "1 2", "0 0", "1 5", "a b", "0 1 2", "", "-1 2"), k=rng.randrange(3))
+        path = tmp_path / f"edges{i}.txt"
+        path.write_text("\n".join([header, *lines]) + "\n")
+        runs.append(("check", str(path), "--family", "K3+P4", "--format", "edgelist"))
+    for i in range(5):
+        path = tmp_path / f"bytes{i}.g6"
+        n = rng.randrange(13)
+        size = max(0, -(-n * (n - 1) // 12) + rng.choice((-1, 0, 0, 1)))
+        path.write_bytes(bytes([63 + n] + [rng.randrange(63, 127) for _ in range(size)]))
+        runs.append(("check", str(path), "--family", "P3", *(("--format", "graph6") if i % 2 else ())))
+    for kind in rng.sample(sorted(cli._CONSTRUCT), 5):
+        n, k, p = rng.choices(ints, k=3)
+        runs.append(("construct", kind, "--n", n, "--k", k, "--p", p))
+    for name in rng.sample(sorted(cli._FORMULAS), 4):
+        n, k, p, sat_f = rng.choices(ints, k=4)
+        runs.append(("formula", name, "--n", n, "--k", k, "--p", p, "--sat-f", sat_f, "--orders", rng.choice(lists)))
+    for campaign in rng.sample(sorted(claims.CLAIMS), 3):
+        runs.append(("verify", campaign, rng.choice(("--k", "--n")), rng.choice(lists),
+                     "--threads", rng.choice(("0", "1", "2"))))
+    for argv in runs:
+        proc = run_limited(*argv)
+        assert proc.returncode in range(7), (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, argv
+        assert proc.returncode != 2 or proc.stdout == "", argv

@@ -237,10 +237,12 @@ def test_edgelist_round_trip():
 
 
 def test_edgelist_errors_name_the_line():
-    # the order cap is graph6's, checked before any row is allocated; a
-    # self-loop or an endpoint outside 0..n-1 is named by its line too
+    # the order cap is graph6's, checked before any row is allocated, and a
+    # negative order is refused at its header; a self-loop or an endpoint
+    # outside 0..n-1 is named by its line too
     for text, message in (
         (f"{MAX_ORDER + 1} 0\n", f"line 1: expected an order of at most {MAX_ORDER}, found {MAX_ORDER + 1}"),
+        ("\n-1 1\n-1 2\n", "line 2: expected an order of at least 0, found -1"),
         ("3 2\n0 1 2\n1 2\n", "line 2: expected an edge 'u v' of two integers, found '0 1 2'"),
         ("3 1\n\n0 x\n", "line 3: expected an edge 'u v' of two integers, found '0 x'"),
         ("3 two\n", "line 1: expected an 'n m' header of two integers, found '3 two'"),

@@ -203,6 +203,27 @@ class TestCheckSaturated:
         assert count(make_tk(12), "P12") == count(join(empty_graph(1), make_tk(11)), "K1*[11]") == 0
         assert count(make_h0(1210, 10), "K3+P10") == count(make_h0(12010, 10), "K3+P10")
 
+    def test_new_triangle_chords_search_only_past_the_kept_copies(self, monkeypatch):
+        # h0's new-triangle chords (ends with a common neighbour) each ask
+        # for a Pk avoiding three vertices; a Pk copy found by an earlier
+        # search answers all but the first few, so ten times the copies and
+        # a larger k make the same few path searches
+        calls = []
+        find = saturation.find_path_of_order
+        monkeypatch.setattr(
+            saturation, "find_path_of_order", lambda *a, **kw: calls.append(None) or find(*a, **kw)
+        )
+
+        def count(g, text):
+            calls.clear()
+            v = check_saturated(g, parse_family(text))
+            assert v.is_saturated and v.strategy == "triangle_table"
+            return len(calls)
+
+        assert count(make_h0(1210, 10), "K3+P10") == 4
+        assert count(make_h0(12010, 10), "K3+P10") == 4
+        assert count(make_h0(444, 14), "K3+P14") == 4
+
     def test_generic_scan_stops_at_first_failure(self):
         # the scan tests non-edges lazily: C2000 has about two million, and
         # the first, (0, 2), already fails against K4
@@ -649,6 +670,60 @@ class TestScanEquivalence:
         v = check_saturated(g, parse_family("K3+P12"))
         assert time.perf_counter() - start < 1.0
         assert v.strategy == "triangle_table" and v.missing_edge == (0, 9)
+
+    def test_kept_pk_copies_answer_only_queries_they_avoid(self, monkeypatch):
+        # a K4 or a chain of triangles with trees hung on its vertices,
+        # relabelled, against K3+Pk for k = 4..7: the gap matches the
+        # generic scan.  Of the Pk queries of new-triangle chords, some are
+        # answered by a copy kept from an earlier search, with no search;
+        # in others no kept copy lies inside the query's mask (the graph is
+        # connected, so each meets u, v or w), and they search, some finding
+        # no Pk, which a kept copy reused regardless would have answered
+        # wrongly
+        queries, searches = [], []
+        find, holds_pk = saturation.find_path_of_order, saturation._holds_pk
+        monkeypatch.setattr(
+            saturation, "find_path_of_order", lambda *a, **kw: searches.append(None) or find(*a, **kw)
+        )
+
+        def spy(g, k, mask, copies):
+            kept, before = tuple(copies), len(searches)
+            found = holds_pk(g, k, mask, copies)
+            queries.append((kept, mask, found, len(searches) > before))
+            return found
+
+        monkeypatch.setattr(saturation, "_holds_pk", spy)
+        rng = random.Random(83)
+        checked = 0
+        for _ in range(40):
+            if rng.random() < 0.5:
+                core, edges = 4, list(complete_graph(4).edges())
+            else:
+                t = rng.randrange(1, 4)
+                core = 2 * t + 1
+                edges = [(2 * i + a, 2 * i + b) for i in range(t) for a, b in ((0, 1), (0, 2), (1, 2))]
+            n = rng.randrange(core + 1, 15)
+            edges += [(rng.randrange(v), v) for v in range(core, n)]
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g = build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+            for k in range(4, 8):
+                fam = parse_family(f"K3+P{k}")
+                if contains_member(g, fam) is not None:
+                    continue
+                checked += 1
+                assert check_saturated(g, fam).strategy == "triangle_table"
+                assert saturation_gap(g, fam) == list(saturation._scan_generic(g, fam)), (g, k)
+        assert checked >= 50
+        reused, past = [], []
+        for kept, mask, found, searched in queries:
+            if any(not c & ~mask for c in kept):
+                reused.append(found and not searched)
+            elif kept:
+                past.append((found, searched))
+        assert reused and all(reused)
+        assert past and all(searched for _, searched in past)
+        assert any(not found for found, _ in past)
 
     def test_copy_classes_beside_a_k4_part_match_generic(self, monkeypatch):
         # plain copies beside a K4 with a pendant edge, which holds a Pk, go
