@@ -45,7 +45,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .canon import accepts, augmentation_code
+from .canon import accepts, augmentation_automorphisms
 from .constructions import make_small_tree, make_t0k, make_t1k
 from .graphs import (
     Graph,
@@ -342,30 +342,43 @@ def _viable(parent: Graph) -> Iterator[int]:
     when that component is a tree and |S| > 1; and when it is not a tree
     and some vertex u outdoes |S|, where u counts as deg(u) + 1 if it lies
     in S.  The canonical pass itself has no early exit: this rule is the
-    only one applied before a child is built."""
+    only one applied before a child is built.  The components each subset
+    meets, and so the order, tree test and largest degree of the new
+    vertex's component, are read from tables built once per parent."""
+    n = parent.n
     deg = [r.bit_count() for r in parent.rows]
-    comps = []  # (mask, order, is a tree, largest degree)
-    for c in component_masks(parent):
+    comps = component_masks(parent)
+    # per set h of components (bit i for comps[i]): the order of the new
+    # vertex's component when it meets exactly those, whether they are all
+    # trees, and their largest degree
+    reach, trees, tops = [1], [True], [0]
+    where = [0] * n  # per vertex, the bit of its component
+    for i, c in enumerate(comps):
         ds = [deg[v] for v in iter_bits(c)]
-        comps.append((c, len(ds), sum(ds) == 2 * len(ds) - 2, max(ds)))
-    big = max(size for _, size, _, _ in comps)
+        for v in iter_bits(c):
+            where[v] = 1 << i
+        reach += [r + len(ds) for r in reach]
+        trees += [t and sum(ds) == 2 * len(ds) - 2 for t in trees]
+        tops += [max(t, max(ds)) for t in tops]
+    big = max(c.bit_count() for c in comps)
     # outdo[k]: the vertices that outdo a new vertex of degree k if joined to it
-    outdo = [sum(1 << v for v in range(parent.n) if deg[v] >= k) for k in range(parent.n + 1)]
-    for s in range(1 << parent.n):
-        k = s.bit_count()
-        order, tree, top = 1, True, 0
-        for c, size, is_tree, most in comps:
-            hit = s & c
-            if hit:
-                order += size
-                tree = tree and is_tree and hit & (hit - 1) == 0
-                top = max(top, most)
-        if order < big:
+    outdo = [0] * (n + 2)
+    for v in range(n):
+        outdo[deg[v]] |= 1 << v
+    for k in range(n, -1, -1):
+        outdo[k] |= outdo[k + 1]
+    # per subset s: the set of components it meets, and its size
+    hits, sizes = [0], [0]
+    for v in range(n):
+        hits += [h | where[v] for h in hits]
+        sizes += [k + 1 for k in sizes]
+    for s, h, k in zip(range(1 << n), hits, sizes):
+        if reach[h] < big:
             continue
-        if tree:
+        if trees[h] and h.bit_count() == k:  # the new vertex's component is a tree
             if k > 1:
                 continue
-        elif k < top or s & outdo[k]:
+        elif k < tops[h] or s & outdo[k]:
             continue
         yield s
 
@@ -416,8 +429,8 @@ def _children(parent: Graph, gens: list[bytes]) -> list[tuple[Graph, list[bytes]
     `gens` are the parent's."""
     out = []
     for child in _candidates(parent, gens):
-        child_gens: list[bytes] = []
-        if augmentation_code(child, parent.n, child_gens) is not None:
+        child_gens = augmentation_automorphisms(child, parent.n)
+        if child_gens is not None:
             out.append((child, child_gens))
     return out
 

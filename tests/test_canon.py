@@ -2,8 +2,11 @@ import itertools
 import random
 import time
 
+from satforge import canon
 from satforge.canon import (
+    _find,
     _labelling,
+    _meet,
     _refine,
     canonical_form,
     canonical_last_vertex,
@@ -16,6 +19,7 @@ from satforge.graphs import (
     graph6_decode,
     graph6_of,
     is_tree,
+    iter_bits,
     path_graph,
 )
 from satforge.search import enumerate_graphs
@@ -299,10 +303,176 @@ def test_refine_matches_the_full_count():
         labels = [rng.randrange(3) for _ in range(n)]
         cells = [tuple(v for v in range(n) if labels[v] == c) for c in range(3)]
         cases.append((g.rows, [c for c in cells if c]))
+    def masks(cells):  # _refine takes and gives each cell as a vertex mask
+        return [sum(1 << v for v in c) for c in cells]
+
     for rows, cells in cases:
-        refined = _refine(rows, cells)
-        assert refined == full_refine(rows, cells), (rows, cells)
+        refined = full_refine(rows, cells)
+        assert _refine(rows, masks(cells)) == masks(refined), (rows, cells)
         for i, cell in enumerate(refined):
             for v in cell if len(cell) > 1 else ():
                 parted = refined[:i] + [(v,), tuple(u for u in cell if u != v)] + refined[i + 1 :]
-                assert _refine(rows, parted, [1 << v]) == full_refine(rows, parted), (rows, v)
+                assert _refine(rows, masks(parted), [1 << v]) == masks(full_refine(rows, parted)), (rows, v)
+
+
+def unpruned_search_order(rows, cells, orbit, sink):
+    """The canonical search before automorphism pruning, as the reference:
+    every discrete refinement is walked but twins of a vertex already
+    tried, and leaves are compared by their graph6_of bytes.  Takes and
+    refines cells as tuples."""
+    best = [None, None]  # code, order
+
+    def walk(cells):
+        split = next((i for i, c in enumerate(cells) if len(c) > 1), -1)
+        if split < 0:
+            order = [c[0] for c in cells]
+            code = graph6_of(rows, order)
+            if best[0] is None or code < best[0]:
+                best[0], best[1] = code, order
+            elif code == best[0]:
+                _meet(orbit, sink, best[1], order)
+            return
+        cell = cells[split]
+        tried = []
+        for v in cell:
+            twin = next((u for u in tried if rows[u] & ~(1 << v) == rows[v] & ~(1 << u)), -1)
+            if twin >= 0:
+                _meet(orbit, sink, (v, twin), (twin, v))
+                continue
+            tried.append(v)
+            rest = tuple(u for u in cell if u != v)
+            walk(full_refine(rows, cells[:split] + [(v,), rest] + cells[split + 1 :]))
+
+    walk(cells)
+    return best[1]
+
+
+def orbit_partition(orbit):
+    blocks = {}
+    for v in range(len(orbit)):
+        blocks.setdefault(_find(orbit, v), []).append(v)
+    return sorted(blocks.values())
+
+
+def unpruned_labelling(g, monkeypatch):
+    def reference(rows, cells, orbit, sink):
+        return unpruned_search_order(rows, [tuple(iter_bits(c)) for c in cells], orbit, sink)
+
+    with monkeypatch.context() as m:
+        m.setattr(canon, "_search_order", reference)
+        return _labelling(g)
+
+
+def random_graphs(seed, count, top):
+    """Seeded random graphs of order <= top: dense and sparse ones, trees,
+    and disjoint unions of those, some with isomorphic parts."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n = rng.randint(1, top)
+        kind = i % 4
+        if kind == 0:
+            p = rng.random()
+            g = build_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        elif kind == 1:
+            g = build_graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+        else:
+            a = rng.randint(1, max(1, n // 2))
+            part = build_graph(a, [e for e in itertools.combinations(range(a), 2) if rng.random() < 0.5])
+            other = part if kind == 2 else build_graph(n - a, [(rng.randrange(v), v) for v in range(1, n - a)])
+            g = disjoint_union(part, other) if other.n else part
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        out.append(permuted(g, perm))
+    return out
+
+
+def test_pruned_search_matches_unpruned_reference(monkeypatch):
+    # automorphism pruning keeps the order, so the canonical code, and the
+    # orbits: on every graph of order <= 7, on seeded random graphs of
+    # order <= 12, and on relabelled Shrikhande graphs, where the
+    # stabiliser of a vertex splits the cell of its non-neighbours that
+    # refinement leaves whole, so pruning by an automorphism that moves an
+    # individualised vertex would lose leaves
+    graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    graphs += random_graphs(47, 200, 12)
+    rng = random.Random(59)
+    for _ in range(12):
+        perm = list(range(16))
+        rng.shuffle(perm)
+        graphs.append(permuted(shrikhande(), perm))
+    for g in graphs:
+        order, orbit = _labelling(g)
+        want_order, want_orbit = unpruned_labelling(g, monkeypatch)
+        assert order == want_order, g
+        assert orbit_partition(orbit) == orbit_partition(want_orbit), g
+
+
+def cocktail_party(n):
+    """K(2, ..., 2) on n vertices: K_n less a perfect matching."""
+    return build_graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2) if v != u ^ 1])
+
+
+def circulant(n, s):
+    """C_n(1..s): i ~ j when their distance around the n-cycle is at most s."""
+    return build_graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2) if min(v - u, n - v + u) <= s])
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return build_graph(10, outer + inner + [(i, 5 + i) for i in range(5)])
+
+
+def shrikhande():
+    """The Cayley graph of Z4 x Z4 on the steps (0, 1), (1, 0) and (1, 1):
+    strongly regular like the 4 x 4 rook's graph, with a smaller group."""
+    steps = ((0, 1), (1, 0), (1, 1))
+    return build_graph(
+        16, [(4 * a + b, 4 * ((a + x) % 4) + (b + y) % 4) for a in range(4) for b in range(4) for x, y in steps]
+    )
+
+
+def complete_bipartite(m):
+    return build_graph(2 * m, [(u, m + v) for u in range(m) for v in range(m)])
+
+
+SYMMETRIC = (
+    [cocktail_party(n) for n in range(8, 21, 2)]
+    + [circulant(n, s) for n in range(3, 21) for s in range(1, n // 2 + 1)]
+    + [petersen(), shrikhande()]
+    + [complete_bipartite(m) for m in range(1, 11)]
+)
+
+
+def test_symmetric_graphs():
+    # vertex-transitive and near-transitive graphs, whose groups twin swaps
+    # alone do not generate: relabelled copies share a form, and at order
+    # <= 8 the orbits are those of explicit enumeration
+    rng = random.Random(53)
+    for g in SYMMETRIC:
+        form = canonical_form(g)
+        for _ in range(5):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_form(permuted(g, perm)) == form, g
+        if g.n <= 8:
+            orb = brute_orbits(g)
+            for u in range(g.n):
+                for v in range(u + 1, g.n):
+                    assert same_orbit(g, u, v) == (orb[u] == orb[v]), (g, u, v)
+
+
+def test_cocktail_party_leaves(monkeypatch):
+    # the leaves the search compares on K(2, ..., 2) of order 20, counted
+    # by their keys; unpruned, the search walked too many to finish
+    leaves = []
+    key = canon._leaf_key
+
+    def counted(rows, order):
+        leaves.append(order)
+        return key(rows, order)
+
+    monkeypatch.setattr(canon, "_leaf_key", counted)
+    canonical_form(cocktail_party(20))
+    assert len(leaves) == 46

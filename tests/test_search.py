@@ -271,8 +271,10 @@ class TestAugmentation:
                     assert (augmentation_code(child, k) is not None) == same
 
     def test_accepts_matches_augmentation_code(self):
-        # every child of every parent of order <= 5
-        for k in range(1, 6):
+        # every child of every parent of order <= 6, all 2^k neighbourhoods,
+        # so the early exits of the refinement, the twin and individualised
+        # shortcuts and the search each meet rejections too
+        for k in range(1, 7):
             for parent in enumerate_graphs(k):
                 for subset in range(1 << k):
                     child = _augmented(parent, subset)

@@ -444,3 +444,29 @@ def test_canonical_pass_takes_no_mark():
         if module == "canon" and fn.name in ("_labelling", "_degree_cells", "_ends_in_orbit")
     }
     assert params == {"_labelling": ["g", "sink"], "_degree_cells": ["rows", "verts", "degs"]}
+
+
+def test_no_state_kept_across_calls():
+    # each enumeration pays for its own catalogue: no module memoises
+    # through functools.cache or lru_cache or rebinds a module global, and
+    # canon and search hold no module-level mutable container
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            assert not isinstance(node, ast.Global), path.stem
+            names = (
+                [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                else [node.attr] if isinstance(node, ast.Attribute)
+                else [node.id] if isinstance(node, ast.Name)
+                else []
+            )
+            assert not {"cache", "lru_cache"} & set(names), path.stem
+    containers = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+    makers = {"list", "dict", "set", "bytearray", "defaultdict", "OrderedDict", "Counter", "deque"}
+    for name in ("canon", "search"):
+        for node in _module(name).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and node.value is not None:
+                value = node.value
+                call = value.func if isinstance(value, ast.Call) else None
+                called = getattr(call, "id", getattr(call, "attr", None))
+                assert not isinstance(value, containers) and called not in makers, (name, ast.dump(node))
