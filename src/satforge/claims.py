@@ -7,6 +7,9 @@ it is checked at, and a runner that checks it case by case.
 configured is the caller's.  It returns case dicts (`case`, `claim`,
 `expected`, `actual`, `pass`) in a deterministic order, so a report is the
 same for any configuration of the scan.
+
+The scan reports saturated trees only.  What they contain is tested here,
+against claimed_patterns(k), the containment the tree claims state.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ from functools import partial
 from typing import Callable
 
 from .canon import canonical_form
-from .constructions import make_g0, make_h0, make_t0k, make_t1k
+from .constructions import make_g0, make_h0, make_small_tree, make_t0k, make_t1k
 from .formulas import order_constant, sat_k3_cup_pk_bounds, sat_k3_pk
 from .graphs import (
+    Graph,
     connected_components,
     delete_vertex,
     diameter,
@@ -26,9 +30,9 @@ from .graphs import (
     graph6_decode,
     join,
 )
-from .patterns import subtree_contains
+from .patterns import TreePattern, subtree_contains
 from .saturation import check_saturated, contains_member, parse_family
-from .search import claimed_patterns, sat_bruteforce, scan_saturated_trees
+from .search import sat_bruteforce, scan_saturated_trees
 
 
 class UsageError(ValueError):
@@ -48,7 +52,7 @@ H0_PAIRS = ((120, 10), (200, 10), (168, 11))
 # n for the hub join over P2+P2
 HUB_JOIN_NS = (6, 7)
 # k -> (tree orders scanned, the least-order saturated non-star trees);
-# containment is checked against the scan's own targets, which add T1_8
+# containment is checked against claimed_patterns(k), which adds T1_8
 PROP_5_2 = {
     5: (range(4, 13), ("T1",)),
     6: (range(4, 13), ("T2", "T3")),
@@ -174,6 +178,46 @@ def _hub_join(ns, scan) -> list[dict]:
     return cases
 
 
+def claimed_patterns(k: int) -> list[tuple[str, Graph]]:
+    """Containment targets recorded for saturated non-star trees.
+
+    Every saturated non-star tree contains one of these.  They are not all
+    minimum trees: at k=8 the unique least-order saturated tree is T0_8
+    (order 10), while T1_8 (order 11) is saturated and holds no T0_8.  For
+    k >= 8 the diameter decides the target: diameter k-3 trees contain
+    T0_k, diameter k-2 trees contain T1_k.
+    """
+    if k == 5:
+        return [("T1", make_small_tree("T1"))]
+    if k == 6:
+        return [("T2", make_small_tree("T2")), ("T3", make_small_tree("T3"))]
+    if k == 7:
+        return [("T0_7", make_t0k(7))]
+    return [(f"T0_{k}", make_t0k(k)), (f"T1_{k}", make_t1k(k))]
+
+
+def _diameter_target(k: int, d: int) -> str | None:
+    """The pattern a tree of diameter d must hold at k >= 8, if any."""
+    return {k - 3: f"T0_{k}", k - 2: f"T1_{k}"}.get(d) if k >= 8 else None
+
+
+def held_patterns(k: int, trees: list[Graph]) -> list[tuple[int, str | None]]:
+    """Per tree: its diameter, and the first of claimed_patterns(k) it
+    contains, or None.  Each pattern is prepared once; a tree is searched
+    from its adjacency lists and diameter, its diameter target first, so
+    the answer is that target whenever the tree holds it."""
+    patterns = {name: TreePattern(g) for name, g in claimed_patterns(k)}
+    held = []
+    for t in trees:
+        d = diameter(t)
+        adj = [list(t.neighbors(v)) for v in range(t.n)]
+        first = _diameter_target(k, d)
+        tries = sorted(patterns, key=lambda name: name != first)
+        hit = next((name for name in tries if patterns[name].embedding(adj, d) is not None), None)
+        held.append((d, hit))
+    return held
+
+
 def _minimum_trees(ks, scan) -> list[dict]:
     cases = []
     for k in ks:
@@ -183,6 +227,7 @@ def _minimum_trees(ks, scan) -> list[dict]:
         targets = dict(claimed_patterns(k))
         names = {canonical_form(g): name for name, g in targets.items()}
         trees = [graph6_decode(w.graph6) for w in rep.witnesses]
+        held = held_patterns(k, trees)
         least = min((t.n for t in trees), default=None)
         minimum = sorted(
             names.get(c, c.decode("ascii"))
@@ -197,9 +242,7 @@ def _minimum_trees(ks, scan) -> list[dict]:
                 minimum,
             )
         )
-        bad = [
-            w.graph6.decode("ascii") for w in rep.witnesses if not w.contains_any()
-        ]
+        bad = [w.graph6.decode("ascii") for w, (_, hit) in zip(rep.witnesses, held) if hit is None]
         cases.append(
             _case(
                 f"k={k}/containment",
@@ -210,19 +253,18 @@ def _minimum_trees(ks, scan) -> list[dict]:
             )
         )
         if k >= 8:
-            cases.append(_by_diameter(k, lo, hi, rep.witnesses, trees))
+            cases.append(_by_diameter(k, lo, hi, rep.witnesses, held))
         if k == 8:
             cases.append(_refutation(k, targets, trees))
     return cases
 
 
-def _by_diameter(k: int, lo: int, hi: int, witnesses, trees) -> dict:
+def _by_diameter(k: int, lo: int, hi: int, witnesses, held) -> dict:
     """For k >= 8 the diameter selects the target: k-3 holds T0_k, k-2 T1_k."""
     bad = []
-    for w, t in zip(witnesses, trees):
-        d = diameter(t)
-        target = {k - 3: f"T0_{k}", k - 2: f"T1_{k}"}.get(d)
-        if target is None or not dict(w.contains)[target]:
+    for w, (d, hit) in zip(witnesses, held):
+        target = _diameter_target(k, d)
+        if target is None or hit != target:
             bad.append(w.graph6.decode("ascii"))
     return _case(
         f"k={k}/by-diameter",
@@ -239,7 +281,7 @@ def _refutation(k: int, targets: dict, trees) -> dict:
     detectors directly, not the saturation scan."""
     sparse = targets[f"T1_{k}"]
     fam = parse_family(f"K3,P{k}")
-    codes = {canonical_form(t) for t in trees}
+    codes = {canonical_form(t) for t in trees if t.n == sparse.n}
     return _case(
         f"k={k}/refutation",
         f"T1_{k} is member-free, every added edge creates a member, it holds "
@@ -260,13 +302,14 @@ def _refutation(k: int, targets: dict, trees) -> dict:
 
 def _order_20(points, scan) -> list[dict]:
     rep = scan([20], 10)
+    trees = [graph6_decode(w.graph6) for w in rep.witnesses]
     bad = [
-        w.graph6.decode("ascii") for w in rep.witnesses if not w.contains_any()
+        w.graph6.decode("ascii")
+        for w, (_, hit) in zip(rep.witnesses, held_patterns(10, trees))
+        if hit is None
     ]
     t1k_code = canonical_form(make_t1k(10))
-    found = any(
-        canonical_form(graph6_decode(w.graph6)) == t1k_code for w in rep.witnesses
-    )
+    found = any(canonical_form(t) == t1k_code for t in trees)
     return [
         _case("order-20/containment",
               "every saturated non-star tree contains a minimum variant", [], bad),

@@ -128,17 +128,6 @@ def join(g1: Graph, g2: Graph) -> Graph:
     return Graph(g1.n + g2.n, tuple(rows))
 
 
-def tree_adjacency(parent: Sequence[int]) -> list[list[int]]:
-    """A preorder parent array (parent[0] unused) to the tree's adjacency
-    lists.  Vertex ids follow preorder, so each list is ascending: the
-    parent, then the children."""
-    adj: list[list[int]] = [[] for _ in parent]
-    for i in range(1, len(parent)):
-        adj[parent[i]].append(i)
-        adj[i].append(parent[i])
-    return adj
-
-
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     """Subgraph induced on the given vertices, relabelled in ascending order."""
     keep = sorted(set(vertices))

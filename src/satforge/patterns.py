@@ -17,8 +17,8 @@ generic scan for K1*F members, which still decides a K1*F family on a graph
 with no universal vertex, 4 times slower, and the K3+P10 detector on
 make_h0(1210, 10) and sat_bruteforce(7, K1*[2,2]) no faster.
 
-Containment flags, the tree scan's record of which claimed minimum trees a
-saturated tree holds, come from the one subtree matcher, `TreePattern`.  It
+Which claimed minimum trees a saturated tree holds, as the tree claims ask,
+comes from the one subtree matcher, `TreePattern`.  It
 roots and checks a pattern tree once and then tests host trees given as
 adjacency lists, with the host's diameter when the caller knows it;
 `subtree_contains` is that matcher for one pair of Graphs.
@@ -479,8 +479,8 @@ def subtree_contains(host: Graph, pattern: Graph) -> Witness | None:
     full mapping, pattern vertex i onto host vertex parts[0][i].
 
     The host's adjacency lists are read once and searched by TreePattern;
-    a caller that tests many hosts against one pattern, as the tree scan
-    does, prepares the TreePattern itself.
+    a caller that tests many hosts against one pattern, as the tree claims
+    do, prepares the TreePattern itself.
     """
     if not is_tree(host):
         raise ValueError("host is not a tree")

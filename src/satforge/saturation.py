@@ -189,7 +189,10 @@ def _parse_member(tok: str) -> Member:
         body = tok[3:].strip()
         if not (body.startswith("[") and body.endswith("]")):
             raise ValueError(f"join member needs K1*[a,b,...], got {tok!r}")
-        orders = tuple(int(x) for x in body[1:-1].split(",") if x.strip())
+        try:
+            orders = tuple(int(x) for x in body[1:-1].split(",") if x.strip())
+        except ValueError:
+            raise ValueError(f"join member {tok!r} has an order that is not an integer") from None
         return JoinK1(orders)
     if "+" in tok:
         return DisjointUnion(tuple(_parse_atom(t.strip()) for t in tok.split("+")))

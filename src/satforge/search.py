@@ -33,10 +33,9 @@ the package's only processes, each sending its result back on a pipe.
 Each tree's parent array, the last vertex one level up in preorder, goes
 with the generator's diameter to saturation.tree_is_saturated, the one
 verdict, which decides the tree from its chords at distance 3 alone, since
-one of them fails whenever any chord does.  A saturated tree's containment
-flags come from its adjacency lists and diameter, against the claimed
-patterns prepared once per shard, so a Graph is built from the parent
-array only for the graph6 of the saturated trees it reports.
+one of them fails whenever any chord does.  The scan reports each saturated
+tree by its graph6 and order, building a Graph from the parent array for
+those alone; what the trees contain is tested by the claims that read them.
 """
 
 from __future__ import annotations
@@ -46,16 +45,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .canon import accepts, augmentation_automorphisms
-from .constructions import make_small_tree, make_t0k, make_t1k
-from .graphs import (
-    Graph,
-    build_graph,
-    component_masks,
-    graph6_encode,
-    iter_bits,
-    tree_adjacency,
-)
-from .patterns import TreePattern
+from .graphs import Graph, build_graph, component_masks, graph6_encode, iter_bits
 from .saturation import ForbiddenFamily, check_saturated, tree_is_saturated
 
 DEFAULT_TREE_BUDGET = 22
@@ -499,10 +489,6 @@ def sat_bruteforce(n: int, fam: ForbiddenFamily) -> BruteForceResult:
 class TreeWitness:
     graph6: bytes
     order: int
-    contains: tuple[tuple[str, bool], ...]  # per claimed pattern
-
-    def contains_any(self) -> bool:
-        return any(flag for _, flag in self.contains)
 
 
 @dataclass(frozen=True)
@@ -513,27 +499,6 @@ class ScanReport:
     trees_checked: int
     saturated_count: int  # len(witnesses)
     witnesses: tuple[TreeWitness, ...]
-
-
-def claimed_patterns(k: int) -> list[tuple[str, Graph]]:
-    """Containment targets recorded for saturated non-star trees.
-
-    Every saturated non-star tree contains one of these.  They are not all
-    minimum trees: at k=8 the unique least-order saturated tree is T0_8
-    (order 10), while T1_8 (order 11) is saturated and holds no T0_8.  For
-    k >= 8 the diameter decides the target: diameter k-3 trees contain
-    T0_k, diameter k-2 trees contain T1_k.
-    """
-    if k == 5:
-        return [("T1", make_small_tree("T1"))]
-    if k == 6:
-        return [("T2", make_small_tree("T2")), ("T3", make_small_tree("T3"))]
-    if k == 7:
-        return [("T0_7", make_t0k(7))]
-    patterns = [(f"T0_{k}", make_t0k(k))]
-    if k >= 8:
-        patterns.append((f"T1_{k}", make_t1k(k)))
-    return patterns
 
 
 def _window_heights(k: int) -> range:
@@ -563,16 +528,12 @@ def _scan_shard(job: tuple) -> tuple[int, int, list[TreeWitness]]:
     is checked when its diameter is k-3 or k-2.
 
     Each checked tree goes to tree_is_saturated, the one verdict, as its
-    parent array with the generator's diameter.  A saturated tree's
-    containment flags come from its adjacency lists and diameter, against
-    the claimed patterns prepared once per shard; only its graph6 needs it
-    built as a Graph, from the parent array."""
+    parent array with the generator's diameter.  Only a saturated tree is
+    built as a Graph, from the parent array, for its graph6."""
     orders, k, shards, shard = job
     heights = _window_heights(k)
-    patterns = [(name, TreePattern(pat)) for name, pat in claimed_patterns(k)]
     walked = checked = 0
     witnesses: list[TreeWitness] = []
-    flag_sets: dict = {}
     for n in orders:
         for levels, diam in _iter_free_trees(n, heights, shards, shard):
             walked += 1
@@ -580,17 +541,9 @@ def _scan_shard(job: tuple) -> tuple[int, int, list[TreeWitness]]:
                 continue
             checked += 1
             parent = _parents(levels)
-            if not tree_is_saturated(parent, diam, k):
-                continue
-            adj = tree_adjacency(parent)
-            flags = tuple(
-                (name, pat.embedding(adj, diam) is not None) for name, pat in patterns
-            )
-            # witnesses share one tuple per distinct flag set, in memory
-            # and through pickling
-            flags = flag_sets.setdefault(flags, flags)
-            tree = build_graph(n, enumerate(parent[1:], 1))
-            witnesses.append(TreeWitness(graph6_encode(tree), n, flags))
+            if tree_is_saturated(parent, diam, k):
+                tree = build_graph(n, enumerate(parent[1:], 1))
+                witnesses.append(TreeWitness(graph6_encode(tree), n))
     return walked, checked, witnesses
 
 
@@ -609,8 +562,8 @@ def _shard_child(job: tuple, sender) -> None:
 
 def scan_saturated_trees(orders: Sequence[int], k: int, *, threads: int = 1) -> ScanReport:
     """Saturation-scan every non-star free tree of the given orders against
-    {triangle, k-path}; saturated trees are reported with containment flags
-    against the claimed minimum trees, ordered by (order, graph6).
+    {triangle, k-path}; saturated trees are reported by graph6 and order,
+    ordered by (order, graph6).  What they contain is the claims' to test.
 
     Only diameters k-3 and k-2 are checked, since no other non-star tree is
     saturated (_window_heights), and only the centre-rooted heights that

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from satforge.claims import claimed_patterns, held_patterns
 from satforge.constructions import make_h0, make_star, make_t0k, make_t1k, make_tk
 from satforge.graphs import (
     build_graph,
@@ -35,7 +36,7 @@ from satforge.patterns import (
     witness_ok,
 )
 from satforge.saturation import contains_member, member_witness_ok, parse_family
-from satforge.search import claimed_patterns, enumerate_trees, scan_saturated_trees
+from satforge.search import enumerate_trees, scan_saturated_trees
 
 
 def random_graph(rng, n, p=0.4):
@@ -548,7 +549,9 @@ class TestSubtreeContains:
                         assert host.has_edge(mapping[u], mapping[v])
         assert 0 < found < len(hosts) * len(patterns)
 
-    def test_scan_flags_match_networkx(self):
+    def test_claimed_containment_matches_networkx(self):
+        # every (witness, target) pair, through the patterns the tree claims
+        # prepare from claimed_patterns, and held_patterns's first hit
         nx = pytest.importorskip("networkx")
         from networkx.algorithms.isomorphism import GraphMatcher
 
@@ -560,12 +563,21 @@ class TestSubtreeContains:
 
         seen = set()
         for k in range(5, 10):
-            targets = {name: to_nx(pat) for name, pat in claimed_patterns(k)}
-            for w in scan_saturated_trees(range(4, 13), k).witnesses:
-                host = to_nx(graph6_decode(w.graph6))
-                for name, flag in w.contains:
-                    assert flag == GraphMatcher(host, targets[name]).subgraph_is_monomorphic(), (k, w)
+            prepared = [(name, TreePattern(pat), to_nx(pat)) for name, pat in claimed_patterns(k)]
+            trees = [graph6_decode(w.graph6) for w in scan_saturated_trees(range(4, 13), k).witnesses]
+            for tree, (d, hit) in zip(trees, held_patterns(k, trees)):
+                assert d == diameter(tree)
+                host = to_nx(tree)
+                held = []
+                for name, pattern, target in prepared:
+                    flag = pattern.embedding(adjacency_lists(tree), d) is not None
+                    assert flag == GraphMatcher(host, target).subgraph_is_monomorphic(), (k, name)
                     seen.add(flag)
+                    if flag:
+                        held.append(name)
+                # the diameter target, tried first at k >= 8, else the first held
+                target = {k - 3: f"T0_{k}", k - 2: f"T1_{k}"}.get(d) if k >= 8 else None
+                assert hit == (target if target in held else next(iter(held), None)), (k, d)
         assert seen == {False, True}
 
     def test_early_rejections_come_before_any_search(self, monkeypatch):

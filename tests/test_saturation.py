@@ -77,6 +77,10 @@ class TestFamilyParsing:
             parse_family("")
         with pytest.raises(ValueError):
             parse_family("Q7")
+        with pytest.raises(ValueError, match=r"join member 'K1\*\[a\]' has an order that is not an integer"):
+            parse_family("K1*[a]")
+        with pytest.raises(ValueError, match=r"join member 'K1\*\[2\]\]' has an order that is not an integer"):
+            parse_family("K1*[2]]")
 
 
 class TestContainsMember:

@@ -16,6 +16,7 @@ from satforge.canon import (
     canonical_last_vertex,
     same_orbit,
 )
+from satforge.claims import held_patterns
 from satforge.constructions import make_t0k, make_t1k
 from satforge.graphs import (
     build_graph,
@@ -26,8 +27,8 @@ from satforge.graphs import (
     is_connected,
     is_tree,
     longest_path_layers,
-    tree_adjacency,
 )
+from satforge.patterns import subtree_contains
 from satforge.saturation import (
     _Forest,
     check_saturated,
@@ -460,12 +461,14 @@ class TestScans:
         rep = scan_saturated_trees(range(4, 11), 5)
         assert rep.saturated_count > 0
         assert min(w.order for w in rep.witnesses) == 5  # the order-5 chair
-        assert all(dict(w.contains)["T1"] for w in rep.witnesses)
+        held = held_patterns(5, [graph6_decode(w.graph6) for w in rep.witnesses])
+        assert all(hit == "T1" for _, hit in held)
 
     def test_k6_scan(self):
         rep = scan_saturated_trees(range(4, 13), 6)
         assert rep.saturated_count > 0
-        assert all(w.contains_any() for w in rep.witnesses)
+        held = held_patterns(6, [graph6_decode(w.graph6) for w in rep.witnesses])
+        assert all(hit is not None for _, hit in held)
 
     def test_stars_excluded_by_default(self):
         # every star is saturated (leaf pairs close triangles), and none is
@@ -794,8 +797,11 @@ class TestDealtWalk:
         assert sum(p[1] for p in parts) == 264143
         (w,) = [w for p in parts for w in p[2]]
         assert w.graph6 == b"ShCa?E??G?_@?C?G??K????C??G??_??C"
-        assert w.contains == (("T0_10", False), ("T1_10", True))
-        assert canonical_form(graph6_decode(w.graph6)) == canonical_form(make_t1k(10))
+        tree = graph6_decode(w.graph6)
+        # T1_10 is its diameter target, and it holds no T0_10
+        assert held_patterns(10, [tree]) == [(8, "T1_10")]
+        assert subtree_contains(tree, make_t0k(10)) is None
+        assert canonical_form(tree) == canonical_form(make_t1k(10))
 
     @pytest.mark.parametrize("k", sorted(SCAN_GOLDEN))
     def test_shards_run_directly_keep_the_recorded_witnesses(self, k):
@@ -952,7 +958,10 @@ def _spy(monkeypatch, name, key) -> list:
 def _fails(parent, k, distance):
     """Whether a chord at the given distance (None: any distance above 2)
     has no path of order k, from a BFS and a chord_reach pass per vertex."""
-    adj = tree_adjacency(parent)
+    adj: list[list[int]] = [[] for _ in parent]
+    for v in range(1, len(parent)):
+        adj[parent[v]].append(v)
+        adj[v].append(parent[v])
     for u in range(len(parent)):
         dist, up, order = saturation._bfs(adj, u)
         for d, r in zip(dist, chord_reach(dist, up, order)):

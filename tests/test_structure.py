@@ -1,5 +1,5 @@
 """Source-level checks that each parallel or shard mechanism, the subtree
-matcher, the path search, the tree verdict, the tree chord test and the
+matcher, the tree containment claim, the path search, the tree verdict, the tree chord test and the
 breadth-first search over adjacency lists exist once, that the scan has one mode and is configured in
 one place, that the builders run no checker, that the canonical pass takes
 no mark, and that no module keeps an import it never uses."""
@@ -9,7 +9,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import satforge
-from satforge.search import ScanReport
+from satforge.search import ScanReport, TreeWitness
 
 SOURCES = sorted(Path(satforge.__file__).parent.glob("*.py"))
 
@@ -244,13 +244,21 @@ def _calling_themselves(module: ast.Module) -> set[str]:
     return {name for name in defs if reaches_itself(name)}
 
 
-def test_search_imports_no_subtree_contains():
-    # the scan flags its witnesses through patterns prepared once per shard
-    tree = _module("search")
-    names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
-    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert "subtree_contains" not in names | attrs
-    assert "TreePattern" in names
+def test_containment_is_the_claims_alone():
+    # the scan reports trees by graph6 and order; the containment it was
+    # once asked about is stated and tested in claims alone
+    sources = {
+        node.module for node in ast.walk(_module("search")) if isinstance(node, ast.ImportFrom)
+    }
+    assert not sources & {"constructions", "patterns"}
+    definers = {
+        path.stem
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name == "claimed_patterns"
+    }
+    assert definers == {"claims"}
+    assert [f.name for f in fields(TreeWitness)] == ["graph6", "order"]
 
 
 def test_one_subtree_matcher():
